@@ -42,7 +42,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--trace", action="store_true",
-        help="negotiate wire-level trace propagation (the "
+        help="record wire-level trace propagation (the "
              "BENCH_net_trace.json variant; mode becomes "
              "net-gateway-traced)",
     )

@@ -38,7 +38,7 @@ Commands:
   ``BENCH_net.json`` document); ``--chaos`` reroutes all traffic
   through fault-injecting proxies (bit corruption, resets, a
   partition, a gateway kill) and additionally asserts zero silent
-  corruption and bounded retry amplification; ``--trace`` negotiates
+  corruption and bounded retry amplification; ``--trace`` records
   wire-level trace propagation and verifies every request's
   client → gateway → worker span chain;
 * ``top`` — live ops console against a ``net-serve --obs-port``
@@ -1385,7 +1385,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ns.add_argument(
         "--trace", action="store_true",
-        help="negotiate wire-level trace propagation (FLAG_TRACE) and "
+        help="record wire-level trace propagation and "
              "verify every request's client->gateway->worker span chain "
              "in the merged Chrome trace",
     )

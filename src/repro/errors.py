@@ -104,7 +104,7 @@ class NetProtocolError(ServeError):
 
 
 class FrameCorruptionError(NetProtocolError):
-    """A protocol-v2 frame failed its CRC32C integrity check: the bytes
+    """A network frame failed its CRC-32 integrity check: the bytes
     on the wire are not the bytes the peer sent.  The frame is dropped
     before any of its contents are trusted — corruption is detected,
     never decoded."""

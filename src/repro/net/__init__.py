@@ -6,7 +6,8 @@ shard pool (``repro.serve``), and — this package — a framed asyncio TCP
 gateway with multi-tenant admission control and SLO-driven autoscaling.
 
 * :mod:`repro.net.protocol` — the length-prefixed wire format (packed
-  int8 LLR payloads, streaming result frames, typed error transport).
+  int8 LLR payloads, streaming result frames, typed error transport,
+  a CRC-32 trailer on every frame).
 * :mod:`repro.net.admission` — per-tenant token buckets plus priority
   classes (:data:`GOLD`/:data:`SILVER`/:data:`BRONZE`) mapped onto the
   serve layer's step-shed iteration budgets.
@@ -20,8 +21,6 @@ gateway with multi-tenant admission control and SLO-driven autoscaling.
   retries, hedging, circuit breakers, and heartbeat liveness.
 * :mod:`repro.net.dedup` — :class:`DedupWindow`, the gateway-side
   idempotency window that makes retries decode-once.
-* :mod:`repro.net.crc` — the CRC32C used by protocol v2 frame
-  integrity.
 * :mod:`repro.net.soak` — :func:`run_net_soak`, the self-verifying
   diurnal-traffic soak harness behind ``repro net-soak`` (with
   ``--chaos`` it drives everything through :mod:`repro.chaos` proxies;
@@ -50,7 +49,6 @@ from repro.net.console import (
     render_top,
     run_top,
 )
-from repro.net.crc import crc32c
 from repro.net.dedup import DedupWindow
 from repro.net.gateway import DecodeGateway
 from repro.net.harq import (
@@ -63,16 +61,8 @@ from repro.net.harq import (
 )
 from repro.net.metrics import NetMetrics
 from repro.net.protocol import (
-    CLIENT_FLAGS,
     DEFAULT_MAX_FRAME_BYTES,
-    FLAG_CRC32C,
-    FLAG_HEARTBEAT,
-    FLAG_IDEMPOTENCY,
-    FLAG_TRACE,
     MAGIC,
-    SUPPORTED_VERSIONS,
-    V1,
-    V2,
     VERSION,
     ErrorFrame,
     FrameReader,
@@ -109,8 +99,6 @@ __all__ = [
     "BRONZE",
     "build_status",
     "CircuitBreaker",
-    "CLIENT_FLAGS",
-    "crc32c",
     "decode_frame",
     "DecodeClient",
     "DecodeGateway",
@@ -125,10 +113,6 @@ __all__ = [
     "encode_result",
     "ErrorFrame",
     "fetch_status",
-    "FLAG_CRC32C",
-    "FLAG_HEARTBEAT",
-    "FLAG_IDEMPOTENCY",
-    "FLAG_TRACE",
     "FrameReader",
     "GOLD",
     "HarqCodeStats",
@@ -155,12 +139,9 @@ __all__ = [
     "run_top",
     "SILVER",
     "SoakConfig",
-    "SUPPORTED_VERSIONS",
     "TenantPolicy",
     "TokenBucket",
     "unpack_llrs",
-    "V1",
-    "V2",
     "VERSION",
     "write_frame",
 ]

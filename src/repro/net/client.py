@@ -10,13 +10,13 @@ exhaustion as :class:`~repro.errors.QuotaExceededError`, backpressure
 as :class:`~repro.errors.QueueFullError`, ...), so remote and
 in-process callers handle failure identically.
 
-Connections are HELLO-negotiated by default: the client proposes
-protocol v2 plus its feature flags and adopts whatever the gateway
-answers — CRC32C frame integrity, gateway heartbeats (the read loop
-answers inbound PINGs), and idempotency keys on requests.  A gateway
-that rejects or ignores HELLO gets a clean v1 reconnect, so old peers
-keep working unchanged; pass ``negotiate=False`` to pin a connection
-to v1 outright.
+Every connection opens with a HELLO version check: the gateway must
+answer with a HELLO of the same :data:`~repro.net.protocol.VERSION`
+within ``hello_timeout``, or :meth:`AsyncDecodeClient.connect` fails
+with a typed error.  There is one wire format, so nothing else is
+settled: every frame carries its CRC-32 trailer, every request its
+idempotency key and trace context fields, and the read loop answers
+gateway heartbeat PINGs.
 
 :class:`DecodeClient` is the blocking facade: it runs a private event
 loop on a daemon thread and forwards calls, so synchronous code (and
@@ -45,15 +45,7 @@ from repro.errors import (
 )
 from repro.net.admission import GOLD
 from repro.net.protocol import (
-    CLIENT_FLAGS,
     DEFAULT_MAX_FRAME_BYTES,
-    FLAG_IDEMPOTENCY,
-    FLAG_TRACE,
-    NULL_TRACE,
-    SUPPORTED_VERSIONS,
-    V1,
-    V2,
-    VERSION,
     ErrorFrame,
     Hello,
     Ping,
@@ -92,69 +84,49 @@ class RemoteResult(object):
     trace_id: int = 0
 
 
-async def _negotiate(
-    host: str,
-    port: int,
-    max_frame_bytes: int,
-    fallback_to_v1: bool = True,
-    hello_timeout: float = 10.0,
-) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter, int, int]:
-    """Open a connection and settle (version, flags) via HELLO.
+async def _hello(
+    host: str, port: int, max_frame_bytes: int, hello_timeout: float,
+) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    """Open a connection and check the gateway speaks :data:`VERSION`.
 
-    A peer that answers anything but HELLO — an ERROR frame, garbage,
-    or an immediate close — predates negotiation; it gets a fresh
-    connection pinned to v1 so no handshake bytes linger in its stream.
-
-    With ``fallback_to_v1=False`` any handshake anomaly raises instead:
-    on a wire hostile enough to mangle the HELLO exchange, silently
-    degrading to v1 would drop the CRC protection exactly where it is
-    needed most, so strict callers (the resilient client) fail the
-    attempt and retry.
+    A reply of another version or type, a garbled reply, or a closed
+    connection raises :class:`~repro.errors.NetProtocolError`; no reply
+    within ``hello_timeout`` (a mangled length prefix stalls the read
+    forever) raises :class:`~repro.errors.ServeTimeoutError`.
     """
     reader, writer = await asyncio.open_connection(host, port)
-    version, flags = V1, 0
-    reply = None
     try:
-        writer.write(encode_hello(CLIENT_FLAGS, VERSION))
+        writer.write(encode_hello())
         await writer.drain()
-        # deadline: a mangled length prefix would stall this read
-        # forever — the peer is waiting for bytes that never come
         reply = await asyncio.wait_for(
             read_frame(reader, max_frame_bytes), hello_timeout
         )
-    except (NetProtocolError, ConnectionError, OSError,
-            asyncio.TimeoutError) as exc:
-        if not fallback_to_v1:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-            if isinstance(exc, asyncio.TimeoutError):
-                raise ServeTimeoutError(
-                    f"HELLO handshake not answered within {hello_timeout}s"
-                ) from None
-            raise
-        reply = None
-    if isinstance(reply, Hello):
-        if reply.version in SUPPORTED_VERSIONS:
-            version = reply.version
-        flags = reply.flags & CLIENT_FLAGS
-        if version < V2:
-            flags = 0
-    else:
+        if reply is None:
+            raise NetProtocolError("peer closed the connection at HELLO")
+        if isinstance(reply, ErrorFrame):
+            raise NetProtocolError(
+                f"peer refused HELLO: {reply.kind}: {reply.message}"
+            )
+        if not isinstance(reply, Hello):
+            raise NetProtocolError(
+                f"peer answered HELLO with {type(reply).__name__}"
+            )
+    except BaseException as exc:
         writer.close()
         try:
             await writer.wait_closed()
         except Exception:
             pass
-        if not fallback_to_v1:
+        if isinstance(exc, asyncio.TimeoutError):
+            raise ServeTimeoutError(
+                f"HELLO not answered within {hello_timeout}s"
+            ) from None
+        if isinstance(exc, OSError):
             raise NetProtocolError(
-                f"peer did not answer HELLO (got {type(reply).__name__}); "
-                f"refusing the v1 fallback on a strict connection"
-            )
-        reader, writer = await asyncio.open_connection(host, port)
-    return reader, writer, version, flags
+                f"connection lost during HELLO: {exc!r}"
+            ) from None
+        raise
+    return reader, writer
 
 
 class AsyncDecodeClient(object):
@@ -173,8 +145,6 @@ class AsyncDecodeClient(object):
         code_id: str = "",
         priority: int = GOLD,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        version: int = V1,
-        flags: int = 0,
         recorder: "Optional[TraceRecorder]" = None,
     ) -> None:
         self._reader = reader
@@ -183,8 +153,6 @@ class AsyncDecodeClient(object):
         self.code_id = code_id
         self.priority = priority
         self.max_frame_bytes = max_frame_bytes
-        self.version = version
-        self.flags = flags
         self.recorder = recorder
         self._job_seq = 0
         self._pending: Dict[int, "asyncio.Future"] = {}
@@ -203,34 +171,24 @@ class AsyncDecodeClient(object):
         code_id: str = "",
         priority: int = GOLD,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        negotiate: bool = True,
-        fallback_to_v1: bool = True,
         hello_timeout: float = 10.0,
         recorder: "Optional[TraceRecorder]" = None,
     ) -> "AsyncDecodeClient":
-        """Open a gateway connection and start the result reader.
+        """Open a gateway connection, check its version, start the reader.
 
-        With ``negotiate=True`` (default) the connection speaks the
-        highest HELLO-agreed protocol version; ``negotiate=False`` pins
-        it to v1 (no handshake bytes on the wire at all).
-        ``fallback_to_v1=False`` turns a failed or garbled handshake
-        into an error instead of a silent v1 downgrade.  ``recorder``
-        enables client-side request spans (one ``client.request`` span
-        per decode, carrying the distributed trace id).
+        A failed HELLO check raises :class:`~repro.errors.NetProtocolError`
+        or, after ``hello_timeout`` seconds without an answer,
+        :class:`~repro.errors.ServeTimeoutError`.  ``recorder`` enables
+        client-side request spans (one ``client.request`` span per
+        decode, carrying the distributed trace id).
         """
-        if negotiate:
-            reader, writer, version, flags = await _negotiate(
-                host, port, max_frame_bytes,
-                fallback_to_v1=fallback_to_v1, hello_timeout=hello_timeout,
-            )
-        else:
-            reader, writer = await asyncio.open_connection(host, port)
-            version, flags = V1, 0
+        reader, writer = await _hello(
+            host, port, max_frame_bytes, hello_timeout
+        )
         return cls(
             reader, writer,
             tenant=tenant, code_id=code_id, priority=priority,
-            max_frame_bytes=max_frame_bytes, version=version, flags=flags,
-            recorder=recorder,
+            max_frame_bytes=max_frame_bytes, recorder=recorder,
         )
 
     async def __aenter__(self) -> "AsyncDecodeClient":
@@ -264,13 +222,11 @@ class AsyncDecodeClient(object):
         """Send one frame and await its result.
 
         ``idempotency_key`` marks retries of one logical job for the
-        gateway's dedup window; it rides the wire only when the
-        connection negotiated the capability (v1 connections silently
-        drop it — the retry then simply decodes again, which is the v1
-        status quo).  ``trace`` is an inherited trace context — the
-        resilient client passes its per-attempt span here so the wire
-        hop parents under it; with a recorder attached and no inherited
-        context, each decode starts a fresh distributed trace.  Raises
+        gateway's dedup window.  ``trace`` is an inherited trace
+        context — the resilient client passes its per-attempt span here
+        so the wire hop parents under it; with a recorder attached and
+        no inherited context, each decode starts a fresh distributed
+        trace.  Raises
         the typed error the gateway shipped, or
         :class:`~repro.errors.ServeTimeoutError` when ``timeout``
         seconds pass first, or
@@ -296,17 +252,12 @@ class AsyncDecodeClient(object):
         elif recording:
             trace_id = new_trace_id()
         span_id = rec.allocate_span_id() if recording and trace_id else 0
-        wire_trace: Optional[TraceContext] = None
-        if self.flags & FLAG_TRACE:
-            # a FLAG_TRACE connection always carries the field; the
-            # parent the gateway adopts is our request span when we
-            # record one, else the inherited span, else nothing
-            if trace_id:
-                wire_trace = TraceContext(
-                    trace_id, span_id or (parent_span or 0)
-                )
-            else:
-                wire_trace = NULL_TRACE
+        # the parent the gateway adopts is our request span when we
+        # record one, else the inherited span, else nothing
+        wire_trace = (
+            TraceContext(trace_id, span_id or (parent_span or 0))
+            if trace_id else None
+        )
         loop = asyncio.get_running_loop()
         future: "asyncio.Future" = loop.create_future()
         self._pending[job_id] = future
@@ -318,10 +269,7 @@ class AsyncDecodeClient(object):
             code,
             self.priority if priority is None else priority,
             llrs=np.asarray(llrs, dtype=np.float64),
-            version=self.version,
-            idempotency_key=(
-                idempotency_key if self.flags & FLAG_IDEMPOTENCY else ""
-            ),
+            idempotency_key=idempotency_key,
             trace=wire_trace,
         )
         try:
@@ -385,7 +333,7 @@ class AsyncDecodeClient(object):
         self._pending[job_id] = future
         t0 = time.monotonic()
         async with self._send_lock:
-            self._writer.write(encode_ping(job_id, version=self.version))
+            self._writer.write(encode_ping(job_id))
             await self._writer.drain()
         try:
             await asyncio.wait_for(future, timeout)
@@ -417,10 +365,7 @@ class AsyncDecodeClient(object):
     async def _read_loop(self) -> None:
         try:
             while True:
-                frame = await read_frame(
-                    self._reader, self.max_frame_bytes,
-                    trace=bool(self.flags & FLAG_TRACE),
-                )
+                frame = await read_frame(self._reader, self.max_frame_bytes)
                 if frame is None:
                     self._conn_error = GatewayClosedError(
                         "gateway closed the connection"
@@ -434,10 +379,7 @@ class AsyncDecodeClient(object):
                     # gateway heartbeat: answer so it knows we are alive
                     try:
                         async with self._send_lock:
-                            self._writer.write(
-                                encode_pong(frame.job_id,
-                                            version=self.version)
-                            )
+                            self._writer.write(encode_pong(frame.job_id))
                             await self._writer.drain()
                         self.pings_answered += 1
                     except (ConnectionError, RuntimeError, OSError):
@@ -496,7 +438,6 @@ class DecodeClient(object):
         code_id: str = "",
         priority: int = GOLD,
         connect_timeout: float = 10.0,
-        negotiate: bool = True,
         recorder: "Optional[TraceRecorder]" = None,
     ) -> None:
         self._closed = False
@@ -512,23 +453,13 @@ class DecodeClient(object):
                 AsyncDecodeClient.connect(
                     host, port,
                     tenant=tenant, code_id=code_id, priority=priority,
-                    negotiate=negotiate, recorder=recorder,
+                    recorder=recorder,
                 ),
                 timeout=connect_timeout,
             )
         except BaseException:
             self._stop_loop()
             raise
-
-    @property
-    def version(self) -> int:
-        """The negotiated protocol version of the connection."""
-        return self._client.version
-
-    @property
-    def flags(self) -> int:
-        """The negotiated feature flags of the connection."""
-        return self._client.flags
 
     def _call(self, coro, timeout: Optional[float] = None):
         if (

@@ -22,20 +22,21 @@ degradation both happen at the door.  Every failure — protocol, quota,
 backpressure, shard death — is one typed ``ServeError`` member, shipped
 as an ERROR frame and re-raised as the same type client-side.
 
-Wire-level resilience (protocol v2, HELLO-negotiated per connection;
-v1 peers keep working unchanged):
+Wire-level resilience (one wire format; a client's HELLO is answered
+only at :data:`~repro.net.protocol.VERSION`, and a frame of any other
+version is a connection-scoped error):
 
-* **Frame integrity** — v2 frames carry a CRC32C trailer; a corrupt
+* **Frame integrity** — every frame carries a CRC-32 trailer; a corrupt
   frame raises :class:`~repro.errors.FrameCorruptionError`, is counted
   (``net_crc_corrupt_total``), answered with a connection-scoped ERROR,
   and the connection is closed so both sides resync from a clean slate.
-* **Idempotent retries** — v2 REQUESTs may carry a client-generated
+* **Idempotent retries** — a REQUEST may carry a client-generated
   idempotency key; the gateway's :class:`~repro.net.dedup.DedupWindow`
   replays finished results and *joins* in-flight decodes, so a retried
   or hedged job never decodes twice within the TTL window.
-* **Dead-peer detection** — when ``heartbeat_interval_s`` is set and the
-  peer negotiated the heartbeat flag, an idle connection is PINGed on
-  that cadence; ``heartbeat_misses`` unanswered pings close it
+* **Dead-peer detection** — when ``heartbeat_interval_s`` is set, an
+  idle connection is PINGed on that cadence (every client answers);
+  ``heartbeat_misses`` unanswered pings close it
   (``net_dead_peer_total``), so half-open TCP sessions cannot pin
   gateway state forever.
 
@@ -65,13 +66,7 @@ from repro.net.dedup import DedupWindow
 from repro.net.metrics import NetMetrics
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
-    FLAG_CRC32C,
-    FLAG_HEARTBEAT,
-    FLAG_IDEMPOTENCY,
-    FLAG_TRACE,
-    NULL_TRACE,
-    V1,
-    V2,
+    VERSION,
     Hello,
     Ping,
     Pong,
@@ -91,10 +86,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import TraceRecorder
     from repro.serve.pool import DecodeService
 
-__all__ = ["DecodeGateway", "GATEWAY_FLAGS"]
-
-#: Capabilities this gateway is willing to negotiate in a HELLO reply.
-GATEWAY_FLAGS = FLAG_CRC32C | FLAG_HEARTBEAT | FLAG_IDEMPOTENCY | FLAG_TRACE
+__all__ = ["DecodeGateway"]
 
 #: Severity of each gateway lifecycle event in the structured log.
 _EVENT_LEVELS = {
@@ -124,17 +116,15 @@ _REJECT_REASONS = {
 
 
 class _ConnState(object):
-    """Per-connection negotiation + liveness state."""
+    """Per-connection liveness state."""
 
-    __slots__ = ("writer", "lock", "peer", "version", "flags",
+    __slots__ = ("writer", "lock", "peer",
                  "last_rx", "missed_pings", "ping_seq", "closed")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
         self.lock = asyncio.Lock()
         self.peer = str(writer.get_extra_info("peername"))
-        self.version = V1
-        self.flags = 0
         self.last_rx = time.monotonic()
         self.missed_pings = 0
         self.ping_seq = 0
@@ -172,15 +162,15 @@ class DecodeGateway(object):
         How long :meth:`close` waits for in-flight requests to finish
         before force-closing connections.
     dedup:
-        Optional :class:`DedupWindow` for v2 idempotency keys; pass one
+        Optional :class:`DedupWindow` for idempotency keys; pass one
         shared instance to several replica gateways so hedged requests
         dedup across all of them.  A private window is created when
         None; pass ``dedup_ttl_s <= 0`` to disable entirely.
     dedup_ttl_s:
         TTL of the private dedup window (ignored when ``dedup`` given).
     heartbeat_interval_s:
-        PING cadence for idle v2 connections that negotiated the
-        heartbeat flag; None (default) disables gateway-side pings.
+        PING cadence for idle connections; None (default) disables
+        gateway-side pings.
     heartbeat_misses:
         Unanswered pings after which a peer is declared dead.
     """
@@ -312,6 +302,10 @@ class DecodeGateway(object):
         self._event("net.conn_open", peer=conn.peer)
         conn_tasks: Set["asyncio.Task"] = set()
         heartbeat_task: Optional["asyncio.Task"] = None
+        if self.heartbeat_interval_s:
+            heartbeat_task = asyncio.ensure_future(self._heartbeat(conn))
+            self._heartbeats.add(heartbeat_task)
+            heartbeat_task.add_done_callback(self._heartbeats.discard)
         try:
             while True:
                 try:
@@ -323,21 +317,19 @@ class DecodeGateway(object):
                     break  # client closed cleanly
                 self.metrics.bytes_in(len(payload) + 4)
                 try:
-                    frame = decode_frame(
-                        payload, trace=bool(conn.flags & FLAG_TRACE)
-                    )
+                    frame = decode_frame(payload)
                 except NetProtocolError as exc:
                     await self._conn_fatal(conn, exc)
                     break
                 conn.saw_frame()
                 if isinstance(frame, Hello):
-                    heartbeat_task = self._negotiate(conn, frame,
-                                                     heartbeat_task)
+                    # decode_frame already checked the version
+                    self.metrics.hello(VERSION)
+                    self._event("net.hello", peer=conn.peer, version=VERSION)
+                    await self._send_quiet(conn, encode_hello(frame.job_id))
                     continue
                 if isinstance(frame, Ping):
-                    await self._send_quiet(
-                        conn, encode_pong(frame.job_id, version=conn.version)
-                    )
+                    await self._send_quiet(conn, encode_pong(frame.job_id))
                     continue
                 if isinstance(frame, Pong):
                     continue  # liveness bookkeeping happened in saw_frame
@@ -348,8 +340,7 @@ class DecodeGateway(object):
                     self._event("net.protocol_error", peer=conn.peer,
                                 error=str(exc))
                     await self._send_quiet(
-                        conn,
-                        encode_error(frame.job_id, exc, version=conn.version),
+                        conn, encode_error(frame.job_id, exc)
                     )
                     break
                 req_task = asyncio.ensure_future(
@@ -379,35 +370,6 @@ class DecodeGateway(object):
             if task is not None:
                 self._conn_tasks.discard(task)
 
-    def _negotiate(
-        self,
-        conn: _ConnState,
-        hello: Hello,
-        heartbeat_task: Optional["asyncio.Task"],
-    ) -> Optional["asyncio.Task"]:
-        """Settle version/flags for this connection and answer HELLO."""
-        conn.version = V2 if hello.version >= V2 else V1
-        conn.flags = hello.flags & GATEWAY_FLAGS
-        if conn.version < V2:
-            conn.flags = 0  # every capability needs the v2 framing
-        self.metrics.hello(conn.version)
-        self._event("net.hello", peer=conn.peer, version=conn.version,
-                    flags=conn.flags)
-        reply = encode_hello(flags=conn.flags, version=conn.version,
-                             job_id=hello.job_id)
-        # fire-and-forget under the connection's write lock
-        send = asyncio.ensure_future(self._send_quiet(conn, reply))
-        send.add_done_callback(lambda _t: None)
-        if (
-            heartbeat_task is None
-            and self.heartbeat_interval_s
-            and conn.flags & FLAG_HEARTBEAT
-        ):
-            heartbeat_task = asyncio.ensure_future(self._heartbeat(conn))
-            self._heartbeats.add(heartbeat_task)
-            heartbeat_task.add_done_callback(self._heartbeats.discard)
-        return heartbeat_task
-
     async def _heartbeat(self, conn: _ConnState) -> None:
         """PING an idle peer on a cadence; close it after missed pongs."""
         interval = float(self.heartbeat_interval_s or 0.0)
@@ -426,9 +388,7 @@ class DecodeGateway(object):
                     return
                 conn.missed_pings += 1
                 conn.ping_seq += 1
-                await self._send_quiet(
-                    conn, encode_ping(conn.ping_seq, version=conn.version)
-                )
+                await self._send_quiet(conn, encode_ping(conn.ping_seq))
         except asyncio.CancelledError:
             raise
 
@@ -442,15 +402,13 @@ class DecodeGateway(object):
         else:
             self._event("net.protocol_error", peer=conn.peer,
                         error=str(exc))
-        await self._send_quiet(
-            conn, encode_error(0, exc, version=conn.version)
-        )
+        await self._send_quiet(conn, encode_error(0, exc))
 
     async def _serve_request(self, req: Request, conn: _ConnState) -> None:
         """Admit, submit, await, and stream back one request.
 
-        When the request carries a trace context (``FLAG_TRACE``
-        connections with a tracing client), the gateway *adopts* it:
+        When the request carries a trace context (a tracing client),
+        the gateway *adopts* it:
         one ``gateway.request`` span parented under the client's wire
         span, with ``gateway.dedup`` / ``gateway.queue_probe`` /
         ``gateway.admission`` / ``gateway.submit`` / ``gateway.respond``
@@ -470,14 +428,11 @@ class DecodeGateway(object):
         tracing = rec is not None and rec.enabled and bool(req_trace_id)
         serve_span = rec.allocate_span_id() if tracing else 0
         remote_parent = req.trace.span_id if tracing else 0
-        reply_trace: Optional[TraceContext] = None
-        if conn.flags & FLAG_TRACE:
-            # echo the trace id (plus our span) so the client can join
-            # the reply to its own tree even without a shared recorder
-            reply_trace = (
-                TraceContext(req_trace_id, serve_span)
-                if req_trace_id else NULL_TRACE
-            )
+        # echo the trace id (plus our span) so the client can join the
+        # reply to its own tree even without a shared recorder
+        reply_trace = (
+            TraceContext(req_trace_id, serve_span) if req_trace_id else None
+        )
 
         def child(name: str, start_pc: float, **labels: object) -> None:
             if tracing:
@@ -500,11 +455,7 @@ class DecodeGateway(object):
                     priority=req.priority)
         dedup_key = None
         owner: "Optional[asyncio.Future]" = None
-        if (
-            self.dedup is not None
-            and req.idempotency_key
-            and conn.flags & FLAG_IDEMPOTENCY
-        ):
+        if self.dedup is not None and req.idempotency_key:
             dedup_key = (tenant, req.idempotency_key)
             t_dedup = time.perf_counter()
             entry = self.dedup.lookup(dedup_key)
@@ -520,8 +471,7 @@ class DecodeGateway(object):
                     await self._send_quiet(
                         conn,
                         encode_result(req.job_id, converged, iterations,
-                                      bits, version=conn.version,
-                                      trace=reply_trace),
+                                      bits, trace=reply_trace),
                     )
                     child("gateway.respond", t_respond)
                     total_s = time.monotonic() - t0
@@ -597,7 +547,7 @@ class DecodeGateway(object):
         await self._send_quiet(
             conn,
             encode_result(req.job_id, value[0], value[1], value[2],
-                          version=conn.version, trace=reply_trace),
+                          trace=reply_trace),
         )
         respond_s = time.perf_counter() - t_respond
         child("gateway.respond", t_respond)
@@ -641,7 +591,7 @@ class DecodeGateway(object):
             exc = ServeError(f"{type(exc).__name__}: {exc}")
         await self._send_quiet(
             conn,
-            encode_error(req.job_id, exc, version=conn.version, trace=trace),
+            encode_error(req.job_id, exc, trace=trace),
         )
 
     async def _send_quiet(self, conn: _ConnState, data: bytes) -> None:

@@ -71,11 +71,11 @@ class NetMetrics(object):
             "net_autoscale_total", "autoscaler scaling actions",
             label_names=("direction",))
         self._hello = reg.counter(
-            "net_hello_total", "HELLO handshakes by negotiated version",
+            "net_hello_total", "HELLO version checks answered",
             label_names=("version",))
         self._crc_corrupt = reg.counter(
             "net_crc_corrupt_total",
-            "frames rejected by the CRC32C integrity check")
+            "frames rejected by the CRC-32 integrity check")
         self._dedup_hits = reg.counter(
             "net_dedup_hits_total",
             "requests answered from the idempotency window",
@@ -145,11 +145,11 @@ class NetMetrics(object):
         self._autoscale.inc(direction=direction)
 
     def hello(self, version: int) -> None:
-        """A HELLO handshake settled on protocol ``version``."""
+        """A HELLO version check passed at protocol ``version``."""
         self._hello.inc(version=str(version))
 
     def crc_corrupt(self) -> None:
-        """A frame failed its CRC32C check and was dropped."""
+        """A frame failed its CRC-32 check and was dropped."""
         self._crc_corrupt.inc()
 
     def dedup_hit(self, outcome: str) -> None:

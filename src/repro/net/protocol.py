@@ -1,23 +1,24 @@
-"""Framed wire protocol of the decode gateway (versions 1 and 2).
+"""Framed wire protocol of the decode gateway.
 
-One frame = a 4-byte big-endian length prefix, a fixed 12-byte header
-(magic ``RN``, version, message type, job id), and a type-specific body:
+One frame = a 4-byte big-endian length prefix, then a payload of a
+fixed 12-byte header (magic ``RN``, version, message type, job id), a
+type-specific body, and a 4-byte CRC-32 trailer:
 
 ========  ====  =======================================================
 type      id    body
 ========  ====  =======================================================
-REQUEST   1     *(FLAG_TRACE: u64 trace id | u64 parent span id)* |
-                u8 priority | u16-len tenant | u16-len code id |
-                *(v2 only: u16-len idempotency key)* |
-                f32 scale | u32 count | ``count`` int8 LLR samples
-RESULT    2     *(FLAG_TRACE: u64 trace id | u64 parent span id)* |
-                u8 converged | u16 iterations | u32 bit count |
+REQUEST   1     u64 trace id | u64 parent span id | u8 priority |
+                u16-len tenant | u16-len code id |
+                u16-len idempotency key | f32 scale | u32 count |
+                ``count`` int8 LLR samples
+RESULT    2     u64 trace id | u64 parent span id | u8 converged |
+                u16 iterations | u32 bit count |
                 packed bits (``numpy.packbits``, big-endian within byte)
-ERROR     3     *(FLAG_TRACE: u64 trace id | u64 parent span id)* |
+ERROR     3     u64 trace id | u64 parent span id |
                 u16-len error kind | u32-len message
 PING      4     (empty)
 PONG      5     (empty)
-HELLO     6     u8 proposed/negotiated version | u32 feature flags
+HELLO     6     (empty)
 ========  ====  =======================================================
 
 Strings are UTF-8.  LLRs travel as **packed int8**: the sender computes
@@ -28,31 +29,25 @@ it to :func:`repro.decoder.decode_many` when checking the gateway path
 for payload mismatches, so quantization can never masquerade as a
 transport bug.
 
-**Protocol v2 — frame integrity.**  A version-2 frame carries a 4-byte
-CRC32C trailer inside the length-prefixed payload, computed over header
-plus body.  :func:`decode_frame` verifies it before trusting a single
-body byte and raises :class:`~repro.errors.FrameCorruptionError` (a
-``NetProtocolError``) on mismatch: truncation and bit corruption are
-*detected*, never decoded.  v2 is negotiated per connection with a
-HELLO handshake — the client proposes its highest version plus feature
-flags, the gateway answers with the agreed pair; HELLO itself is always
-v1-encoded so the handshake needs no prior agreement, and a peer that
-never says HELLO simply keeps speaking v1 (full backwards
-compatibility).  v2 REQUEST frames additionally carry an optional
-client-generated *idempotency key* so a retried job can be deduplicated
-server-side instead of decoded twice.
+**Frame integrity.**  The trailer is the IEEE CRC-32 (``zlib.crc32``)
+of header plus body, big-endian.  :func:`decode_frame` verifies it
+before trusting a single header or body byte and raises
+:class:`~repro.errors.FrameCorruptionError` (a ``NetProtocolError``) on
+mismatch: truncation and bit corruption are *detected*, never decoded.
+A CRC-32 catches every burst of 32 bits or fewer.
 
-**Trace context (``FLAG_TRACE``).**  When both sides advertise
-:data:`FLAG_TRACE` in HELLO, every REQUEST/RESULT/ERROR body begins
-with a 16-byte trace context — u64 trace id, u64 parent span id
-(:class:`~repro.obs.trace.TraceContext`) — letting the gateway adopt
-the client's span tree and the client join the gateway's reply spans
-under one distributed trace id.  ``(0, 0)`` means "this hop carries no
-context" and decodes as ``None``.  The field exists *only* on
-connections that negotiated the flag, so v1 peers and v2 peers without
-``FLAG_TRACE`` see byte-identical frames to previous builds; because
-it sits inside the CRC32C-protected v2 payload, a corrupted trace
-field fails the CRC check before any parsing can go wrong.
+**Always-present fields.**  There is one format, so nothing is
+negotiated.  The 16-byte trace context
+(:class:`~repro.obs.trace.TraceContext`: u64 trace id, u64 parent span
+id) opens every REQUEST/RESULT/ERROR body; ``(0, 0)`` means "this hop
+carries no context" and decodes as ``None``.  The REQUEST idempotency
+key marks retries of one logical job so the gateway can deduplicate
+them; the empty key means "none".
+
+**HELLO** is a version check: a client opens every connection with a
+HELLO and the gateway answers with one.  Both travel at
+:data:`VERSION`; a frame of any other version is refused with a typed
+:class:`~repro.errors.NetProtocolError`, never downgraded.
 
 Malformed input raises :class:`~repro.errors.NetProtocolError` (a
 member of the typed ``ServeError`` family); error frames round-trip the
@@ -64,7 +59,9 @@ typed error (:data:`ERROR_TYPES`), falling back to
 from __future__ import annotations
 
 import asyncio
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Type, Union
 
@@ -84,17 +81,11 @@ from repro.errors import (
     ShardDeadError,
     UnknownCodeError,
 )
-from repro.net.crc import crc32c
 from repro.obs.trace import NULL_TRACE, TraceContext
 
 __all__ = [
-    "CLIENT_FLAGS",
     "DEFAULT_MAX_FRAME_BYTES",
     "ERROR_TYPES",
-    "FLAG_CRC32C",
-    "FLAG_HEARTBEAT",
-    "FLAG_IDEMPOTENCY",
-    "FLAG_TRACE",
     "MAGIC",
     "NULL_TRACE",
     "MSG_ERROR",
@@ -103,9 +94,6 @@ __all__ = [
     "MSG_PONG",
     "MSG_REQUEST",
     "MSG_RESULT",
-    "SUPPORTED_VERSIONS",
-    "V1",
-    "V2",
     "VERSION",
     "ErrorFrame",
     "FrameReader",
@@ -132,13 +120,9 @@ __all__ = [
 
 MAGIC = b"RN"
 
-#: Wire protocol versions.  ``VERSION`` is the highest this build
-#: speaks; a connection's effective version is HELLO-negotiated and
-#: defaults to :data:`V1` for peers that never negotiate.
-V1 = 1
-V2 = 2
-VERSION = V2
-SUPPORTED_VERSIONS = (V1, V2)
+#: The one wire version.  3 because the trailer changed from CRC32C to
+#: CRC-32; frames of any other version are refused.
+VERSION = 3
 
 MSG_REQUEST = 1
 MSG_RESULT = 2
@@ -147,23 +131,18 @@ MSG_PING = 4
 MSG_PONG = 5
 MSG_HELLO = 6
 
-#: HELLO feature flags.  CRC32C is implied by v2 but advertised anyway
-#: so the capability set stays explicit on the wire.
-FLAG_CRC32C = 0x1
-FLAG_HEARTBEAT = 0x2
-FLAG_IDEMPOTENCY = 0x4
-FLAG_TRACE = 0x8
-
-#: Everything this build's clients know how to speak.
-CLIENT_FLAGS = FLAG_CRC32C | FLAG_HEARTBEAT | FLAG_IDEMPOTENCY | FLAG_TRACE
-
 #: Frames larger than this are refused outright (a 1 MiB frame holds a
 #: ~1M-sample LLR vector — far beyond any supported code length).
 DEFAULT_MAX_FRAME_BYTES = 1 << 20
 
 _HEADER = struct.Struct(">2sBBQ")  # magic, version, msg type, job id
 _CRC = struct.Struct(">I")
-_TRACE = struct.Struct(">QQ")  # trace id, parent span id (FLAG_TRACE)
+_TRACE = struct.Struct(">QQ")  # trace id, parent span id
+_U8 = struct.Struct(">B")
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_F32_U32 = struct.Struct(">fI")
+_RES_HEAD = struct.Struct(">BHI")
 
 #: Error kinds a gateway may ship that re-raise as their local type.
 ERROR_TYPES: "dict[str, Type[ServeError]]" = {
@@ -197,7 +176,6 @@ class Request(object):
     priority: int
     llrs_i8: np.ndarray
     scale: float
-    version: int = V1
     idempotency_key: str = ""
     trace: Optional[TraceContext] = None
 
@@ -247,11 +225,8 @@ class Pong(object):
 
 @dataclass(frozen=True)
 class Hello(object):
-    """Version/feature negotiation (proposed by clients, answered by
-    gateways; always itself encoded at v1)."""
+    """Version check (sent by clients, echoed by gateways)."""
 
-    version: int
-    flags: int
     job_id: int = 0
 
 
@@ -272,16 +247,25 @@ def error_to_exception(kind: str, message: str) -> ServeError:
 def pack_llrs(llrs: np.ndarray) -> Tuple[np.ndarray, float]:
     """Quantize a float LLR vector to wire int8 + scale.
 
-    ``scale`` is chosen so the largest magnitude maps to ±127; an
-    all-zero vector uses scale 1.0.  Returns ``(int8 array, scale)``.
+    ``scale`` is chosen so the largest magnitude maps to ±127; a vector
+    without a normal-magnitude value (all zeros, say) uses scale 1.0.
+    Returns ``(int8 array, scale)``.  A non-finite value is a typed
+    error: it has no int8 image.
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 1:
         raise NetProtocolError(f"LLR vector must be 1-D, got shape {llrs.shape}")
-    peak = float(np.max(np.abs(llrs))) if llrs.size else 0.0
-    scale = peak / 127.0 if peak > 0 else 1.0
-    i8 = np.clip(np.rint(llrs / scale), -127, 127).astype(np.int8)
-    return i8, scale
+    peak = float(np.abs(llrs).max()) if llrs.size else 0.0
+    if not math.isfinite(peak):
+        raise NetProtocolError("LLR vector holds a non-finite value")
+    # with a normal peak, |llrs / scale| rounds to at most 127: no clip
+    scale = peak / 127.0 if peak >= _FLOAT_TINY else 1.0
+    quantized = llrs / scale
+    np.rint(quantized, out=quantized)
+    return quantized.astype(np.int8), scale
+
+
+_FLOAT_TINY = float(np.finfo(np.float64).tiny)
 
 
 def unpack_llrs(i8: np.ndarray, scale: float) -> np.ndarray:
@@ -292,34 +276,21 @@ def unpack_llrs(i8: np.ndarray, scale: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 # encoding
 # ----------------------------------------------------------------------
-def _frame(msg_type: int, job_id: int, body: bytes, version: int = V1) -> bytes:
-    if version not in SUPPORTED_VERSIONS:
-        raise NetProtocolError(
-            f"cannot encode protocol version {version} (speak "
-            f"{SUPPORTED_VERSIONS})"
-        )
-    payload = _HEADER.pack(MAGIC, version, msg_type, job_id) + body
-    if version >= V2:
-        payload += _CRC.pack(crc32c(payload))
-    return struct.pack(">I", len(payload)) + payload
+def _frame(msg_type: int, job_id: int, *body: bytes) -> bytes:
+    """Length prefix, header, body parts and the CRC-32 trailer."""
+    payload = b"".join(
+        (_HEADER.pack(MAGIC, VERSION, msg_type, job_id), *body)
+    )
+    return b"".join((
+        _U32.pack(len(payload) + _CRC.size), payload,
+        _CRC.pack(zlib.crc32(payload)),
+    ))
 
 
-def _trace_prefix(trace: Optional[TraceContext], version: int) -> bytes:
-    """The body prefix for a FLAG_TRACE connection (empty when None).
-
-    ``trace=None`` means the connection never negotiated the flag —
-    no field at all, byte-stable with pre-trace builds.  A connection
-    that *did* negotiate it must always pass a context (use
-    :data:`~repro.obs.trace.NULL_TRACE` when there is nothing to
-    propagate) because the receiver parses the field unconditionally.
-    """
+def _trace_field(trace: Optional[TraceContext]) -> bytes:
+    """The 16-byte trace context opening a body (zeros when None)."""
     if trace is None:
-        return b""
-    if version < V2:
-        raise NetProtocolError(
-            "trace context needs protocol v2 (the v1 bodies have no "
-            "field for it)"
-        )
+        trace = NULL_TRACE
     return _TRACE.pack(trace.trace_id, trace.span_id)
 
 
@@ -331,7 +302,6 @@ def encode_request(
     llrs: Optional[np.ndarray] = None,
     llrs_i8: Optional[np.ndarray] = None,
     scale: Optional[float] = None,
-    version: int = V1,
     idempotency_key: str = "",
     trace: Optional[TraceContext] = None,
 ) -> bytes:
@@ -340,11 +310,9 @@ def encode_request(
     Pass either float ``llrs`` (packed here) or a pre-packed
     ``(llrs_i8, scale)`` pair — callers that need the exact wire payload
     for a later reference decode pack once and pass the pair.  An
-    ``idempotency_key`` (v2 only) marks retries of one logical job so
-    the gateway's dedup window can replay instead of re-decoding.
-    ``trace`` (v2, ``FLAG_TRACE`` connections only) prefixes the body
-    with the 16-byte trace context; pass it on *every* frame of such a
-    connection (:data:`~repro.obs.trace.NULL_TRACE` when untraced).
+    ``idempotency_key`` marks retries of one logical job so the
+    gateway's dedup window can replay instead of re-decoding.
+    ``trace`` fills the trace context field (zeros when None).
     """
     if llrs_i8 is None:
         if llrs is None:
@@ -354,11 +322,6 @@ def encode_request(
         raise NetProtocolError("llrs_i8 requires an explicit scale")
     if not 0 <= priority <= 255:
         raise NetProtocolError(f"priority must fit a u8, got {priority}")
-    if idempotency_key and version < V2:
-        raise NetProtocolError(
-            "idempotency keys need protocol v2 (the v1 REQUEST body has "
-            "no field for them)"
-        )
     tenant_b = tenant.encode("utf-8")
     code_b = code_id.encode("utf-8")
     idem_b = idempotency_key.encode("utf-8")
@@ -367,173 +330,175 @@ def encode_request(
             "tenant/code id/idempotency key too long for a u16 length"
         )
     i8 = np.ascontiguousarray(llrs_i8, dtype=np.int8)
-    body = _trace_prefix(trace, version)
-    body += struct.pack(">BH", priority, len(tenant_b)) + tenant_b
-    body += struct.pack(">H", len(code_b)) + code_b
-    if version >= V2:
-        body += struct.pack(">H", len(idem_b)) + idem_b
-    body += struct.pack(">fI", float(scale), i8.size) + i8.tobytes()
-    return _frame(MSG_REQUEST, job_id, body, version=version)
+    return _frame(
+        MSG_REQUEST, job_id, _trace_field(trace),
+        _U8.pack(priority), _U16.pack(len(tenant_b)), tenant_b,
+        _U16.pack(len(code_b)), code_b,
+        _U16.pack(len(idem_b)), idem_b,
+        _F32_U32.pack(float(scale), i8.size), i8.data,
+    )
 
 
 def encode_result(
     job_id: int, converged: bool, iterations: int, bits: np.ndarray,
-    version: int = V1, trace: Optional[TraceContext] = None,
+    trace: Optional[TraceContext] = None,
 ) -> bytes:
     """Encode a RESULT frame (bits are packed 8-per-byte)."""
     bits = np.asarray(bits).astype(np.uint8).ravel()
-    packed = np.packbits(bits)
-    body = _trace_prefix(trace, version)
-    body += struct.pack(
-        ">BHI", 1 if converged else 0, iterations, bits.size
-    ) + packed.tobytes()
-    return _frame(MSG_RESULT, job_id, body, version=version)
+    return _frame(
+        MSG_RESULT, job_id, _trace_field(trace),
+        _RES_HEAD.pack(1 if converged else 0, iterations, bits.size),
+        np.packbits(bits).data,
+    )
 
 
 def encode_error(
-    job_id: int, exc: BaseException, version: int = V1,
-    trace: Optional[TraceContext] = None,
+    job_id: int, exc: BaseException, trace: Optional[TraceContext] = None,
 ) -> bytes:
     """Encode an ERROR frame from an exception (kind = class name)."""
     kind_b = type(exc).__name__.encode("utf-8")[:0xFFFF]
     msg_b = str(exc).encode("utf-8")[: 1 << 16]
-    body = _trace_prefix(trace, version)
-    body += struct.pack(">H", len(kind_b)) + kind_b
-    body += struct.pack(">I", len(msg_b)) + msg_b
-    return _frame(MSG_ERROR, job_id, body, version=version)
+    return _frame(
+        MSG_ERROR, job_id, _trace_field(trace),
+        _U16.pack(len(kind_b)), kind_b, _U32.pack(len(msg_b)), msg_b,
+    )
 
 
-def encode_ping(job_id: int = 0, version: int = V1) -> bytes:
+def encode_ping(job_id: int = 0) -> bytes:
     """Encode a PING frame."""
-    return _frame(MSG_PING, job_id, b"", version=version)
+    return _frame(MSG_PING, job_id)
 
 
-def encode_pong(job_id: int = 0, version: int = V1) -> bytes:
+def encode_pong(job_id: int = 0) -> bytes:
     """Encode a PONG frame."""
-    return _frame(MSG_PONG, job_id, b"", version=version)
+    return _frame(MSG_PONG, job_id)
 
 
-def encode_hello(
-    flags: int = CLIENT_FLAGS, version: int = VERSION, job_id: int = 0
-) -> bytes:
-    """Encode a HELLO frame (always wire-encoded at v1 so negotiation
-    itself needs no prior agreement)."""
-    body = struct.pack(">BI", version, flags)
-    return _frame(MSG_HELLO, job_id, body, version=V1)
+def encode_hello(job_id: int = 0) -> bytes:
+    """Encode a HELLO frame (the version check opening a connection)."""
+    return _frame(MSG_HELLO, job_id)
 
 
 # ----------------------------------------------------------------------
 # decoding
 # ----------------------------------------------------------------------
 class _Cursor(object):
-    """Bounds-checked reader over one frame payload."""
+    """Bounds-checked reader over ``data[pos:end]`` (no copies)."""
 
-    def __init__(self, data: bytes) -> None:
+    __slots__ = ("data", "pos", "end")
+
+    def __init__(self, data: bytes, pos: int, end: int) -> None:
         self.data = data
-        self.pos = 0
+        self.pos = pos
+        self.end = end
 
     @property
     def remaining(self) -> int:
-        return len(self.data) - self.pos
+        return self.end - self.pos
 
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
+    def _advance(self, count: int) -> int:
+        start = self.pos
+        if start + count > self.end:
             raise NetProtocolError(
                 f"truncated frame body: wanted {count} bytes at offset "
-                f"{self.pos}, have {len(self.data) - self.pos}"
+                f"{start}, have {self.end - start}"
             )
-        out = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return out
+        self.pos = start + count
+        return start
 
     def unpack(self, fmt: struct.Struct) -> tuple:
-        return fmt.unpack(self.take(fmt.size))
+        return fmt.unpack_from(self.data, self._advance(fmt.size))
+
+    def text(self, length_fmt: struct.Struct) -> str:
+        """A length-prefixed UTF-8 string."""
+        (count,) = self.unpack(length_fmt)
+        start = self._advance(count)
+        return self.data[start : start + count].decode("utf-8", "replace")
+
+    def array(self, count: int, dtype: type) -> np.ndarray:
+        """The next ``count`` bytes as a read-only array view."""
+        return np.frombuffer(
+            self.data, dtype=dtype, count=count, offset=self._advance(count)
+        )
 
 
-_REQ_HEAD = struct.Struct(">BH")
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
-_F32_U32 = struct.Struct(">fI")
-_RES_HEAD = struct.Struct(">BHI")
-_HELLO_BODY = struct.Struct(">BI")
+_EMPTY_BODY = {MSG_PING: Ping, MSG_PONG: Pong, MSG_HELLO: Hello}
 
 
-def decode_frame(payload: bytes, trace: bool = False) -> Frame:
-    """Parse one frame payload (header + body, length prefix stripped).
+def _header_fault(magic: bytes, version: int, msg_type: int) -> str:
+    """Why a header is invalid, or "" when it is fine."""
+    if magic != MAGIC:
+        return f"bad magic {magic!r} (want {MAGIC!r})"
+    if version != VERSION:
+        return f"unsupported protocol version {version} (speak {VERSION})"
+    if not MSG_REQUEST <= msg_type <= MSG_HELLO:
+        return f"unknown message type {msg_type}"
+    return ""
 
-    v2 frames are CRC32C-verified before any body byte is trusted;
-    mismatch raises :class:`~repro.errors.FrameCorruptionError`.
-    REQUEST/RESULT declared element counts must agree exactly with the
-    payload length — disagreement is a typed protocol error, not a
-    struct-unpack accident.
 
-    ``trace=True`` (connections that negotiated ``FLAG_TRACE``) reads
-    the 16-byte trace context off REQUEST/RESULT/ERROR bodies; a
-    ``(0, 0)`` context decodes as ``None``.  The flag is connection
-    state, not frame state — the CRC has already vouched for the bytes
-    by the time the field is read, so a flipped trace byte can only
-    surface as :class:`~repro.errors.FrameCorruptionError`, never as a
-    silently mis-parsed body.
+def decode_frame(payload: bytes) -> Frame:
+    """Parse one frame payload (header + body + trailer, length prefix
+    stripped).
+
+    The CRC-32 trailer is verified before any header or body byte is
+    trusted, so every corruption the checksum catches — a flipped
+    magic, version or type bit included — raises
+    :class:`~repro.errors.FrameCorruptionError`; its message also names
+    the header fault when there is one.  A frame that checks out but
+    has a foreign magic, version or type raises
+    :class:`~repro.errors.NetProtocolError`.  REQUEST/RESULT declared
+    element counts must agree exactly with the payload length —
+    disagreement is a typed protocol error, not a struct-unpack
+    accident.  A ``(0, 0)`` trace context decodes as ``None``.
     """
     if len(payload) < _HEADER.size:
         raise NetProtocolError(
             f"frame shorter than the {_HEADER.size}-byte header: "
             f"{len(payload)} bytes"
         )
-    magic, version, msg_type, job_id = _HEADER.unpack(payload[: _HEADER.size])
-    if magic != MAGIC:
-        raise NetProtocolError(f"bad magic {magic!r} (want {MAGIC!r})")
-    if version not in SUPPORTED_VERSIONS:
-        raise NetProtocolError(
-            f"unsupported protocol version {version} (speak "
-            f"{SUPPORTED_VERSIONS})"
+    if len(payload) < _HEADER.size + _CRC.size:
+        raise FrameCorruptionError(
+            f"frame too short to carry its CRC-32 trailer: "
+            f"{len(payload)} bytes"
         )
-    if version >= V2:
-        if len(payload) < _HEADER.size + _CRC.size:
-            raise FrameCorruptionError(
-                f"v2 frame too short to carry its CRC32C trailer: "
-                f"{len(payload)} bytes"
-            )
-        body_end = len(payload) - _CRC.size
-        (stated,) = _CRC.unpack(payload[body_end:])
-        actual = crc32c(payload[:body_end])
-        if stated != actual:
-            raise FrameCorruptionError(
-                f"CRC32C mismatch on {len(payload)}-byte frame: trailer "
-                f"says 0x{stated:08x}, payload hashes to 0x{actual:08x}"
-            )
-        cur = _Cursor(payload[_HEADER.size : body_end])
-    else:
-        cur = _Cursor(payload[_HEADER.size :])
-    trace_ctx: Optional[TraceContext] = None
-    if (
-        trace
-        and version >= V2
-        and msg_type in (MSG_REQUEST, MSG_RESULT, MSG_ERROR)
-    ):
-        trace_id, parent_span = cur.unpack(_TRACE)
-        if trace_id or parent_span:
-            trace_ctx = TraceContext(trace_id, parent_span)
+    magic, version, msg_type, job_id = _HEADER.unpack_from(payload)
+    fault = _header_fault(magic, version, msg_type)
+    body_end = len(payload) - _CRC.size
+    (stated,) = _CRC.unpack_from(payload, body_end)
+    actual = zlib.crc32(memoryview(payload)[:body_end])
+    if stated != actual:
+        raise FrameCorruptionError(
+            f"CRC-32 mismatch on {len(payload)}-byte frame: trailer says "
+            f"0x{stated:08x}, payload hashes to 0x{actual:08x}"
+            + (f" ({fault})" if fault else "")
+        )
+    if fault:
+        raise NetProtocolError(fault)
+    empty = _EMPTY_BODY.get(msg_type)
+    if empty is not None:
+        return empty(job_id=job_id)
+    cur = _Cursor(payload, _HEADER.size, body_end)
+    trace_id, parent_span = cur.unpack(_TRACE)
+    trace_ctx = (
+        TraceContext(trace_id, parent_span)
+        if trace_id or parent_span else None
+    )
     if msg_type == MSG_REQUEST:
-        priority, tenant_len = cur.unpack(_REQ_HEAD)
-        tenant = cur.take(tenant_len).decode("utf-8", "replace")
-        (code_len,) = cur.unpack(_U16)
-        code_id = cur.take(code_len).decode("utf-8", "replace")
-        idem = ""
-        if version >= V2:
-            (idem_len,) = cur.unpack(_U16)
-            idem = cur.take(idem_len).decode("utf-8", "replace")
+        (priority,) = cur.unpack(_U8)
+        tenant = cur.text(_U16)
+        code_id = cur.text(_U16)
+        idem = cur.text(_U16)
         scale, count = cur.unpack(_F32_U32)
         if count != cur.remaining:
             raise NetProtocolError(
                 f"REQUEST declares {count} LLR samples but the payload "
                 f"carries {cur.remaining} bytes"
             )
-        i8 = np.frombuffer(cur.take(count), dtype=np.int8)
         return Request(
             job_id=job_id, tenant=tenant, code_id=code_id,
-            priority=priority, llrs_i8=i8, scale=scale,
-            version=version, idempotency_key=idem, trace=trace_ctx,
+            priority=priority, llrs_i8=cur.array(count, np.int8),
+            scale=scale,
+            idempotency_key=idem, trace=trace_ctx,
         )
     if msg_type == MSG_RESULT:
         converged, iterations, bit_count = cur.unpack(_RES_HEAD)
@@ -543,28 +508,16 @@ def decode_frame(payload: bytes, trace: bool = False) -> Frame:
                 f"RESULT declares {bit_count} bits ({expected} packed "
                 f"bytes) but the payload carries {cur.remaining} bytes"
             )
-        packed = np.frombuffer(cur.take(expected), dtype=np.uint8)
-        bits = np.unpackbits(packed)[:bit_count]
+        bits = np.unpackbits(cur.array(expected, np.uint8))[:bit_count]
         return Result(
             job_id=job_id, converged=bool(converged),
             iterations=iterations, bits=bits, trace=trace_ctx,
         )
-    if msg_type == MSG_ERROR:
-        (kind_len,) = cur.unpack(_U16)
-        kind = cur.take(kind_len).decode("utf-8", "replace")
-        (msg_len,) = cur.unpack(_U32)
-        message = cur.take(msg_len).decode("utf-8", "replace")
-        return ErrorFrame(
-            job_id=job_id, kind=kind, message=message, trace=trace_ctx,
-        )
-    if msg_type == MSG_PING:
-        return Ping(job_id=job_id)
-    if msg_type == MSG_PONG:
-        return Pong(job_id=job_id)
-    if msg_type == MSG_HELLO:
-        hello_version, flags = cur.unpack(_HELLO_BODY)
-        return Hello(version=hello_version, flags=flags, job_id=job_id)
-    raise NetProtocolError(f"unknown message type {msg_type}")
+    # MSG_ERROR: the header check admitted no other type
+    kind = cur.text(_U16)
+    return ErrorFrame(
+        job_id=job_id, kind=kind, message=cur.text(_U32), trace=trace_ctx,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -650,7 +603,7 @@ async def read_raw(
     EOF in the middle of a frame and an oversized length prefix raise
     :class:`NetProtocolError`.  The returned payload excludes the
     4-byte length prefix and is ready for :func:`decode_frame` (which
-    performs the v2 CRC check).
+    verifies the CRC-32 trailer).
     """
     try:
         prefix = await reader.readexactly(4)
@@ -676,17 +629,12 @@ async def read_raw(
 async def read_frame(
     reader: "asyncio.StreamReader",
     max_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    trace: bool = False,
 ) -> Optional[Frame]:
-    """Read and parse one frame; None on clean EOF between frames.
-
-    ``trace`` mirrors :func:`decode_frame`'s parameter — pass the
-    connection's negotiated ``FLAG_TRACE`` state.
-    """
+    """Read and parse one frame; None on clean EOF between frames."""
     payload = await read_raw(reader, max_bytes)
     if payload is None:
         return None
-    return decode_frame(payload, trace=trace)
+    return decode_frame(payload)
 
 
 def write_frame(writer: "asyncio.StreamWriter", frame_bytes: bytes) -> None:

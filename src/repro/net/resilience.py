@@ -307,13 +307,11 @@ class ResilientDecodeClient(object):
                 if ep.client is not None:
                     await ep.client.close()
                     self.stats["reconnects"] += 1
-                # strict handshake: a garbled HELLO is a failed attempt
-                # (retried), never a silent downgrade to CRC-less v1
+                # a failed HELLO raises a retryable typed error
                 ep.client = await AsyncDecodeClient.connect(
                     ep.host, ep.port,
                     tenant=self.tenant, code_id=self.code_id,
-                    priority=self.priority, fallback_to_v1=False,
-                    recorder=self.recorder,
+                    priority=self.priority, recorder=self.recorder,
                 )
                 ep.missed = 0
             return ep.client

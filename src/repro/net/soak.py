@@ -128,7 +128,7 @@ class SoakConfig(object):
     slo_p99_s: float = 5.0
     slo_crash_rate: float = 0.05
     slo_error_rate: float = 0.15
-    #: Distributed tracing: negotiate FLAG_TRACE on every client, so
+    #: Distributed tracing: a recorder on every client, so
     #: each request yields one client→gateway→shard span chain under a
     #: single trace id; the report gains a ``trace_verify`` block and
     #: the throughput mode is renamed ``*-traced`` (separate perf-gate
@@ -706,7 +706,7 @@ def run_net_soak(
     (``bench: "net"``) plus throughput (``modes``), per-tenant
     admission stats, the autoscaler decision log, the final SLO report,
     and the decode-vs-reference verification outcome.  With
-    ``config.trace`` the clients negotiate FLAG_TRACE and the report
+    ``config.trace`` the clients record their spans and the report
     gains a ``trace_verify`` block proving every successful request
     left a complete client→gateway→decode span chain.
     """

@@ -26,7 +26,7 @@ package gives every runtime subsystem one instrumentation spine:
   ``repro perf-gate``: re-runs committed ``BENCH_*.json`` baselines
   median-of-k and fails on relative throughput regressions;
 * :class:`TraceContext` — the (trace id, span id) pair that rides the
-  v2 wire protocol (``FLAG_TRACE``) so client, gateway, and worker
+  wire protocol's trace context field so client, gateway, and worker
   spans of one request merge into a single distributed trace;
 * :mod:`repro.obs.request_trace` — slices one request's trace out of a
   merged Chrome trace and renders its latency waterfall

@@ -58,9 +58,9 @@ class TraceContext(object):
     ``trace_id`` names the whole distributed request (one id from the
     first client span to the last worker span); ``span_id`` is the
     sender's span at this hop, i.e. the *parent* the receiver should
-    hang its own spans under.  Both travel as u64s on protocol-v2
-    frames when ``FLAG_TRACE`` is negotiated; ``(0, 0)`` means "no
-    context" and is falsy.
+    hang its own spans under.  Both travel as u64s on every
+    REQUEST/RESULT/ERROR frame; ``(0, 0)`` means "no context" and is
+    falsy.
     """
 
     trace_id: int

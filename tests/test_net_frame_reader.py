@@ -26,11 +26,10 @@ from repro.net.protocol import (
 pytestmark = pytest.mark.net
 
 
-def request_frame(job_id=1, count=32, version=1):
+def request_frame(job_id=1, count=32):
     rng = np.random.default_rng(job_id)
     return encode_request(
-        job_id, "tenant", "code", 0,
-        llrs=rng.normal(size=count), version=version,
+        job_id, "tenant", "code", 0, llrs=rng.normal(size=count),
     )
 
 
@@ -62,7 +61,7 @@ class TestChunking:
         assert [decode_frame(f).job_id for f in frames] == [1, 2, 3, 4, 5]
 
     def test_v2_frames_reassemble_identically(self):
-        wire = request_frame(job_id=3, version=2)
+        wire = request_frame(job_id=3)
         reader = FrameReader()
         out = []
         for i in range(0, len(wire), 3):

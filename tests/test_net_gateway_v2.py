@@ -1,13 +1,15 @@
-"""Gateway protocol-v2 behaviour over real TCP sockets.
+"""Gateway wire resilience over real TCP sockets.
 
-What v2 adds on top of the framed protocol: HELLO negotiation (with v1
-peers untouched), the idempotency dedup window (a retried job never
-decodes twice), connection-scoped errors for malformed or corrupt
-frames, and heartbeat dead-peer detection.
+HELLO as a version check (a foreign version is a typed refusal, never
+a downgrade), the idempotency dedup window (a retried job never decodes
+twice), connection-scoped errors for malformed or corrupt frames, and
+heartbeat dead-peer detection.
 """
 
 import asyncio
 import struct
+import time
+import zlib
 
 import numpy as np
 import pytest
@@ -23,13 +25,10 @@ from repro.net import (
     unpack_llrs,
 )
 from repro.net.dedup import DedupWindow
+from repro.errors import NetProtocolError, ServeTimeoutError
 from repro.net.protocol import (
-    CLIENT_FLAGS,
-    FLAG_HEARTBEAT,
-    V1,
-    V2,
+    MSG_HELLO,
     ErrorFrame,
-    Hello,
     encode_hello,
     encode_request,
     read_frame,
@@ -74,14 +73,58 @@ def counter_total(gateway, name):
     return int(gateway.metrics.registry.get(name).total())
 
 
+def sealed(payload: bytes) -> bytes:
+    """Length prefix + payload + a valid CRC-32 trailer."""
+    payload += struct.pack(">I", zlib.crc32(payload))
+    return struct.pack(">I", len(payload)) + payload
+
+
+async def exchange(gateway, wire: bytes):
+    """Send raw bytes; return the first reply frame and what follows."""
+    host, port = gateway.address
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(wire)
+        await writer.drain()
+        reply = await asyncio.wait_for(read_frame(reader, 1 << 20), 10)
+        eof = await asyncio.wait_for(reader.read(), 10)
+        return reply, eof
+    finally:
+        writer.close()
+
+
+async def connect_to_fake(answer: bytes, hello_timeout: float):
+    """Connect a client to a fake gateway that answers HELLO with
+    ``answer`` (nothing at all when empty); return the error raised
+    and how long connecting took."""
+    async def handle(reader, writer):
+        await reader.read(1 << 16)
+        writer.write(answer)
+        await writer.drain()
+        await asyncio.sleep(2 * hello_timeout)
+        writer.close()
+
+    server = await asyncio.start_server(handle, "127.0.0.1", 0)
+    host, port = server.sockets[0].getsockname()[:2]
+    try:
+        t0 = time.monotonic()
+        try:
+            await AsyncDecodeClient.connect(
+                host, port, hello_timeout=hello_timeout
+            )
+        except Exception as exc:
+            return exc, time.monotonic() - t0
+        raise AssertionError("connect succeeded against a fake gateway")
+    finally:
+        server.close()
+
+
 class TestNegotiation:
-    def test_client_negotiates_v2_with_all_flags(self, service, traffic, code):
+    def test_client_passes_version_check(self, service, traffic, code):
         async def run():
             async with DecodeGateway(service, open_admission()) as gw:
                 host, port = gw.address
                 async with await AsyncDecodeClient.connect(host, port) as c:
-                    assert c.version == V2
-                    assert c.flags == CLIENT_FLAGS
                     result = await c.decode(traffic[0], timeout=60)
                 return result, counter_total(gw, "net_hello_total")
 
@@ -92,44 +135,35 @@ class TestNegotiation:
         np.testing.assert_array_equal(result.bits, reference.bits[0])
         assert hellos == 1
 
-    def test_v1_client_interop_unchanged(self, service, traffic, code):
-        # a pre-negotiation peer: no HELLO bytes at all, plain v1 frames
+    def test_foreign_version_hello_gets_error_and_close(self, service):
+        # a well-formed HELLO of another version is refused with a
+        # typed connection-scoped ERROR and a close, never a downgrade
         async def run():
             async with DecodeGateway(service, open_admission()) as gw:
-                host, port = gw.address
-                client = await AsyncDecodeClient.connect(
-                    host, port, negotiate=False
-                )
-                async with client as c:
-                    assert c.version == V1 and c.flags == 0
-                    return await asyncio.gather(
-                        *[c.decode(f, timeout=60) for f in traffic]
-                    )
+                outcomes = []
+                for version in (2, 4):
+                    hello = struct.pack(">2sBBQ", b"RN", version, MSG_HELLO, 0)
+                    outcomes.append(await exchange(gw, sealed(hello)))
+                return outcomes
 
-        results = asyncio.run(run())
-        reference = decode_many(
-            code, np.stack(traffic), max_iterations=MAX_ITER
-        )
-        for i, result in enumerate(results):
-            np.testing.assert_array_equal(result.bits, reference.bits[i])
+        for reply, eof in asyncio.run(run()):
+            assert isinstance(reply, ErrorFrame)
+            assert reply.job_id == 0
+            assert reply.kind == "NetProtocolError"
+            assert "unsupported protocol version" in reply.message
+            assert eof == b""
 
-    def test_hello_reply_caps_to_gateway_abilities(self, service):
-        # a raw client proposing a future version still settles on v2
-        async def run():
-            async with DecodeGateway(service, open_admission()) as gw:
-                host, port = gw.address
-                reader, writer = await asyncio.open_connection(host, port)
-                try:
-                    writer.write(encode_hello(flags=0xFF, version=7))
-                    await writer.drain()
-                    return await read_frame(reader, 1 << 20)
-                finally:
-                    writer.close()
+    def test_wrong_hello_answer_fails_connect(self):
+        # a peer answering HELLO with another version is a typed error
+        hello = struct.pack(">2sBBQ", b"RN", 2, MSG_HELLO, 0)
+        exc, _ = asyncio.run(connect_to_fake(sealed(hello), 5.0))
+        assert isinstance(exc, NetProtocolError)
+        assert "unsupported protocol version 2" in str(exc)
 
-        reply = asyncio.run(run())
-        assert isinstance(reply, Hello)
-        assert reply.version == V2
-        assert reply.flags == reply.flags & CLIENT_FLAGS  # no unknown bits
+    def test_silent_peer_times_out_connect(self):
+        exc, elapsed = asyncio.run(connect_to_fake(b"", 0.2))
+        assert isinstance(exc, ServeTimeoutError)
+        assert elapsed < 2.0
 
 
 class TestDedup:
@@ -188,45 +222,20 @@ class TestDedup:
 
         assert asyncio.run(run()) == 0
 
-    def test_v1_connection_bypasses_dedup(self, service, traffic):
-        # v1 REQUESTs have no key field; two identical sends are simply
-        # two jobs
-        async def run():
-            async with DecodeGateway(service, open_admission()) as gw:
-                host, port = gw.address
-                client = await AsyncDecodeClient.connect(
-                    host, port, negotiate=False
-                )
-                async with client as c:
-                    await c.decode(traffic[0], timeout=60)
-                    await c.decode(traffic[0], timeout=60)
-                return counter_total(gw, "net_dedup_hits_total")
-
-        assert asyncio.run(run()) == 0
-
-
 class TestMalformedFrames:
     def test_count_mismatch_gets_connection_error(self, service):
         # REQUEST declaring 64 LLR samples but carrying 32 bytes: the
         # gateway answers a job-0 (connection-scoped) ERROR and closes
         async def run():
             async with DecodeGateway(service, open_admission()) as gw:
-                host, port = gw.address
-                reader, writer = await asyncio.open_connection(host, port)
-                try:
-                    wire = bytearray(encode_request(
-                        1, "t", "c", 0,
-                        llrs_i8=np.zeros(32, np.int8), scale=1.0,
-                    ))
-                    count_off = len(wire) - 32 - 4
-                    wire[count_off : count_off + 4] = struct.pack(">I", 64)
-                    writer.write(bytes(wire))
-                    await writer.drain()
-                    reply = await read_frame(reader, 1 << 20)
-                    eof = await reader.read()  # gateway closes after
-                    return reply, eof
-                finally:
-                    writer.close()
+                body = bytearray(encode_request(
+                    1, "t", "c", 0,
+                    llrs_i8=np.zeros(32, np.int8), scale=1.0,
+                )[4:-4])
+                count_off = len(body) - 32 - 4
+                body[count_off : count_off + 4] = struct.pack(">I", 64)
+                # re-sealed: the count guard, not the CRC, must catch it
+                return await exchange(gw, sealed(bytes(body)))
 
         reply, eof = asyncio.run(run())
         assert isinstance(reply, ErrorFrame)
@@ -242,7 +251,7 @@ class TestMalformedFrames:
                 reader, writer = await asyncio.open_connection(host, port)
                 try:
                     wire = bytearray(encode_request(
-                        1, "t", "c", 0, llrs=np.ones(32), version=V2,
+                        1, "t", "c", 0, llrs=np.ones(32),
                     ))
                     wire[-10] ^= 0x20  # flip one LLR byte; CRC now lies
                     writer.write(bytes(wire))
@@ -266,8 +275,8 @@ class TestMalformedFrames:
 
 class TestHeartbeat:
     def test_unresponsive_peer_is_closed(self, service):
-        # negotiate FLAG_HEARTBEAT, then never answer a single ping:
-        # the gateway must hang up within interval * (misses + 1)
+        # pass the version check, then never answer a single ping: the
+        # gateway must hang up within interval * (misses + 1)
         async def run():
             async with DecodeGateway(
                 service, open_admission(),
@@ -276,7 +285,7 @@ class TestHeartbeat:
                 host, port = gw.address
                 reader, writer = await asyncio.open_connection(host, port)
                 try:
-                    writer.write(encode_hello(FLAG_HEARTBEAT, V2))
+                    writer.write(encode_hello())
                     await writer.drain()
                     await read_frame(reader, 1 << 20)  # HELLO reply
                     # swallow pings without answering until EOF
@@ -310,27 +319,6 @@ class TestHeartbeat:
         answered, alive, dead = asyncio.run(run())
         assert answered >= 3
         assert alive
-        assert dead == 0
-
-    def test_v1_connection_is_never_pinged(self, service, traffic):
-        # no FLAG_HEARTBEAT negotiated: an idle v1 peer must not be
-        # declared dead (v1 clients do not answer PING)
-        async def run():
-            async with DecodeGateway(
-                service, open_admission(),
-                heartbeat_interval_s=0.05, heartbeat_misses=2,
-            ) as gw:
-                host, port = gw.address
-                client = await AsyncDecodeClient.connect(
-                    host, port, negotiate=False
-                )
-                async with client as c:
-                    await asyncio.sleep(0.5)
-                    result = await c.decode(traffic[0], timeout=60)
-                return result, counter_total(gw, "net_dead_peer_total")
-
-        result, dead = asyncio.run(run())
-        assert result.converged in (True, False)  # request still served
         assert dead == 0
 
 

@@ -75,6 +75,17 @@ class TestLlrQuantization:
         assert not i8.any()
         np.testing.assert_array_equal(unpack_llrs(i8, scale), np.zeros(64))
 
+    def test_non_finite_refused(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(NetProtocolError, match="non-finite"):
+                pack_llrs(np.array([1.0, bad, -2.0]))
+
+    def test_subnormal_frame_packs_as_zero(self):
+        # no normal-magnitude value: the zero frame's scale, no overflow
+        i8, scale = pack_llrs(np.array([5e-324, -1e-310, 0.0]))
+        assert scale == 1.0
+        assert not i8.any()
+
     def test_signs_survive(self, rng):
         llrs = rng.normal(0, 2, 576)
         llrs[np.abs(llrs) < 0.1] = 0.5  # keep magnitudes quantizable

@@ -1,26 +1,21 @@
-"""Protocol v2: CRC32C trailers, HELLO negotiation frames, idempotency
-keys, and the declared-count-vs-payload guards.
+"""The one wire format: CRC-32 trailers, always-present fields, HELLO
+as a version check, and the declared-count-vs-payload guards.
 
-v1 encoding must stay byte-stable (old peers keep working), v2 frames
-must round-trip bit-exactly, and any single flipped wire byte in a v2
-frame must surface as :class:`~repro.errors.FrameCorruptionError` —
-never as silently wrong LLRs or bits.
+Every frame must round-trip bit-exactly, and any single flipped wire
+byte, header bytes included, must surface as
+:class:`~repro.errors.FrameCorruptionError` — never as silently wrong
+LLRs or bits.
 """
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.errors import FrameCorruptionError, NetProtocolError
 from repro.net.protocol import (
-    CLIENT_FLAGS,
-    FLAG_CRC32C,
-    FLAG_HEARTBEAT,
-    FLAG_IDEMPOTENCY,
-    SUPPORTED_VERSIONS,
-    V1,
-    V2,
+    MSG_HELLO,
     VERSION,
     Hello,
     Request,
@@ -45,39 +40,43 @@ def payload_of(wire: bytes) -> bytes:
     return wire[4:]
 
 
+def with_crc(payload: bytes) -> bytes:
+    """Re-seal an edited header+body with a valid CRC-32 trailer."""
+    return payload + struct.pack(">I", zlib.crc32(payload))
+
+
 class TestV2Roundtrip:
     def test_request_roundtrip_with_key(self):
         rng = np.random.default_rng(0)
         llrs = rng.normal(size=96)
         wire = encode_request(
-            11, "paid", "wimax", 2, llrs=llrs,
-            version=V2, idempotency_key="conn0-7",
+            11, "paid", "wimax", 2, llrs=llrs, idempotency_key="conn0-7",
         )
         req = decode_frame(payload_of(wire))
         assert isinstance(req, Request)
-        assert req.version == V2
         assert req.idempotency_key == "conn0-7"
         assert req.job_id == 11 and req.tenant == "paid"
+        assert req.trace is None
         i8, scale = pack_llrs(llrs)
         np.testing.assert_array_equal(req.llrs_i8, i8)
         np.testing.assert_allclose(req.llrs(), unpack_llrs(i8, scale))
 
     def test_request_empty_key_allowed(self):
-        wire = encode_request(1, "t", "c", 0, llrs=np.zeros(8), version=V2)
+        wire = encode_request(1, "t", "c", 0, llrs=np.zeros(8))
         assert decode_frame(payload_of(wire)).idempotency_key == ""
 
     def test_result_roundtrip(self):
         bits = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0], dtype=np.uint8)
-        wire = encode_result(5, True, 9, bits, version=V2)
+        wire = encode_result(5, True, 9, bits)
         res = decode_frame(payload_of(wire))
         assert isinstance(res, Result)
         assert res.converged and res.iterations == 9
         np.testing.assert_array_equal(res.bits, bits)
 
     def test_control_frames_carry_crc(self):
-        # v2 PING/PONG payloads end with a 4-byte trailer beyond the
+        # PING/PONG/HELLO payloads end with a 4-byte trailer beyond the
         # 12-byte header
-        for wire in (encode_ping(3, version=V2), encode_pong(3, version=V2)):
+        for wire in (encode_ping(3), encode_pong(3), encode_hello(3)):
             assert len(payload_of(wire)) == 12 + 4
             decode_frame(payload_of(wire))  # CRC verifies
 
@@ -85,125 +84,82 @@ class TestV2Roundtrip:
 class TestCorruptionDetection:
     def test_every_flipped_byte_detected(self):
         wire = encode_request(
-            7, "t", "c", 0, llrs=np.linspace(-4, 4, 48),
-            version=V2, idempotency_key="k",
+            7, "t", "c", 0, llrs=np.linspace(-4, 4, 48), idempotency_key="k",
         )
         payload = bytearray(payload_of(wire))
-        # skip the version byte (offset 2): flipping it is a version
-        # error, not a CRC error; and the magic (0-1): lost-sync error
-        for pos in range(3, len(payload)):
+        # the trailer covers the header too: magic, version and type
+        # flips are corruption as well
+        for pos in range(len(payload)):
             payload[pos] ^= 0x40
-            with pytest.raises((FrameCorruptionError, NetProtocolError)):
+            with pytest.raises(FrameCorruptionError):
                 decode_frame(bytes(payload))
             payload[pos] ^= 0x40
         decode_frame(bytes(payload))  # restored payload still parses
 
     def test_crc_trailer_flip_detected(self):
-        wire = encode_ping(1, version=V2)
+        wire = encode_ping(1)
         payload = bytearray(payload_of(wire))
         payload[-1] ^= 0x01
-        with pytest.raises(FrameCorruptionError, match="CRC32C mismatch"):
+        with pytest.raises(FrameCorruptionError, match="CRC-32 mismatch"):
             decode_frame(bytes(payload))
 
     def test_truncated_v2_frame_detected(self):
-        payload = payload_of(encode_result(1, True, 3, np.ones(16), version=V2))
+        payload = payload_of(encode_result(1, True, 3, np.ones(16)))
         with pytest.raises(FrameCorruptionError):
             decode_frame(payload[:-3])
 
     def test_v2_frame_shorter_than_trailer(self):
-        header = struct.pack(">2sBBQ", b"RN", V2, 4, 0)
+        header = struct.pack(">2sBBQ", b"RN", VERSION, 4, 0)
         with pytest.raises(FrameCorruptionError, match="too short"):
             decode_frame(header + b"\x00\x00")
-
-    def test_v1_frames_have_no_trailer(self):
-        # v1 stays byte-compatible: no CRC, so a flipped LLR byte is
-        # NOT detected at this layer (that is exactly why v2 exists)
-        wire = encode_request(1, "t", "c", 0, llrs=np.ones(16), version=V1)
-        payload = bytearray(payload_of(wire))
-        payload[-1] ^= 0x7F
-        req = decode_frame(bytes(payload))
-        assert isinstance(req, Request)  # parses fine, silently wrong
 
 
 class TestCountGuards:
     def test_request_count_mismatch(self):
-        wire = encode_request(1, "t", "c", 0, llrs=np.ones(32), version=V1)
-        payload = bytearray(payload_of(wire))
-        # the u32 LLR count sits 8 bytes before the end of a v1 body
-        # (count field 4 bytes + we shrink it); easier: re-encode with a
-        # lying count by patching the struct directly
-        count_off = len(payload) - 32 - 4
-        payload[count_off : count_off + 4] = struct.pack(">I", 33)
+        wire = encode_request(1, "t", "c", 0, llrs=np.ones(32))
+        body = bytearray(payload_of(wire)[:-4])
+        # the u32 LLR count sits right before the 32 int8 samples; the
+        # lying frame is re-sealed so the count guard, not the CRC,
+        # has to catch it
+        count_off = len(body) - 32 - 4
+        body[count_off : count_off + 4] = struct.pack(">I", 33)
         with pytest.raises(NetProtocolError, match="declares 33 LLR samples"):
-            decode_frame(bytes(payload))
+            decode_frame(with_crc(bytes(body)))
 
     def test_result_count_mismatch(self):
-        wire = encode_result(1, True, 3, np.ones(24), version=V1)
-        payload = bytearray(payload_of(wire))
-        # bit_count is the u32 at body offset 3 (after converged u8 +
-        # iterations u16); header is 12 bytes
-        payload[15:19] = struct.pack(">I", 80)  # says 10 packed bytes
+        wire = encode_result(1, True, 3, np.ones(24))
+        body = bytearray(payload_of(wire)[:-4])
+        # bit_count is the u32 after the 12-byte header, the 16-byte
+        # trace context, converged u8 and iterations u16
+        body[31:35] = struct.pack(">I", 80)  # says 10 packed bytes
         with pytest.raises(NetProtocolError, match="declares 80 bits"):
-            decode_frame(bytes(payload))
-
-    def test_request_key_needs_v2(self):
-        with pytest.raises(NetProtocolError, match="protocol v2"):
-            encode_request(
-                1, "t", "c", 0, llrs=np.ones(8),
-                version=V1, idempotency_key="k",
-            )
+            decode_frame(with_crc(bytes(body)))
 
 
 class TestHello:
-    def test_hello_is_always_v1_on_the_wire(self):
-        # negotiation needs no prior agreement: even a HELLO proposing
-        # v2 is itself a v1 frame any peer can parse
-        payload = payload_of(encode_hello(flags=CLIENT_FLAGS, version=V2))
-        assert payload[2] == V1  # wire version byte
-        hello = decode_frame(payload)
-        assert isinstance(hello, Hello)
-        assert hello.version == V2
-        assert hello.flags == CLIENT_FLAGS
-
-    def test_flag_bits_are_distinct(self):
-        from repro.net.protocol import FLAG_TRACE
-
-        flags = (FLAG_CRC32C, FLAG_HEARTBEAT, FLAG_IDEMPOTENCY, FLAG_TRACE)
-        for i, a in enumerate(flags):
-            for b in flags[i + 1:]:
-                assert a & b == 0
-        assert CLIENT_FLAGS == (
-            FLAG_CRC32C | FLAG_HEARTBEAT | FLAG_IDEMPOTENCY | FLAG_TRACE
-        )
+    def test_hello_travels_at_version(self):
+        # HELLO is a version check: the header carries VERSION and the
+        # body is empty
+        payload = payload_of(encode_hello(4))
+        assert payload[2] == VERSION and payload[3] == MSG_HELLO
+        assert decode_frame(payload) == Hello(job_id=4)
 
     def test_version_constants(self):
-        assert VERSION == V2
-        assert SUPPORTED_VERSIONS == (V1, V2)
+        import repro.net.protocol as protocol
+
+        assert VERSION == 3
+        for gone in ("V1", "V2", "SUPPORTED_VERSIONS", "CLIENT_FLAGS"):
+            assert not hasattr(protocol, gone)
 
     def test_unsupported_version_refused(self):
-        header = struct.pack(">2sBBQ", b"RN", 9, 4, 0)
-        with pytest.raises(NetProtocolError, match="unsupported protocol version"):
-            decode_frame(header)
-        with pytest.raises(NetProtocolError, match="cannot encode"):
-            encode_ping(1, version=9)
-
-
-class TestV1Stability:
-    def test_v1_request_wire_bytes_unchanged(self):
-        # regression pin: the v1 layout predates this protocol revision
-        # and deployed v1 peers parse it byte-by-byte
-        i8 = np.array([1, -2, 3, -4], dtype=np.int8)
-        wire = encode_request(
-            0x0102030405060708, "t", "cd", 5, llrs_i8=i8, scale=0.5,
-        )
-        expected = struct.pack(">I", 12 + 3 + 1 + 2 + 2 + 8 + 4)
-        expected += struct.pack(">2sBBQ", b"RN", 1, 1, 0x0102030405060708)
-        expected += struct.pack(">BH", 5, 1) + b"t"
-        expected += struct.pack(">H", 2) + b"cd"
-        expected += struct.pack(">fI", 0.5, 4) + i8.tobytes()
-        assert wire == expected
-
-    def test_v1_decode_ignores_idempotency(self):
-        wire = encode_request(1, "t", "c", 0, llrs=np.ones(8), version=V1)
-        req = decode_frame(payload_of(wire))
-        assert req.version == V1 and req.idempotency_key == ""
+        # a well-sealed frame of another version is a typed refusal,
+        # not a downgrade; an unsealed one is corruption that still
+        # names the version
+        for version in (1, 2, 4):
+            header = struct.pack(">2sBBQ", b"RN", version, MSG_HELLO, 0)
+            with pytest.raises(NetProtocolError,
+                               match="unsupported protocol version"):
+                decode_frame(with_crc(header))
+            with pytest.raises(FrameCorruptionError,
+                               match="unsupported protocol version"):
+                decode_frame(header + b"\x00\x00\x00\x00")

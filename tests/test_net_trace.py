@@ -1,9 +1,8 @@
 """End-to-end distributed request tracing over the wire.
 
-Protocol level: the 16-byte FLAG_TRACE context must round-trip on
-REQUEST/RESULT/ERROR frames, stay completely absent for v1 peers and
-v2 connections that did not negotiate the flag (byte-stable with
-pre-trace builds), and corrupt under CRC — a flipped trace byte is a
+Protocol level: the 16-byte trace context must round-trip on
+REQUEST/RESULT/ERROR frames, be all zeros when there is nothing to
+propagate, and corrupt under CRC — a flipped trace byte is a
 :class:`~repro.errors.FrameCorruptionError`, never a mis-parse.
 
 System level: one decode through a real gateway must produce a single
@@ -18,7 +17,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.errors import FrameCorruptionError, NetProtocolError
+from repro.errors import FrameCorruptionError
 from repro.net import (
     AdmissionController,
     AsyncDecodeClient,
@@ -27,10 +26,6 @@ from repro.net import (
     TenantPolicy,
 )
 from repro.net.protocol import (
-    CLIENT_FLAGS,
-    FLAG_TRACE,
-    V1,
-    V2,
     ErrorFrame,
     Hello,
     Request,
@@ -93,84 +88,63 @@ class TestTraceField:
     def test_request_roundtrip(self):
         rng = np.random.default_rng(3)
         llrs = rng.normal(size=64).astype(np.float64)
-        wire = encode_request(
-            9, "gold", "c1", 0, llrs=llrs, version=V2, trace=CTX
-        )
-        req = decode_frame(payload_of(wire), trace=True)
+        wire = encode_request(9, "gold", "c1", 0, llrs=llrs, trace=CTX)
+        req = decode_frame(payload_of(wire))
         assert isinstance(req, Request)
         assert req.trace == CTX
         assert req.tenant == "gold" and req.code_id == "c1"
 
     def test_result_and_error_roundtrip(self):
         bits = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
-        res = decode_frame(
-            payload_of(encode_result(4, True, 5, bits, version=V2,
-                                     trace=CTX)),
-            trace=True,
-        )
+        res = decode_frame(payload_of(encode_result(4, True, 5, bits,
+                                                    trace=CTX)))
         assert isinstance(res, Result) and res.trace == CTX
         np.testing.assert_array_equal(res.bits, bits)
         err = decode_frame(
-            payload_of(encode_error(4, ValueError("boom"), version=V2,
-                                    trace=CTX)),
-            trace=True,
+            payload_of(encode_error(4, ValueError("boom"), trace=CTX))
         )
         assert isinstance(err, ErrorFrame) and err.trace == CTX
 
     def test_null_trace_decodes_as_none(self):
         bits = np.ones(8, dtype=np.uint8)
         res = decode_frame(
-            payload_of(encode_result(1, True, 2, bits, version=V2,
-                                     trace=NULL_TRACE)),
-            trace=True,
+            payload_of(encode_result(1, True, 2, bits, trace=NULL_TRACE))
         )
         assert res.trace is None
 
     def test_untraced_connection_is_byte_stable(self):
-        # no negotiated flag -> no field: exactly 16 bytes shorter and
-        # parseable by a pre-trace peer (trace=False)
+        # no context -> the field is there, all zeros: byte-identical
+        # to an explicit NULL_TRACE, and decodes as None
         llrs = np.linspace(-4, 4, 48)
-        plain = encode_request(2, "t", "c", 0, llrs=llrs, version=V2)
-        traced = encode_request(
-            2, "t", "c", 0, llrs=llrs, version=V2, trace=NULL_TRACE
-        )
-        assert len(traced) == len(plain) + 16
+        plain = encode_request(2, "t", "c", 0, llrs=llrs)
+        nulled = encode_request(2, "t", "c", 0, llrs=llrs, trace=NULL_TRACE)
+        assert plain == nulled
+        assert plain[4 + 12 : 4 + 12 + 16] == bytes(16)
         req = decode_frame(payload_of(plain))
         assert isinstance(req, Request) and req.trace is None
-
-    def test_trace_on_v1_raises(self):
-        with pytest.raises(NetProtocolError):
-            encode_request(
-                1, "t", "c", 0, llrs=np.ones(8), version=V1, trace=CTX
-            )
 
     def test_corrupted_trace_byte_fails_crc_not_misparse(self):
         llrs = np.linspace(-3, 3, 32)
         wire = bytearray(
-            encode_request(7, "t", "c", 0, llrs=llrs, version=V2,
-                           trace=CTX)
+            encode_request(7, "t", "c", 0, llrs=llrs, trace=CTX)
         )
         # the trace field sits right after the 4B length + 12B header
         for offset in range(16):
             flipped = bytearray(wire)
             flipped[4 + 12 + offset] ^= 0x40
             with pytest.raises(FrameCorruptionError):
-                decode_frame(bytes(flipped[4:]), trace=True)
+                decode_frame(bytes(flipped[4:]))
 
 
 class TestNegotiationFallbacks:
-    def test_v1_peer_stays_untraced(self, service, traffic):
+    def test_untraced_client_stays_untraced(self, service, traffic):
         async def run():
             rec = TraceRecorder()
             async with DecodeGateway(
                 service, open_admission(), recorder=rec
             ) as gw:
                 host, port = gw.address
-                client = await AsyncDecodeClient.connect(
-                    host, port, negotiate=False
-                )
-                async with client as c:
-                    assert c.version == V1 and c.flags == 0
+                async with await AsyncDecodeClient.connect(host, port) as c:
                     result = await c.decode(traffic[0], timeout=60)
             return result, rec
 
@@ -182,8 +156,8 @@ class TestNegotiationFallbacks:
         for span in rec.by_name("gateway.request"):
             assert not span.label_dict.get("trace")
 
-    def test_v2_without_flag_trace_is_byte_stable(self, service, traffic,
-                                                  code):
+    def test_raw_untraced_request_gets_null_trace_reply(self, service,
+                                                        traffic, code):
         from repro.decoder import decode_many
 
         async def run():
@@ -191,19 +165,13 @@ class TestNegotiationFallbacks:
                 host, port = gw.address
                 reader, writer = await asyncio.open_connection(host, port)
                 try:
-                    writer.write(
-                        encode_hello(flags=CLIENT_FLAGS & ~FLAG_TRACE)
-                    )
+                    writer.write(encode_hello())
                     await writer.drain()
                     hello = await read_frame(reader, 1 << 22)
                     assert isinstance(hello, Hello)
-                    assert not hello.flags & FLAG_TRACE
                     i8, scale = pack_llrs(traffic[0])
                     writer.write(
-                        encode_request(
-                            1, "t", "", 0, llrs_i8=i8, scale=scale,
-                            version=V2,
-                        )
+                        encode_request(1, "t", "", 0, llrs_i8=i8, scale=scale)
                     )
                     await writer.drain()
                     return await read_frame(reader, 1 << 22), i8, scale
@@ -230,7 +198,6 @@ class TestNegotiationFallbacks:
                     host, port, recorder=rec
                 )
                 async with client as c:
-                    assert c.flags & FLAG_TRACE
                     result = await c.decode(traffic[0], timeout=60)
             return result, rec
 
