@@ -62,7 +62,7 @@ def main(argv=None) -> int:
         os.path.join(_REPO_ROOT, name)
         for name in (
             "BENCH_accel.json", "BENCH_serve.json", "BENCH_net.json",
-            "BENCH_net_trace.json", "BENCH_zoo.json",
+            "BENCH_net_trace.json", "BENCH_zoo.json", "BENCH_zoo_column.json",
         )
         if os.path.exists(os.path.join(_REPO_ROOT, name))
     ]

@@ -110,7 +110,7 @@ def main() -> int:
                   f"converged={first.converged} in {first.iterations} iters")
             return await run_async_clients(host, port, frames)
 
-    with DecodeService(code, batch_size=8, kernel="fused") as service:
+    with DecodeService(code, batch_size=8) as service:
         results, rejected = asyncio.run(serve_and_query())
 
     reference = decode_many(code, np.stack(frames), max_iterations=10)

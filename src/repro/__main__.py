@@ -9,7 +9,7 @@ Commands:
   decode throughput on generated traffic (``--json`` for the metrics
   registry snapshot instead of tables);
 * ``accel-bench`` — frames/s and per-layer ns for every decode path
-  (per-frame, batch, fused-batch, thread-pool, process-pool) with a
+  (per-frame, batch, thread-pool, process-pool) with a
   built-in bit-exactness cross-check (``--json`` emits the
   ``BENCH_accel.json`` document; see docs/PERFORMANCE.md);
 * ``faults-bench`` — sweep fault rate x injection site and report
@@ -659,7 +659,6 @@ def cmd_net_serve(args) -> int:
         max_iterations=args.iterations,
         fixed=args.fixed,
         backend=args.backend,
-        kernel=args.kernel,
         queue_capacity=args.queue_capacity,
         metrics=metrics,
         recorder=recorder,
@@ -993,7 +992,7 @@ def cmd_perf_gate(args) -> int:
         name
         for name in (
             "BENCH_accel.json", "BENCH_serve.json", "BENCH_net.json",
-            "BENCH_net_trace.json", "BENCH_zoo.json",
+            "BENCH_net_trace.json", "BENCH_zoo.json", "BENCH_zoo_column.json",
         )
         if os.path.exists(name)
     ]
@@ -1172,7 +1171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ab.add_argument(
         "--modes", nargs="*", default=None,
-        help="subset of modes to run (default: all five)",
+        help="subset of modes to run (default: all four)",
     )
     ab.add_argument(
         "--json", action="store_true",
@@ -1285,10 +1284,6 @@ def build_parser() -> argparse.ArgumentParser:
     nsv.add_argument("--iterations", type=int, default=10)
     nsv.add_argument("--fixed", action="store_true", help="8-bit datapath")
     nsv.add_argument("--backend", choices=("thread", "process"), default="thread")
-    nsv.add_argument(
-        "--kernel", choices=("batch", "fused"), default="fused",
-        help="decode kernel for the shard engines",
-    )
     nsv.add_argument("--queue-capacity", type=int, default=256)
     nsv.add_argument(
         "--tenant", action="append", default=[], metavar="NAME:RATE:BURST[:PRI]",
@@ -1495,7 +1490,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline", action="append", default=[],
         help="bench JSON baseline to gate (repeatable; default: the "
              "committed BENCH_accel.json, BENCH_serve.json, "
-             "BENCH_net.json, BENCH_net_trace.json, and BENCH_zoo.json)",
+             "BENCH_net.json, BENCH_net_trace.json, BENCH_zoo.json, and "
+             "BENCH_zoo_column.json)",
     )
     pg.add_argument(
         "--k", type=int, default=3,

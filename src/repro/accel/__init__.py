@@ -1,18 +1,14 @@
-"""Acceleration layer: cached code-plans, fused kernels, process sharding.
+"""Acceleration layer: cached code-plans and process sharding.
 
 Where the paper scales throughput by widening the hardware datapath
 (Fig 3's unroll sweep), this package scales the *software* datapath
-along three axes:
+along two axes:
 
 * :mod:`repro.accel.plan` — :class:`CodePlan` / :class:`CodePlanCache`:
   per-code precomputed gather/scatter index arrays, shift tables, and
   check-adjacency layouts, built once per code structure and memoized
   (thread-safe, explicitly invalidatable).  Both numpy decoders consume
   plans, so layer indexing is never re-derived inside an iteration loop.
-* :mod:`repro.accel.fused` — :class:`FusedBatchLayeredMinSumDecoder`:
-  the batched layered min-sum update in a minimal number of NumPy
-  passes over check-major ``(B, z, degree)`` views, bit-exact with the
-  reference kernels in float and fixed-point modes.
 * :mod:`repro.accel.procpool` — :class:`ProcessEngineProxy`: the
   multiprocess shard backend of
   :class:`~repro.serve.pool.DecodeService` (``backend="process"``): one
@@ -22,14 +18,12 @@ along three axes:
 
 Quickstart::
 
-    from repro.accel import FusedBatchLayeredMinSumDecoder, get_plan
+    from repro.accel import get_plan
 
     plan = get_plan(code)                      # built once, cached
-    decoder = FusedBatchLayeredMinSumDecoder(code, plan=plan)
-    result = decoder.decode(llrs_2d)           # bit-exact, fewer passes
 
     from repro.serve import DecodeService
-    service = DecodeService(code, backend="process", kernel="fused")
+    service = DecodeService(code, backend="process")
 
 Benchmarks: ``python -m repro accel-bench`` (see ``docs/PERFORMANCE.md``).
 """
@@ -47,13 +41,11 @@ from repro.accel.plan import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
-    from repro.accel.fused import FusedBatchLayeredMinSumDecoder
     from repro.accel.procpool import ProcessEngineProxy
 
 __all__ = [
     "CodePlan",
     "CodePlanCache",
-    "FusedBatchLayeredMinSumDecoder",
     "LayerPlan",
     "ProcessEngineProxy",
     "default_plan_cache",
@@ -62,12 +54,12 @@ __all__ = [
     "plan_key",
 ]
 
-#: Lazily imported attributes (PEP 562).  ``repro.accel.fused`` imports
-#: the batch kernel, which imports the per-frame decoder, which imports
-#: this package for its plan cache — resolving the kernel classes on
-#: first attribute access instead of at package import breaks the cycle.
+#: Lazily imported attributes (PEP 562).  ``repro.accel.procpool``
+#: imports the serving engine, which imports the per-frame decoder,
+#: which imports this package for its plan cache — resolving the proxy
+#: on first attribute access instead of at package import breaks the
+#: cycle.
 _LAZY_ATTRS = {
-    "FusedBatchLayeredMinSumDecoder": ("repro.accel.fused",),
     "ProcessEngineProxy": ("repro.accel.procpool",),
 }
 

@@ -4,17 +4,14 @@ Shared by ``python -m repro accel-bench`` and
 ``benchmarks/bench_accel.py`` so the CLI, the pytest benchmark, and the
 committed ``BENCH_accel.json`` artifact all measure exactly the same
 thing: the paper's (2304, rate-1/2) case-study code at Eb/N0 = 2.5 dB
-pushed through five software datapaths —
+pushed through four software datapaths —
 
 * ``per-frame``     — :class:`~repro.decoder.layered.LayeredMinSumDecoder`,
   one ``decode()`` per frame (the scalar baseline);
 * ``batch``         — :class:`~repro.serve.batch.BatchLayeredMinSumDecoder`
-  on static batches (the original vectorized path);
-* ``fused-batch``   — :class:`~repro.accel.fused.FusedBatchLayeredMinSumDecoder`
-  on the same batches (transposed frame-minor state, minimal-pass
-  layer kernel);
+  on static batches (frame-minor state, minimal-pass layer kernel);
 * ``thread-pool``   — :class:`~repro.serve.pool.DecodeService` with the
-  default in-process backend and the fused kernel;
+  default in-process backend;
 * ``process-pool``  — the same service with ``backend="process"``
   (engine behind a worker process, shared-memory LLR slots).
 
@@ -49,7 +46,6 @@ __all__ = ["DEFAULT_MODES", "generate_traffic", "run_accel_bench"]
 DEFAULT_MODES = (
     "per-frame",
     "batch",
-    "fused-batch",
     "thread-pool",
     "process-pool",
 )
@@ -160,14 +156,6 @@ def run_accel_bench(
         )
         rows.append(row("batch", *run_static(decoder)))
 
-    if "fused-batch" in modes:
-        from repro.accel.fused import FusedBatchLayeredMinSumDecoder
-
-        decoder = FusedBatchLayeredMinSumDecoder(
-            code, max_iterations=iterations, fixed=fixed
-        )
-        rows.append(row("fused-batch", *run_static(decoder)))
-
     def run_service(backend: str):
         from repro.serve.pool import DecodeService
         from repro.serve.shedding import NoShedPolicy
@@ -181,7 +169,6 @@ def run_accel_bench(
             max_iterations=iterations,
             fixed=fixed,
             backend=backend,
-            kernel="fused",
             queue_capacity=max(frames, 1),
             shed_policy=NoShedPolicy(),
         )

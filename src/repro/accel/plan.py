@@ -79,7 +79,7 @@ class LayerPlan(object):
         ``(degree, z)`` gather/scatter matrix: absolute variable index
         read by check row ``r`` through the layer's ``k``-th block.
         Row-contiguous, so a batch-innermost gather streams each edge's
-        frame lane as one contiguous run (the fused kernel's layout).
+        frame lane as one contiguous run (the batch kernel's layout).
     degree_col:
         ``(degree, 1)`` column of edge indices, the cached left operand
         of the per-frame kernel's argmin-position comparison (replaces
@@ -109,9 +109,6 @@ class CodePlan(object):
         Code dimensions the kernels size their state from.
     layers:
         One :class:`LayerPlan` per block row, natural order.
-    lane_idx:
-        ``arange(z)`` — the cached column-index operand of fancy
-        gather/scatter in the per-frame and batch kernels.
     """
 
     key: str
@@ -120,7 +117,6 @@ class CodePlan(object):
     num_layers: int
     max_degree: int
     layers: Tuple[LayerPlan, ...]
-    lane_idx: np.ndarray
 
     @classmethod
     def build(cls, code: QCLDPCCode, key: Optional[str] = None) -> "CodePlan":
@@ -142,7 +138,6 @@ class CodePlan(object):
             num_layers=code.num_layers,
             max_degree=code.max_layer_degree,
             layers=tuple(layer_plans),
-            lane_idx=np.arange(code.z, dtype=np.int64),
         )
 
 

@@ -77,7 +77,6 @@ def _child_main(
     scaling_factor: float,
     fixed: bool,
     fmt: FixedPointFormat,
-    kernel: str,
     trace_enabled: bool,
     in_buf: "ctypes.Array",
     out_llr_buf: "ctypes.Array",
@@ -112,7 +111,7 @@ def _child_main(
             event="procpool.child_start",
             wall_time=time.time(),
             monotonic_s=time.monotonic(),
-            fields={"pid": pid, "kernel": kernel, "fixed": fixed},
+            fields={"pid": pid, "fixed": fixed},
         ).to_dict()
     ]
     sent = {"steps": 0, "slots": 0}
@@ -146,7 +145,6 @@ def _child_main(
             scaling_factor=scaling_factor,
             fixed=fixed,
             fmt=fmt,
-            kernel=kernel,
             metrics=child_metrics,
             recorder=recorder,
         )
@@ -226,8 +224,6 @@ class ProcessEngineProxy(object):
     ----------
     code / batch_size / max_iterations / scaling_factor / fixed / fmt:
         Decoder configuration, forwarded verbatim to the child engine.
-    kernel:
-        ``"batch"`` or ``"fused"`` — which batch kernel the child runs.
     metrics:
         Optional shared :class:`ServeMetrics`; admissions and
         retirements are recorded parent-side, and the child's
@@ -270,7 +266,6 @@ class ProcessEngineProxy(object):
         scaling_factor: float = SCALING_FACTOR,
         fixed: bool = False,
         fmt: FixedPointFormat = MESSAGE_8BIT,
-        kernel: str = "batch",
         metrics: Optional[ServeMetrics] = None,
         recorder: Optional[TraceRecorder] = None,
         log: Optional[EventLog] = None,
@@ -279,17 +274,12 @@ class ProcessEngineProxy(object):
     ) -> None:
         if batch_size < 1:
             raise DecodingError(f"batch_size must be >= 1, got {batch_size}")
-        if kernel not in ("batch", "fused"):
-            raise DecodingError(
-                f"kernel must be 'batch' or 'fused', got {kernel!r}"
-            )
         self.code = code
         self.batch_size = batch_size
         self.max_iterations = max_iterations
         self.scaling_factor = scaling_factor
         self.fixed = fixed
         self.fmt = fmt
-        self.kernel_name = kernel
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self.recorder = recorder
         self.log = log
@@ -353,7 +343,6 @@ class ProcessEngineProxy(object):
                 self.scaling_factor,
                 self.fixed,
                 self.fmt,
-                self.kernel_name,
                 trace_enabled,
                 self._in_buf,
                 self._out_llr_buf,
@@ -367,10 +356,8 @@ class ProcessEngineProxy(object):
         proc.start()
         self._proc = proc
         if self.log is not None:
-            self.log.info(
-                "procpool.spawn", shard=self._shard_label, pid=proc.pid,
-                kernel=self.kernel_name,
-            )
+            self.log.info("procpool.spawn", shard=self._shard_label,
+                          pid=proc.pid)
 
     def admit(self, job: DecodeJob) -> int:
         """Write the job's LLRs into a free slot and notify the child.

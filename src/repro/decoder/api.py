@@ -104,7 +104,6 @@ def decode_many(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     fixed: bool = False,
     recorder: "Optional[TraceRecorder]" = None,
-    kernel: str = "batch",
     schedule: str = "row",
 ) -> BatchDecodeResult:
     """Decode a ``(B, n)`` LLR matrix; rows are independent frames.
@@ -114,28 +113,15 @@ def decode_many(
     retired early); the other algorithms decode row by row and are
     repackaged into the same :class:`BatchDecodeResult`.  ``recorder``
     reaches the layered batch kernel's ``batch.iteration`` /
-    ``batch.layer`` spans.  ``kernel`` selects the layered batch
-    implementation: ``"batch"`` (default) or ``"fused"`` — the fused
-    transposed-state kernel from :mod:`repro.accel.fused`, fastest for
-    large batches and equally bit-exact.  ``schedule`` selects the
-    message-passing schedule for the layered min-sum path: ``"row"``
-    (the paper's layered Algorithm 1, default) or ``"column"`` — the
-    column-layered (vertical shuffled) variant from
-    :mod:`repro.serve.column`; the column schedule has its own kernel,
-    so it composes only with ``kernel="batch"``.
+    ``batch.layer`` spans.  ``schedule`` selects the message-passing
+    schedule for the layered min-sum path: ``"row"`` (the paper's
+    layered Algorithm 1, default) or ``"column"`` — the column-layered
+    (vertical shuffled) variant from :mod:`repro.serve.column`, on the
+    same frame-minor kernel state.
     """
-    if kernel not in ("batch", "fused"):
-        raise DecodingError(
-            f"kernel must be 'batch' or 'fused', got {kernel!r}"
-        )
     if schedule not in ("row", "column"):
         raise DecodingError(
             f"schedule must be 'row' or 'column', got {schedule!r}"
-        )
-    if schedule == "column" and kernel != "batch":
-        raise DecodingError(
-            "schedule='column' has a dedicated kernel; combine it with "
-            f"kernel='batch', not {kernel!r}"
         )
     if schedule == "column" and algorithm != "layered-min-sum":
         raise DecodingError(
@@ -153,10 +139,6 @@ def decode_many(
             from repro.serve.column import ColumnBatchLayeredMinSumDecoder
 
             batch_cls = ColumnBatchLayeredMinSumDecoder
-        elif kernel == "fused":
-            from repro.accel.fused import FusedBatchLayeredMinSumDecoder
-
-            batch_cls = FusedBatchLayeredMinSumDecoder
         else:
             from repro.serve.batch import BatchLayeredMinSumDecoder
 

@@ -100,7 +100,6 @@ class SoakConfig(object):
     length: int = 576
     iterations: int = 10
     fixed: bool = False
-    kernel: str = "fused"
     backend: str = "thread"
     batch: int = 8
     queue_capacity: int = 16
@@ -162,7 +161,6 @@ class SoakConfig(object):
             "length": self.length,
             "iterations": self.iterations,
             "fixed": self.fixed,
-            "kernel": self.kernel,
             "backend": self.backend,
             "batch": self.batch,
             "queue_capacity": self.queue_capacity,
@@ -728,7 +726,6 @@ def run_net_soak(
         max_iterations=cfg.iterations,
         fixed=cfg.fixed,
         backend=cfg.backend,
-        kernel=cfg.kernel,
         queue_capacity=cfg.queue_capacity,
         metrics=registry_metrics,
         recorder=recorder,

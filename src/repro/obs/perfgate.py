@@ -1,10 +1,11 @@
 """Performance regression gate over committed benchmark baselines.
 
 The bench documents under version control (``BENCH_accel.json``,
-``BENCH_serve.json``, ``BENCH_net.json``, ``BENCH_zoo.json``) freeze
-the throughput story of the repo — the fused-kernel speedup, the
-process-pool scaling, the serving overhead, the network-gateway
-overhead, and the per-code cost of the registry zoo.
+``BENCH_serve.json``, ``BENCH_net.json``, ``BENCH_zoo.json``,
+``BENCH_zoo_column.json``) freeze the throughput story of the repo —
+the batch-kernel speedup, the process-pool scaling, the serving
+overhead, the network-gateway overhead, and the per-code cost of the
+registry zoo under both schedules.
 :func:`run_perf_gate` re-runs each baseline's bench with the baseline's
 own embedded configuration, compares per-mode throughput medians
 against the committed numbers, and fails when any mode regressed by
@@ -21,7 +22,7 @@ tolerant rather than falsely red:
   **median** frames/s is compared, discarding one-off scheduler blips;
 * the comparison is **relative** with a generous default tolerance
   (30 %): only ``median < baseline * (1 - tolerance)`` fails — a real
-  kernel regression (losing the ~8.7x fused win) blows far past that,
+  kernel regression (losing the ~9x batch-kernel win) blows far past that,
   while machine-to-machine variation rarely does;
 * faster-than-baseline is always a pass, and a mode present in the
   baseline but missing from the re-run is an explicit failure, never a

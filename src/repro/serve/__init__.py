@@ -6,10 +6,13 @@ pipelining + scoreboard), this package keeps a vectorized numpy datapath
 saturated across *frames*:
 
 * :class:`BatchLayeredMinSumDecoder` — decode a ``(B, n)`` LLR matrix
-  with one numpy pass per layer, bit-exact with the per-frame decoder,
-  retiring converged frames early;
+  with a few numpy passes per layer over frame-minor state, bit-exact
+  with the per-frame decoder, retiring converged frames early
+  (:class:`ColumnBatchLayeredMinSumDecoder` runs the column-layered
+  schedule on the same state);
 * :class:`ContinuousBatchingEngine` — slot reuse: retired frames free
-  slots that new frames fill mid-flight, so the batch never drains;
+  slots that new frames fill mid-flight, so the batch never drains,
+  and each step iterates only up to the highest occupied slot;
 * :class:`DecodeService` — worker pool with per-rate sharding, bounded
   queues (typed backpressure errors), futures-based submission, and
   self-healing: supervised workers restart after crashes with capped
@@ -17,10 +20,8 @@ saturated across *frames*:
   hangs), transient faults trigger bounded retries, per-job deadlines
   expire stale work, and a load-shedding policy trades iteration budget
   for availability under overload — see :meth:`DecodeService.health`.
-  ``kernel="fused"`` swaps in the faster fused batch kernel
-  (:mod:`repro.accel.fused`) and ``backend="process"`` isolates each
-  shard's engine in a supervised child process
-  (:mod:`repro.accel.procpool`), both bit-exact;
+  ``backend="process"`` isolates each shard's engine in a supervised
+  child process (:mod:`repro.accel.procpool`), bit-exact;
 * :class:`ServeMetrics` / :class:`MetricsSnapshot` — counters and
   latency/occupancy statistics with a text report;
 * :class:`LoadShedPolicy` and friends — the overload-degradation knob.

@@ -1,24 +1,22 @@
 """Batched column-layered scaled min-sum kernel.
 
-:class:`ColumnBatchLayeredMinSumDecoder` is the ``(B, n)`` batch form of
+:class:`ColumnBatchLayeredMinSumDecoder` is the batch form of
 :class:`~repro.decoder.column_layered.ColumnLayeredMinSumDecoder`: the
 same vertical shuffled schedule (sweep block columns; per column,
 re-evaluate each incident layer and write back only that column's
-edges), vectorized over a leading batch axis.  It subclasses the
-row-layered batch kernel and replaces only the iteration schedule, so
-the state primitives (``prepare`` / ``iterate_once`` /
-``syndrome_weights`` / slot accessors), the early-retirement batch
-driver, and the continuous-batching engine integration all carry over
-unchanged — ``DecodeService(kernel="column")`` is just a different
-``_iterate_*`` under the same machinery.
+edges) on the row kernel's frame-minor state.  It subclasses the
+row-layered batch kernel and replaces only :meth:`iterate_once`, so the
+state primitives, the early-retirement batch driver, and the
+continuous-batching engine integration all carry over unchanged —
+``DecodeService(schedule="column")`` is just a different iteration
+under the same machinery.
 
-Bit-exactness contract: identical arithmetic and visitation order as
-the per-frame column decoder (every layer re-evaluation goes through
-the shared :meth:`_layer_minsum` core, proven value-identical to the
-per-frame sign/min computations by the row-kernel test suite), so the
-per-frame and batch column forms produce byte-identical results; the
-differential tests pin it across the registry zoo in both arithmetic
-modes.
+Bit-exactness contract: every layer re-evaluation shares the row
+kernel's gather and sign parity and narrows the message computation to
+block column ``k`` — the only edge written back — in the per-frame
+column decoder's visitation order, so the per-frame and batch column
+forms produce byte-identical results; the differential tests pin it
+across the registry zoo in both arithmetic modes.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from typing import List
 import numpy as np
 
 from repro.accel.plan import column_adjacency
-from repro.decoder.minsum import scale_magnitude_fixed
 from repro.serve.batch import BatchLayeredMinSumDecoder
 
 __all__ = ["ColumnBatchLayeredMinSumDecoder"]
@@ -48,28 +45,37 @@ class ColumnBatchLayeredMinSumDecoder(BatchLayeredMinSumDecoder):
         self.col_edges = column_adjacency(self.plan)
         self.column_order = list(range(len(self.col_edges)))
 
-    def _iterate_float(self, p: np.ndarray, r: List[np.ndarray]) -> None:
+    def iterate_once(self, p: np.ndarray, r: List[np.ndarray]) -> None:
+        """One column-layered iteration in place on ``(n, A)`` state."""
+        batch = p.shape[1]
         for j in self.column_order:
             for l, k in self.col_edges[j]:
                 idx = self.plan.layers[l].var_idx
-                q = p[:, idx] - r[l]
-                mags, r_negative = self._layer_minsum(q)
-                shaped = self.scaling_factor * mags
-                r_new = np.where(r_negative, -shaped, shaped)
-                # Column write-back: only block column j's edge.
-                p[:, idx[k]] = q[:, k] + r_new[:, k]
-                r[l][:, k] = r_new[:, k]
+                s = self._layer_scratch(idx.shape[0], batch)
+                # column write-back: only block column j's edge k
+                p[idx[k]] = self._edge_update(p, r[l], idx, s, k)
 
-    def _iterate_fixed(self, p: np.ndarray, r: List[np.ndarray]) -> None:
-        fmt = self.fmt
-        for j in self.column_order:
-            for l, k in self.col_edges[j]:
-                idx = self.plan.layers[l].var_idx
-                q = fmt.saturate(p[:, idx].astype(np.int64) - r[l])
-                mags, r_negative = self._layer_minsum(q)
-                shaped = scale_magnitude_fixed(mags)
-                r_new = fmt.saturate(np.where(r_negative, -shaped, shaped))
-                p[:, idx[k]] = fmt.saturate(
-                    q[:, k].astype(np.int64) + r_new[:, k]
-                )
-                r[l][:, k] = r_new[:, k]
+    def _edge_update(
+        self, p: np.ndarray, rl: np.ndarray, idx: np.ndarray, s, k: int
+    ) -> np.ndarray:
+        """Check update of one layer, written back for edge ``k`` only.
+
+        Shares the row kernel's gather and sign parity; the two-min
+        search collapses to the min over the *other* edges, which is
+        exactly the reference's min2-at-argmin / min1-elsewhere choice
+        for edge ``k``.  Writes ``R'[k]`` into ``rl`` and returns
+        ``P'[k]`` for the caller to scatter back.
+        """
+        self._gather_q(p, rl, idx, s)
+        if idx.shape[0] > 1:
+            s.mag[k] = self._big                 # exclude edge k itself
+        np.min(s.mag, axis=0, out=s.min1)
+        scaled = self._scale(s.min1)
+        # outgoing sign: parity of the other edges' signs
+        flip = np.not_equal(s.tot, s.neg[k])
+        rl[k] = np.where(flip, -scaled, scaled)
+        qk = s.q[k]
+        np.add(qk, rl[k], out=qk)                # P' = Q + R'
+        if self.fixed:
+            np.clip(qk, self._lo, self._hi, out=qk)
+        return qk

@@ -8,6 +8,10 @@ freed slots are immediately available to :meth:`admit` new frames — so
 a saturated engine never idles a slot waiting for the slowest frame of
 a fixed batch, exactly the way the paper's two-layer pipelined
 architecture keeps core1/core2 busy across layers via its scoreboard.
+Admission fills the lowest free slot, and a step iterates a contiguous
+state only as wide as the highest occupied slot (rounded up to a power
+of two): slots above it are not stepped at all — the software form of
+the paper's clock gating of idle blocks.
 
 Frames in the same engine share one code (and hence one LLR length);
 mixed-rate traffic is sharded across engines by the worker pool in
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -49,14 +53,12 @@ class ContinuousBatchingEngine(object):
         Number of decoder slots (B).
     max_iterations / scaling_factor / fixed / fmt:
         Forwarded to the underlying batch kernel.
-    kernel:
-        ``"batch"`` (the reference batch kernel), ``"fused"`` (the
-        fused transposed-state kernel from :mod:`repro.accel.fused`), or
-        ``"column"`` (the column-layered schedule from
-        :mod:`repro.serve.column`).  ``batch`` and ``fused`` are
-        bit-exact with the per-frame row-layered decoder; ``column`` is
-        bit-exact with its own per-frame reference
-        (:class:`~repro.decoder.column_layered.ColumnLayeredMinSumDecoder`).
+    schedule:
+        ``"row"`` (the paper's layered schedule, bit-exact with
+        :class:`~repro.decoder.layered.LayeredMinSumDecoder`) or
+        ``"column"`` (the column-layered schedule of
+        :mod:`repro.serve.column`, bit-exact with
+        :class:`~repro.decoder.column_layered.ColumnLayeredMinSumDecoder`).
     metrics:
         Optional shared :class:`ServeMetrics`; a private instance is
         created when omitted.
@@ -64,7 +66,8 @@ class ContinuousBatchingEngine(object):
         Optional :class:`~repro.obs.trace.TraceRecorder`; when enabled
         the engine emits ``engine.admit`` / ``engine.retire`` events per
         slot fill/free and an ``engine.step`` span per layered
-        iteration, and forwards the recorder to the batch kernel for
+        iteration (labelled ``busy`` / ``capacity`` / ``width``), and
+        forwards the recorder to the batch kernel for
         ``batch.layer`` attribution.
     """
 
@@ -78,24 +81,20 @@ class ContinuousBatchingEngine(object):
         fmt: FixedPointFormat = MESSAGE_8BIT,
         metrics: Optional[ServeMetrics] = None,
         recorder: "Optional[TraceRecorder]" = None,
-        kernel: str = "batch",
+        schedule: str = "row",
     ) -> None:
         if batch_size < 1:
             raise DecodingError(f"batch_size must be >= 1, got {batch_size}")
-        if kernel not in ("batch", "fused", "column"):
+        if schedule not in ("row", "column"):
             raise DecodingError(
-                f"kernel must be 'batch', 'fused', or 'column', got {kernel!r}"
+                f"schedule must be 'row' or 'column', got {schedule!r}"
             )
         self.code = code
         self.batch_size = batch_size
         self.max_iterations = max_iterations
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self.recorder = recorder
-        if kernel == "fused":
-            from repro.accel.fused import FusedBatchLayeredMinSumDecoder
-
-            kernel_cls = FusedBatchLayeredMinSumDecoder
-        elif kernel == "column":
+        if schedule == "column":
             from repro.serve.column import ColumnBatchLayeredMinSumDecoder
 
             kernel_cls = ColumnBatchLayeredMinSumDecoder
@@ -110,13 +109,18 @@ class ContinuousBatchingEngine(object):
             early_termination=True,
             recorder=recorder,
         )
-        self._p = self.kernel.prepare(np.zeros((batch_size, code.n)))
-        self._r = self.kernel.new_r_state(batch_size)
+        # kernel state at the current iterated width (see step())
+        self._width = 0
+        self._p = self.kernel.prepare(np.zeros((0, code.n)))
+        self._r = self.kernel.new_r_state(0)
         self._occupied = np.zeros(batch_size, dtype=bool)
         self._iters = np.zeros(batch_size, dtype=np.int64)
         self._budgets = np.full(batch_size, max_iterations, dtype=np.int64)
         self._jobs: List[Optional[DecodeJob]] = [None] * batch_size
         self._syndromes: List[List[int]] = [[] for _ in range(batch_size)]
+        # frames admitted above the current width, loaded by the next
+        # step's re-layout (at most one re-layout per step)
+        self._pending: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # slot management
@@ -152,7 +156,10 @@ class ContinuousBatchingEngine(object):
                 f"job {job.job_id}: LLR length {llrs.shape} != ({self.code.n},)"
             )
         slot = int(free[0])
-        self.kernel.load_slot(self._p, self._r, slot, llrs)
+        if slot < self._width:
+            self.kernel.load_slot(self._p, self._r, slot, llrs)
+        else:
+            self._pending[slot] = llrs
         self._occupied[slot] = True
         self._iters[slot] = 0
         # per-job budget (load shedding lowers it); clamp to [1, engine max]
@@ -166,6 +173,16 @@ class ContinuousBatchingEngine(object):
         if self.recorder is not None:
             self.recorder.event("engine.admit", slot=slot, job=job.job_id)
         return slot
+
+    def _width_for(self, slots: int) -> int:
+        """Iterated width covering slots ``[0, slots)``: the next power
+        of two, capped at the engine's batch size."""
+        return min(self.batch_size, 1 << (slots - 1).bit_length())
+
+    def _set_width(self, width: int) -> None:
+        if width != self._width:
+            self._p, self._r = self.kernel.resize(self._p, self._r, width)
+            self._width = width
 
     # ------------------------------------------------------------------
     # stepping
@@ -184,9 +201,15 @@ class ContinuousBatchingEngine(object):
         tracing = rec is not None and rec.enabled
         step_t0 = time.perf_counter() if tracing else 0.0
 
-        # Iterate the full slot arrays: free slots decode stale/zero
-        # state (cheap, harmless) and in exchange the hot path never
-        # gathers/scatters the per-layer R matrices.
+        # Iterate a contiguous state just wide enough for the highest
+        # occupied slot (rounded up to a power of two, so the kernel
+        # keeps few scratch shapes and re-lays out state only when the
+        # width changes).  Free slots below it decode stale state
+        # (cheap, harmless); the hot path never gathers/scatters R.
+        self._set_width(self._width_for(int(act[-1]) + 1))
+        for slot, llrs in self._pending.items():
+            self.kernel.load_slot(self._p, self._r, slot, llrs)
+        self._pending.clear()
         self.kernel.iterate_once(self._p, self._r)
         p = self._p
 
@@ -195,7 +218,7 @@ class ContinuousBatchingEngine(object):
         self.metrics.step_recorded(int(act.size), self.batch_size)
         if tracing:
             rec.complete("engine.step", step_t0, busy=int(act.size),
-                         capacity=self.batch_size)
+                         capacity=self.batch_size, width=self._width)
 
         completed: List[CompletedJob] = []
         for j, slot in enumerate(act):

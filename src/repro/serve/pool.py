@@ -217,12 +217,10 @@ class DecodeService(object):
         process (:class:`~repro.accel.procpool.ProcessEngineProxy`) with
         shared-memory LLR slots — same bit-exact results and the same
         supervision semantics, plus hard fault isolation.
-    kernel:
-        ``"batch"``, ``"fused"``, or ``"column"`` — which batch kernel
-        the shard engines run (``batch``/``fused`` are bit-exact with
-        the per-frame row-layered decoder, see :mod:`repro.accel.fused`;
-        ``column`` runs the column-layered schedule of
-        :mod:`repro.serve.column`).
+    schedule:
+        ``"row"`` (default, bit-exact with the per-frame row-layered
+        decoder) or ``"column"`` — the column-layered schedule of
+        :mod:`repro.serve.column`; thread backend only.
     queue_capacity:
         Bound of each shard's admission queue (the backpressure knob).
     metrics:
@@ -278,7 +276,7 @@ class DecodeService(object):
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         fixed: bool = False,
         backend: str = "thread",
-        kernel: str = "batch",
+        schedule: str = "row",
         queue_capacity: int = 256,
         metrics: Optional[ServeMetrics] = None,
         autostart: bool = True,
@@ -295,10 +293,12 @@ class DecodeService(object):
             raise ServeError(
                 f"backend must be 'thread' or 'process', got {backend!r}"
             )
-        if kernel not in ("batch", "fused", "column"):
+        if schedule not in ("row", "column"):
             raise ServeError(
-                f"kernel must be 'batch', 'fused', or 'column', got {kernel!r}"
+                f"schedule must be 'row' or 'column', got {schedule!r}"
             )
+        if schedule == "column" and backend == "process":
+            raise ServeError("schedule='column' needs backend='thread'")
         if queue_capacity < 1:
             raise ServeError(f"queue_capacity must be >= 1, got {queue_capacity}")
         if default_max_retries < 0:
@@ -321,7 +321,7 @@ class DecodeService(object):
         self.log = log
         self.slo = slo
         self.backend = backend
-        self.kernel = kernel
+        self.schedule = schedule
         self.max_iterations = max_iterations
         self.shed_policy = shed_policy if shed_policy is not None else StepShedPolicy()
         self.default_max_retries = default_max_retries
@@ -375,7 +375,6 @@ class DecodeService(object):
                     batch_size=batch_size,
                     max_iterations=max_iterations,
                     fixed=fixed,
-                    kernel=self.kernel,
                     metrics=self.metrics,
                     recorder=self.recorder,
                     log=self.log,
@@ -388,7 +387,7 @@ class DecodeService(object):
                     batch_size=batch_size,
                     max_iterations=max_iterations,
                     fixed=fixed,
-                    kernel=self.kernel,
+                    schedule=self.schedule,
                     metrics=self.metrics,
                     recorder=self.recorder,
                 )

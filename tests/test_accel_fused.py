@@ -1,7 +1,7 @@
 """Fused batch kernel: bit-exactness against the per-frame decoder.
 
-The fused kernel re-lays out the decode state (frame-minor P, per-layer
-R stacks), replaces argmin-based two-min search with a tie-counted
+The batch kernel fuses the layer update into few passes: it lays the
+decode state out frame-minor (P ``(n, B)``, per-layer R stacks), replaces argmin-based two-min search with a tie-counted
 masked reduction, and carries signs via ``copysign`` — every one of
 those transforms must be *exactly* value-preserving, because the serve
 stack's correctness story is "batched output == per-frame output, bit
@@ -15,12 +15,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.accel.fused import FusedBatchLayeredMinSumDecoder
 from repro.channel import AwgnChannel
 from repro.codes import random_qc_code, wimax_code
 from repro.decoder import LayeredMinSumDecoder
 from repro.encoder import RuEncoder
-from repro.serve import ContinuousBatchingEngine, DecodeJob
+from repro.serve import (
+    BatchLayeredMinSumDecoder,
+    ContinuousBatchingEngine,
+    DecodeJob,
+)
 
 pytestmark = pytest.mark.accel
 
@@ -42,7 +45,7 @@ def _assert_fused_matches_per_frame(code, llrs_2d, fixed, max_iterations=10):
     reference = LayeredMinSumDecoder(
         code, max_iterations=max_iterations, fixed=fixed
     )
-    fused = FusedBatchLayeredMinSumDecoder(
+    fused = BatchLayeredMinSumDecoder(
         code, max_iterations=max_iterations, fixed=fixed
     ).decode(llrs_2d)
     for i, row in enumerate(llrs_2d):
@@ -89,7 +92,7 @@ def test_wimax_codes(rate, length, fixed):
 def test_state_reuse_across_decodes(wimax_short, fixed):
     """Scratch buffers persist across decode() calls without bleed-through."""
     rng = np.random.default_rng(77)
-    decoder = FusedBatchLayeredMinSumDecoder(
+    decoder = BatchLayeredMinSumDecoder(
         code=wimax_short, max_iterations=10, fixed=fixed
     )
     first_traffic = _random_traffic(wimax_short, 4, 2.0, rng)
@@ -104,23 +107,34 @@ def test_state_reuse_across_decodes(wimax_short, fixed):
 
 @pytest.mark.parametrize("fixed", [False, True])
 def test_engine_fused_kernel_matches_batch_kernel(wimax_short, fixed):
-    """The continuous-batching engine is kernel-agnostic, bit for bit."""
+    """Slot reuse and width stepping in the engine leave the kernel's
+    static-batch answer unchanged, bit for bit."""
     rng = np.random.default_rng(101)
     llrs_2d = _random_traffic(wimax_short, 12, 2.0, rng)
-    results = {}
-    for kernel in ("batch", "fused"):
-        engine = ContinuousBatchingEngine(
-            wimax_short, batch_size=4, max_iterations=10, fixed=fixed,
-            kernel=kernel,
-        )
-        done = engine.run([DecodeJob(llrs=f) for f in llrs_2d])
-        results[kernel] = done
-    for a, b in zip(results["batch"], results["fused"]):
-        np.testing.assert_array_equal(a.result.bits, b.result.bits)
-        np.testing.assert_array_equal(a.result.llrs, b.result.llrs)
-        assert a.result.iterations == b.result.iterations
-        assert a.result.converged == b.result.converged
-        assert a.result.iteration_syndromes == b.result.iteration_syndromes
+    batch = BatchLayeredMinSumDecoder(
+        wimax_short, max_iterations=10, fixed=fixed
+    ).decode(llrs_2d)
+    engine = ContinuousBatchingEngine(
+        wimax_short, batch_size=4, max_iterations=10, fixed=fixed,
+    )
+    done = engine.run([DecodeJob(llrs=f) for f in llrs_2d])
+    for i, d in enumerate(done):
+        np.testing.assert_array_equal(d.result.bits, batch.bits[i])
+        np.testing.assert_array_equal(d.result.llrs, batch.llrs[i])
+        assert d.result.iterations == batch.iterations[i]
+        assert d.result.converged == bool(batch.converged[i])
+        assert d.result.iteration_syndromes == batch.iteration_syndromes[i]
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_decode_leaves_input_untouched(wimax_short, fixed):
+    """A one-frame batch's transposed LLRs are contiguous already; the
+    kernel must still work on a copy, never on the caller's array."""
+    rng = np.random.default_rng(5)
+    llrs_2d = _random_traffic(wimax_short, 1, 2.0, rng)
+    before = llrs_2d.copy()
+    BatchLayeredMinSumDecoder(wimax_short, fixed=fixed).decode(llrs_2d)
+    np.testing.assert_array_equal(llrs_2d, before)
 
 
 def test_negative_zero_llrs_are_handled_exactly():

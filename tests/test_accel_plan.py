@@ -57,9 +57,6 @@ class TestPlanContents:
         assert plan.z == medium_code.z
         assert plan.num_layers == medium_code.num_layers
         assert len(plan.layers) == medium_code.num_layers
-        np.testing.assert_array_equal(
-            plan.lane_idx, np.arange(medium_code.z)
-        )
         for l, lp in enumerate(plan.layers):
             layer = medium_code.layer(l)
             assert lp.degree == layer.degree

@@ -154,22 +154,22 @@ class TestCommands:
     def test_accel_bench_table(self, capsys):
         rc = main([
             "accel-bench", "--length", "576", "--frames", "6", "--batch", "3",
-            "--modes", "per-frame", "batch", "fused-batch",
+            "--modes", "per-frame", "batch", "thread-pool",
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "accel-bench" in out and "fused-batch" in out
+        assert "accel-bench" in out and "thread-pool" in out
         assert "per-layer ns" in out
 
     def test_accel_bench_json(self, capsys):
         rc = main([
             "accel-bench", "--length", "576", "--frames", "6", "--batch", "3",
-            "--modes", "per-frame", "batch", "fused-batch", "--json",
+            "--modes", "per-frame", "batch", "thread-pool", "--json",
         ])
         assert rc == 0
         obj = json.loads(capsys.readouterr().out)
         modes = [r["mode"] for r in obj["rows"]]
-        assert modes == ["per-frame", "batch", "fused-batch"]
+        assert modes == ["per-frame", "batch", "thread-pool"]
         assert all(r["mismatches"] == 0 for r in obj["rows"])
         assert obj["arithmetic"] == "fixed"
 
@@ -191,6 +191,8 @@ class TestCommands:
         ])
         assert rc == 2
         assert "unknown modes" in capsys.readouterr().err
+        # the fused kernel is the batch kernel now: one mode, not two
+        assert main(["accel-bench", "--modes", "fused-batch"]) == 2
 
     def test_accel_bench_rejects_bad_frames(self, capsys):
         assert main(["accel-bench", "--frames", "0"]) == 2
@@ -449,7 +451,7 @@ class TestNetServeParser:
         args = build_parser().parse_args(["net-serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 7207
-        assert args.kernel == "fused"
+        assert not hasattr(args, "kernel")  # one batch kernel, no flag
         assert args.max_shards == 1
 
     def test_tenant_specs(self):

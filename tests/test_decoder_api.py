@@ -77,15 +77,19 @@ class TestDecodeManyApi:
         np.testing.assert_array_equal(many.bits[0], cw)
 
     def test_fused_kernel_matches_batch_kernel(self, small_code):
+        # the one (fused, frame-minor) batch kernel against the per-frame
+        # decoder, LLRs included, in both arithmetic modes
         frames = [noisy_frame(small_code, ebno_db=5.0, seed=s)[1] for s in (2, 3)]
         llrs_2d = np.stack(frames)
         for fixed in (False, True):
-            batch = decode_many(small_code, llrs_2d, fixed=fixed)
-            fused = decode_many(small_code, llrs_2d, fixed=fixed, kernel="fused")
-            np.testing.assert_array_equal(fused.bits, batch.bits)
-            np.testing.assert_array_equal(fused.llrs, batch.llrs)
-            np.testing.assert_array_equal(fused.iterations, batch.iterations)
+            many = decode_many(small_code, llrs_2d, fixed=fixed)
+            for i, llrs in enumerate(frames):
+                single = decode(small_code, llrs, fixed=fixed)
+                np.testing.assert_array_equal(many.bits[i], single.bits)
+                np.testing.assert_array_equal(many.llrs[i], single.llrs)
+                assert int(many.iterations[i]) == single.iterations
 
     def test_unknown_kernel_rejected(self, small_code):
-        with pytest.raises(DecodingError, match="kernel"):
+        # one batch kernel: decode_many has no kernel selector left
+        with pytest.raises(TypeError, match="kernel"):
             decode_many(small_code, np.zeros((1, small_code.n)), kernel="gpu")

@@ -10,7 +10,7 @@ Three claims, each load-bearing for ``schedule="column"``:
    as the row-layered schedule and the flooding baseline: a different
    update *order* must never be a different *answer*.
 3. The serving surfaces (``decode_many(schedule=)``, the engine and
-   :class:`DecodeService` with ``kernel="column"``) reproduce the
+   :class:`DecodeService` with ``schedule="column"``) reproduce the
    kernel's bytes exactly.
 
 The differential sweep draws its (code, SNR, arithmetic) triples from
@@ -232,7 +232,7 @@ def test_decode_many_schedule_validation():
     llrs_2d = np.zeros((2, code.n))
     with pytest.raises(DecodingError):
         decode_many(code, llrs_2d, schedule="diagonal")
-    with pytest.raises(DecodingError):
+    with pytest.raises(TypeError):  # no kernel selector besides schedule
         decode_many(code, llrs_2d, schedule="column", kernel="fused")
     with pytest.raises(DecodingError):
         decode_many(
@@ -250,7 +250,7 @@ def test_engine_column_kernel_matches_batch_decode():
         code, max_iterations=MAX_ITER
     ).decode(llrs_2d)
     engine = ContinuousBatchingEngine(
-        code, batch_size=3, max_iterations=MAX_ITER, kernel="column"
+        code, batch_size=3, max_iterations=MAX_ITER, schedule="column"
     )
     done = engine.run(list(llrs_2d))
     for i, d in enumerate(done):
@@ -269,7 +269,7 @@ def test_service_column_kernel_matches_batch_decode():
         code, max_iterations=MAX_ITER
     ).decode(llrs_2d)
     service = DecodeService(
-        code, batch_size=3, max_iterations=MAX_ITER, kernel="column"
+        code, batch_size=3, max_iterations=MAX_ITER, schedule="column"
     )
     try:
         futures = [service.submit(f, timeout=None) for f in llrs_2d]

@@ -5,8 +5,9 @@ decisions plus the per-frame iteration counts for six seeded frames of
 the paper's case-study code at 2.5 dB, in both arithmetic modes.  Any
 change to the decoder arithmetic — quantization, scaling, layer order,
 syndrome checks — shows up here as a digest mismatch, and every decode
-surface (per-frame class, batch kernel, fused kernel, one-call API,
-process-backend service) must reproduce the same bytes.
+surface (per-frame class, batch kernel as a batch and one frame at a
+time, one-call API, process-backend service) must reproduce the same
+bytes.
 
 If an *intentional* algorithm change lands, regenerate the fixture with
 the recipe in this file's ``_traffic`` helper and say so in the commit.
@@ -76,15 +77,19 @@ class TestGoldenVectors(object):
 
     @pytest.mark.accel
     def test_fused_kernel(self, golden, traffic, mode):
-        from repro.accel.fused import FusedBatchLayeredMinSumDecoder
-
+        # the fused frame-minor kernel at width 1 (the engine's
+        # narrowest state), one frame per decode
         code, llrs = traffic
-        result = FusedBatchLayeredMinSumDecoder(
-            code, fixed=mode == "fixed"
-        ).decode(np.stack(llrs))
-        assert _digest(result.bits) == golden[mode]["bits_sha256"]
-        assert result.iterations.tolist() == golden[mode]["iterations"]
-        assert result.converged.tolist() == golden[mode]["converged"]
+        decoder = BatchLayeredMinSumDecoder(code, fixed=mode == "fixed")
+        results = [decoder.decode(f[None, :]) for f in llrs]
+        bits = np.concatenate([r.bits for r in results])
+        assert _digest(bits) == golden[mode]["bits_sha256"]
+        assert [int(r.iterations[0]) for r in results] == (
+            golden[mode]["iterations"]
+        )
+        assert [bool(r.converged[0]) for r in results] == (
+            golden[mode]["converged"]
+        )
 
     @pytest.mark.serve
     @pytest.mark.accel

@@ -4,8 +4,9 @@ Alongside ``wimax_2304_half.json`` (the paper's case-study code), three
 more fixtures freeze decoded outputs for the families the registry
 added: one 5G NR BG1 point, one NR BG2 point, and one 802.11n code,
 each at a fixed Eb/N0 and seed, in both arithmetic modes.  Every
-decode surface — per-frame decoder, batch kernel, fused kernel, the
-one-call API, and a live :class:`DecodeService` — must reproduce the
+decode surface — per-frame decoder, batch kernel (as a batch and one
+frame at a time), the one-call API, and a live :class:`DecodeService`
+— must reproduce the
 same bytes, so a change to the NR extension-row construction, the
 802.11n tables, or any kernel shows up as a digest mismatch here
 before it shows up as a silent behavior change in serving.
@@ -96,16 +97,22 @@ class TestZooGoldenVectors(object):
 
     @pytest.mark.accel
     def test_fused_kernel(self, golden, traffic, mode):
-        from repro.accel.fused import FusedBatchLayeredMinSumDecoder
-
+        # the fused frame-minor kernel at width 1 (the engine's
+        # narrowest state), one frame per decode
         code, llrs = traffic
-        result = FusedBatchLayeredMinSumDecoder(
+        decoder = BatchLayeredMinSumDecoder(
             code, max_iterations=golden["max_iterations"],
             fixed=mode == "fixed",
-        ).decode(np.stack(llrs))
-        assert _digest(result.bits) == golden[mode]["bits_sha256"]
-        assert result.iterations.tolist() == golden[mode]["iterations"]
-        assert result.converged.tolist() == golden[mode]["converged"]
+        )
+        results = [decoder.decode(f[None, :]) for f in llrs]
+        bits = np.concatenate([r.bits for r in results])
+        assert _digest(bits) == golden[mode]["bits_sha256"]
+        assert [int(r.iterations[0]) for r in results] == (
+            golden[mode]["iterations"]
+        )
+        assert [bool(r.converged[0]) for r in results] == (
+            golden[mode]["converged"]
+        )
 
     def test_one_call_api(self, golden, traffic, mode):
         code, llrs = traffic

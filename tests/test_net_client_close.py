@@ -41,7 +41,7 @@ def gateway(code):
     """A real gateway on a background thread, so the blocking
     DecodeClient can be exercised from the test thread directly."""
     service = DecodeService(
-        code, batch_size=4, max_iterations=MAX_ITER, kernel="fused",
+        code, batch_size=4, max_iterations=MAX_ITER,
         queue_capacity=64,
     )
     admission = AdmissionController(

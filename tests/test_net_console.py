@@ -47,7 +47,7 @@ def traffic(code):
 @pytest.fixture()
 def service(code):
     svc = DecodeService(
-        code, batch_size=4, max_iterations=MAX_ITER, kernel="fused",
+        code, batch_size=4, max_iterations=MAX_ITER,
         queue_capacity=64,
     )
     yield svc

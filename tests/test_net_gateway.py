@@ -57,7 +57,7 @@ def traffic(code):
 @pytest.fixture()
 def service(code):
     svc = DecodeService(
-        code, batch_size=4, max_iterations=MAX_ITER, kernel="fused",
+        code, batch_size=4, max_iterations=MAX_ITER,
         queue_capacity=64,
     )
     yield svc
@@ -332,7 +332,7 @@ class TestSheddingBridge:
         # an unconverged low-SNR frame runs to its iteration budget; the
         # bronze bias must cap it below the gold run on the same frame
         svc = DecodeService(
-            code, batch_size=4, max_iterations=MAX_ITER, kernel="fused",
+            code, batch_size=4, max_iterations=MAX_ITER,
         )
         admission = open_admission(
             gold=TenantPolicy(rate=100, burst=100, priority=GOLD),
@@ -369,7 +369,7 @@ class TestSheddingBridge:
 
     def test_bronze_shed_under_synthetic_fill(self, code, monkeypatch):
         svc = DecodeService(
-            code, batch_size=4, max_iterations=MAX_ITER, kernel="fused",
+            code, batch_size=4, max_iterations=MAX_ITER,
         )
         admission = open_admission(
             bronze=TenantPolicy(rate=100, burst=100, priority=BRONZE),

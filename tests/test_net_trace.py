@@ -70,7 +70,7 @@ def traffic(code):
 @pytest.fixture()
 def service(code):
     svc = DecodeService(
-        code, batch_size=4, max_iterations=MAX_ITER, kernel="fused",
+        code, batch_size=4, max_iterations=MAX_ITER,
         queue_capacity=64,
     )
     yield svc
@@ -213,7 +213,7 @@ class TestDistributedChain:
     def test_single_request_yields_one_trace(self, code, traffic):
         rec = TraceRecorder()
         service = DecodeService(
-            code, batch_size=4, max_iterations=MAX_ITER, kernel="fused",
+            code, batch_size=4, max_iterations=MAX_ITER,
             queue_capacity=64, recorder=rec,
         )
         try:

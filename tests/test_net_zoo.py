@@ -61,7 +61,7 @@ def registry():
 @pytest.fixture()
 def zoo_service():
     svc = DecodeService.from_registry(
-        ZOO_IDS, batch_size=4, max_iterations=MAX_ITER, kernel="fused",
+        ZOO_IDS, batch_size=4, max_iterations=MAX_ITER,
         queue_capacity=64,
     )
     yield svc
@@ -202,7 +202,7 @@ class TestHarqSession:
         )
         service = DecodeService.from_registry(
             [r.code_id for r in ladder], batch_size=8,
-            max_iterations=MAX_ITER, kernel="fused", queue_capacity=64,
+            max_iterations=MAX_ITER, queue_capacity=64,
         )
         try:
             loop, gateway, host, port = self._gateway(service)
@@ -262,7 +262,7 @@ class TestHarqSwitchLogging:
         )
         service = DecodeService.from_registry(
             [r.code_id for r in ladder], batch_size=8,
-            max_iterations=MAX_ITER, kernel="fused", queue_capacity=64,
+            max_iterations=MAX_ITER, queue_capacity=64,
         )
         log = EventLog()
         try:

@@ -92,26 +92,32 @@ class TestTracingIsSideEffectFree(object):
     @pytest.mark.accel
     @pytest.mark.parametrize("fixed", [False, True])
     def test_fused_kernel_span_parity_with_batch(self, wimax_short, fixed):
-        # the fused kernel is a drop-in for the batch kernel, so tooling
-        # keyed on span names (layer profile, obs-report) must see the
-        # same "batch.layer" spans with the same labels from both
-        from repro.accel.fused import FusedBatchLayeredMinSumDecoder
-
+        # tooling keyed on span names (layer profile, obs-report) must
+        # see the same "batch.layer" spans whether the kernel runs a
+        # static batch or is stepped by the engine; in both, "batch"
+        # is the width actually iterated
         llrs = _frames(wimax_short, 4)
-        spans = {}
-        for cls in (BatchLayeredMinSumDecoder, FusedBatchLayeredMinSumDecoder):
-            rec = TraceRecorder()
-            cls(wimax_short, fixed=fixed, recorder=rec).decode(llrs)
-            layer_spans = rec.by_name("batch.layer")
-            assert layer_spans, f"{cls.__name__} emitted no batch.layer spans"
-            assert {r.name for r in rec.records()} >= {"batch.layer"}
-            spans[cls] = layer_spans
-        reference, fused = spans.values()
-        assert len(fused) == len(reference)
-        for a, b in zip(reference, fused):
+        rec = TraceRecorder()
+        BatchLayeredMinSumDecoder(
+            wimax_short, max_iterations=1, fixed=fixed, recorder=rec
+        ).decode(llrs)
+        static = rec.by_name("batch.layer")
+
+        rec = TraceRecorder()
+        engine = ContinuousBatchingEngine(
+            wimax_short, batch_size=16, max_iterations=1, fixed=fixed,
+            recorder=rec,
+        )
+        for row in llrs:
+            engine.admit(DecodeJob(llrs=row))
+        engine.step()
+        stepped = rec.by_name("batch.layer")
+
+        assert static and len(stepped) == len(static)
+        for a, b in zip(static, stepped):
             assert set(a.label_dict) == set(b.label_dict)
             assert a.label_dict["layer"] == b.label_dict["layer"]
-            assert a.label_dict["batch"] == b.label_dict["batch"]
+            assert a.label_dict["batch"] == b.label_dict["batch"] == 4
             assert a.label_dict["mode"] == b.label_dict["mode"]
             assert a.label_dict["mode"] == ("fixed" if fixed else "float")
 
@@ -170,18 +176,14 @@ class TestDisabledOverhead(object):
     @pytest.mark.accel
     @pytest.mark.obs
     def test_enabled_recorder_under_ten_percent_on_fused(self, wimax_short):
-        # an *enabled* (non-exporting) recorder on the fused kernel:
-        # per-layer complete() calls are the whole cost, and the span
-        # count is batch-size independent, so a large batch amortizes
-        # them against real decode work
-        from repro.accel.fused import FusedBatchLayeredMinSumDecoder
-
+        # an *enabled* (non-exporting) recorder on the fused batch
+        # kernel: per-layer complete() calls are the whole cost, and the
+        # span count is batch-size independent, so a large batch
+        # amortizes them against real decode work
         llrs = _frames(wimax_short, 64)
-        plain = FusedBatchLayeredMinSumDecoder(wimax_short)
+        plain = BatchLayeredMinSumDecoder(wimax_short)
         recorder = TraceRecorder(capacity=1 << 16)
-        traced = FusedBatchLayeredMinSumDecoder(
-            wimax_short, recorder=recorder
-        )
+        traced = BatchLayeredMinSumDecoder(wimax_short, recorder=recorder)
         plain.decode(llrs)
         traced.decode(llrs)
         _assert_overhead_below(

@@ -1,0 +1,208 @@
+"""Engine width stepping: random admit/step/drain interleavings.
+
+The engine iterates a contiguous kernel state only as wide as the
+highest occupied slot, rounded up to a power of two and capped at the
+batch size.  Two properties must hold for every interleaving of
+``admit`` (including shed iteration budgets), ``step`` and ``drain``:
+
+* every retired result is bit-exact with the per-frame
+  :class:`~repro.decoder.layered.LayeredMinSumDecoder` run at that
+  frame's budget — bits, LLRs, iterations, converged flag and syndrome
+  trail — so a slot re-admitted after a shrink → grow transition can
+  never inherit stale R from an earlier, wider state;
+* a spy on ``engine.kernel.iterate_once`` sees exactly that width on
+  every step, and admission always fills the lowest free slot.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.channel import AwgnChannel
+from repro.codes.registry import default_registry
+from repro.decoder import LayeredMinSumDecoder
+from repro.obs import TraceRecorder
+from repro.serve import ContinuousBatchingEngine, DecodeJob
+
+pytestmark = pytest.mark.serve
+
+CODE_IDS = ("wimax-r12-576", "nr-bg2-z16")
+MAX_ITER = 6
+POOL = 10  # distinct frames per code
+
+_SETTINGS = settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _frames(code_id):
+    """Seeded frames from clean (~2 iterations) to failing (full budget)."""
+    registry = default_registry()
+    code = registry.get(code_id)
+    encoder = registry.encoder(code_id)
+    rng = np.random.default_rng([13, len(code_id)])
+    frames = []
+    for ebno in np.linspace(0.0, 4.0, POOL):
+        message = rng.integers(0, 2, encoder.k).astype(np.uint8)
+        channel = AwgnChannel.from_ebno(float(ebno), code.rate, seed=rng)
+        frames.append(channel.llrs(encoder.encode(message)))
+    return code, frames
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(code_id, fixed, frame, budget):
+    code, frames = _frames(code_id)
+    return LayeredMinSumDecoder(
+        code, max_iterations=budget, fixed=fixed
+    ).decode(frames[frame])
+
+
+def _expected_width(batch_size, occupied):
+    hi = max(occupied) + 1
+    return min(batch_size, 1 << (hi - 1).bit_length())
+
+
+def _assert_matches(code_id, fixed, done, frame, budget):
+    ref = _reference(code_id, fixed, frame, budget)
+    got = done.result
+    np.testing.assert_array_equal(got.bits, ref.bits)
+    np.testing.assert_array_equal(got.llrs, ref.llrs)
+    assert got.iterations == ref.iterations
+    assert got.converged == ref.converged
+    assert got.iteration_syndromes == ref.iteration_syndromes
+
+
+def _spy(engine):
+    """Record the P/R batch width of every kernel iteration."""
+    widths = []
+    iterate = engine.kernel.iterate_once
+
+    def spy(p, r):
+        assert all(rl.shape[-1] == p.shape[1] for rl in r)
+        assert p.flags.c_contiguous
+        widths.append(p.shape[1])
+        return iterate(p, r)
+
+    engine.kernel.iterate_once = spy
+    return widths
+
+
+ops = st.one_of(
+    st.tuples(
+        st.just("admit"),
+        st.integers(0, POOL - 1),
+        st.one_of(st.none(), st.integers(1, MAX_ITER)),  # shed budget
+    ),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("drain")),
+)
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
+@pytest.mark.parametrize("code_id", CODE_IDS)
+@_SETTINGS
+@given(
+    batch_size=st.integers(1, 12),
+    program=st.lists(ops, min_size=1, max_size=40),
+)
+def test_random_interleavings(code_id, fixed, batch_size, program):
+    code, frames = _frames(code_id)
+    engine = ContinuousBatchingEngine(
+        code, batch_size=batch_size, max_iterations=MAX_ITER, fixed=fixed
+    )
+    widths = _spy(engine)
+    occupied = {}  # slot -> (job_id, frame, budget)
+
+    def step(completed):
+        for done in completed:
+            slot = next(
+                s for s, (job_id, _, _) in occupied.items()
+                if job_id == done.job_id
+            )
+            _, frame, budget = occupied.pop(slot)
+            _assert_matches(code_id, fixed, done, frame, budget)
+
+    for op in program:
+        if op[0] == "admit":
+            if len(occupied) == batch_size:
+                continue
+            _, frame, budget = op
+            job = DecodeJob(llrs=frames[frame], iteration_budget=budget)
+            slot = engine.admit(job)
+            lowest_free = min(set(range(batch_size)) - set(occupied))
+            assert slot == lowest_free
+            occupied[slot] = (job.job_id, frame, budget or MAX_ITER)
+        elif op[0] == "step":
+            if not occupied:
+                assert engine.step() == []
+                continue
+            expected = _expected_width(batch_size, occupied)
+            calls = len(widths)
+            step(engine.step())
+            assert widths[calls:] == [expected]
+        else:
+            while occupied:
+                expected = _expected_width(batch_size, occupied)
+                calls = len(widths)
+                step(engine.step())
+                assert widths[calls:] == [expected]
+            assert engine.drain() == []
+    step(engine.drain())
+    assert not occupied and engine.in_flight == 0
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
+def test_shrink_then_grow_reloads_fresh_state(fixed):
+    """Slots dropped by a shrink come back zeroed, not with old R."""
+    code_id = CODE_IDS[0]
+    code, frames = _frames(code_id)
+    engine = ContinuousBatchingEngine(
+        code, batch_size=8, max_iterations=MAX_ITER, fixed=fixed
+    )
+    widths = _spy(engine)
+    # fill slots 0..5 (width 8); the slow frame stays in slot 0
+    jobs = [DecodeJob(llrs=frames[0])] + [
+        DecodeJob(llrs=frames[POOL - 1], iteration_budget=1)
+        for _ in range(5)
+    ]
+    for job in jobs:
+        engine.admit(job)
+    retired = engine.step()  # the five budget-1 frames retire
+    assert len(retired) == 5 and widths == [8]
+    engine.step()            # only slot 0 left: width 1
+    assert widths[-1] == 1
+    # re-admit into slots 1..4: state grows back to width 8
+    again = [DecodeJob(llrs=frames[f]) for f in (3, 5, 7, 9)]
+    for job in again:
+        engine.admit(job)
+    results = {d.job_id: d for d in retired + engine.drain()}
+    assert widths[2] == 8
+    _assert_matches(code_id, fixed, results[jobs[0].job_id], 0, MAX_ITER)
+    for job, frame in zip(again, (3, 5, 7, 9)):
+        _assert_matches(code_id, fixed, results[job.job_id], frame, MAX_ITER)
+
+
+def test_step_span_reports_width():
+    """``engine.step`` carries ``width``; ``batch.layer`` its ``batch``."""
+    code, frames = _frames(CODE_IDS[0])
+    rec = TraceRecorder()
+    engine = ContinuousBatchingEngine(
+        code, batch_size=16, max_iterations=MAX_ITER, recorder=rec
+    )
+    for frame in frames[:3]:
+        engine.admit(DecodeJob(llrs=frame))
+    engine.step()
+    step, = rec.by_name("engine.step")
+    assert step.label_dict["busy"] == 3
+    assert step.label_dict["capacity"] == 16
+    assert step.label_dict["width"] == 4
+    layers = rec.by_name("batch.layer")
+    assert len(layers) == code.num_layers
+    assert {span.label_dict["batch"] for span in layers} == {4}

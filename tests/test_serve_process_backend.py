@@ -70,7 +70,7 @@ class TestProcessBackendSmoke:
         frames = traffic(wimax_short, 10, seed=70)
         svc = DecodeService(
             wimax_short, batch_size=4, fixed=True,
-            backend="process", kernel="fused",
+            backend="process",
             shed_policy=NoShedPolicy(), **FAST,
         )
         with svc:
@@ -90,6 +90,9 @@ class TestProcessBackendSmoke:
     def test_rejects_bad_backend_name(self, wimax_short):
         with pytest.raises(ServeError, match="backend"):
             DecodeService(wimax_short, backend="fibers")
+        # the child engine runs the row schedule only
+        with pytest.raises(ServeError, match="backend"):
+            DecodeService(wimax_short, backend="process", schedule="column")
 
 
 class TestProcessKillResilience:
@@ -171,7 +174,8 @@ class TestProcessEngineProxy:
             proxy.shutdown()
 
     def test_rejects_bad_kernel_and_batch_size(self, wimax_short):
-        with pytest.raises(DecodingError, match="kernel"):
+        # one batch kernel: there is no kernel selector left to pass
+        with pytest.raises(TypeError, match="kernel"):
             ProcessEngineProxy(wimax_short, kernel="warp")
         with pytest.raises(DecodingError, match="batch_size"):
             ProcessEngineProxy(wimax_short, batch_size=0)

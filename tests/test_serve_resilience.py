@@ -106,6 +106,12 @@ class TestWorkerCrashRecovery:
                 outcomes["failed"] += 1
         assert outcomes["ok"] + outcomes["failed"] == 24
         assert outcomes["failed"] >= 1  # the crash really happened
+        # when the crash lands after every submit, all futures fail fast
+        # before the supervisor's restart backoff ends: wait for it
+        deadline = time.monotonic() + 10
+        while svc.metrics.snapshot().worker_restarts < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
         snap = svc.metrics.snapshot()
         assert snap.worker_crashes >= 1 and snap.worker_restarts >= 1
         svc.close(wait=True)
