@@ -109,6 +109,15 @@ class CodePlan(object):
         Code dimensions the kernels size their state from.
     layers:
         One :class:`LayerPlan` per block row, natural order.
+    check_idx:
+        ``(max_degree, m)`` padded check-major gather index: column
+        ``c`` lists the variables of parity check ``c`` (layer ``c //
+        z``, row ``c % z``).  Checks of a layer narrower than
+        ``max_degree`` are padded with index ``n``, which points one row
+        past the variables: the syndrome gathers from an ``n + 1`` row
+        bit buffer whose last row is zero, so pad entries drop out of
+        the XOR and every check's parity is one gather and one reduce,
+        whatever the layer degrees.
     """
 
     key: str
@@ -117,12 +126,20 @@ class CodePlan(object):
     num_layers: int
     max_degree: int
     layers: Tuple[LayerPlan, ...]
+    check_idx: np.ndarray
 
     @classmethod
     def build(cls, code: QCLDPCCode, key: Optional[str] = None) -> "CodePlan":
         """Derive a plan from ``code`` (normally via a cache, not directly)."""
         layer_plans: List[LayerPlan] = []
-        for layer in code.layers:
+        check_idx = np.full(
+            (code.max_layer_degree, code.num_layers * code.z), code.n,
+            dtype=np.intp,
+        )
+        for l, layer in enumerate(code.layers):
+            check_idx[: layer.degree, l * code.z : (l + 1) * code.z] = (
+                layer.var_idx
+            )
             layer_plans.append(
                 LayerPlan(
                     block_cols=layer.block_cols,
@@ -138,6 +155,7 @@ class CodePlan(object):
             num_layers=code.num_layers,
             max_degree=code.max_layer_degree,
             layers=tuple(layer_plans),
+            check_idx=check_idx,
         )
 
 

@@ -77,6 +77,7 @@ def _child_main(
     scaling_factor: float,
     fixed: bool,
     fmt: FixedPointFormat,
+    schedule: str,
     trace_enabled: bool,
     in_buf: "ctypes.Array",
     out_llr_buf: "ctypes.Array",
@@ -145,6 +146,7 @@ def _child_main(
             scaling_factor=scaling_factor,
             fixed=fixed,
             fmt=fmt,
+            schedule=schedule,
             metrics=child_metrics,
             recorder=recorder,
         )
@@ -222,7 +224,7 @@ class ProcessEngineProxy(object):
 
     Parameters
     ----------
-    code / batch_size / max_iterations / scaling_factor / fixed / fmt:
+    code / batch_size / max_iterations / scaling_factor / fixed / fmt / schedule:
         Decoder configuration, forwarded verbatim to the child engine.
     metrics:
         Optional shared :class:`ServeMetrics`; admissions and
@@ -266,6 +268,7 @@ class ProcessEngineProxy(object):
         scaling_factor: float = SCALING_FACTOR,
         fixed: bool = False,
         fmt: FixedPointFormat = MESSAGE_8BIT,
+        schedule: str = "row",
         metrics: Optional[ServeMetrics] = None,
         recorder: Optional[TraceRecorder] = None,
         log: Optional[EventLog] = None,
@@ -274,12 +277,17 @@ class ProcessEngineProxy(object):
     ) -> None:
         if batch_size < 1:
             raise DecodingError(f"batch_size must be >= 1, got {batch_size}")
+        if schedule not in ("row", "column"):
+            raise DecodingError(
+                f"schedule must be 'row' or 'column', got {schedule!r}"
+            )
         self.code = code
         self.batch_size = batch_size
         self.max_iterations = max_iterations
         self.scaling_factor = scaling_factor
         self.fixed = fixed
         self.fmt = fmt
+        self.schedule = schedule
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self.recorder = recorder
         self.log = log
@@ -343,6 +351,7 @@ class ProcessEngineProxy(object):
                 self.scaling_factor,
                 self.fixed,
                 self.fmt,
+                self.schedule,
                 trace_enabled,
                 self._in_buf,
                 self._out_llr_buf,

@@ -35,7 +35,7 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.utils.tables import render_table
 
@@ -83,9 +83,12 @@ def new_trace_id() -> int:
     return (uuid.uuid4().int >> 64) or 1
 
 
-@dataclass(frozen=True)
-class SpanRecord(object):
+class SpanRecord(NamedTuple):
     """One finished span or instant event.
+
+    A named tuple rather than a frozen dataclass: hot loops (one
+    ``batch.layer`` span per layer update) build one per span, and a
+    tuple is built in well under half the time.
 
     Attributes
     ----------

@@ -12,17 +12,23 @@ update rule:
 * **frame-minor layout.**  P is ``(n, B)`` and each layer's R store is
   ``(degree, z, B)``, so the batch axis is innermost and every
   gather/scatter/reduction streams over contiguous frame lanes.
-* **argmin-free two-min search.**  ``min2`` is the second order
-  statistic: a plain ``min`` plus a masked ``min`` over the non-minimum
-  entries, with a tie-count correction that reproduces the reference
-  first-edge tie-break exactly.
+* **running two-min.**  ``min1``/``min2`` come from core1's comparator
+  chain over the degree axis (``min2 = min(min2, max(min1, x))``, then
+  ``min1 = min(min1, x)``), so ``min2`` is the exact second order
+  statistic: a tie at the minimum yields ``min2 == min1``, the value the
+  reference's scatter at the first argmin produces.  ``|R'|`` is one
+  select, ``min2`` where an edge holds the minimum and ``min1`` elsewhere.
 * **sign via parity.**  The outgoing sign is the per-check XOR parity of
   "is negative" bits times the edge's own sign (zero counts as
-  positive, like a two's-complement MSB); the float path applies the
-  own sign with one ``np.copysign`` against Q.
+  positive, like a two's-complement MSB).  The float path applies the
+  own sign with one ``np.copysign`` against Q; the fixed path folds the
+  parity into the small per-check minima before the select.
+* **one-gather syndrome.**  The parity check reads every check's hard
+  decisions through the plan's padded check-major index in one gather,
+  one XOR reduction and one count, whatever the number of layers.
 * **preallocated scratch.**  Per-layer temporaries live in reusable
-  buffers, one set per (layer degree, batch width), so the hot loop
-  allocates nothing once warm.
+  buffers, one set per (layer degree, batch width); once warm, a layer
+  allocates only its per-check ``(z, B)`` values and the select.
 * **narrow fixed-point state.**  The fixed mode stores P and R as
   ``int16`` (every intermediate of the 8-bit datapath provably fits).
 
@@ -31,8 +37,9 @@ value under IEEE comparison, so it decodes identically.
 
 Converged frames are **retired early**: at every iteration boundary the
 per-frame parity checks run, frames whose syndrome is zero are recorded
-and removed, and the working arrays are compacted so later iterations
-spend no work on finished frames.  The continuous-batching engine
+and removed, and the working arrays are compacted (into fresh
+contiguous frame-minor copies) so later iterations spend no work on
+finished frames.  The continuous-batching engine
 (:mod:`repro.serve.engine`) builds on the same primitives exposed here —
 :meth:`iterate_once`, :meth:`syndrome_weights` and the slot accessors —
 to refill freed slots with new frames instead of shrinking the batch.
@@ -68,12 +75,11 @@ class _LayerScratch(object):
         self.mag = np.empty(shape, dtype=dtype)
         self.neg = np.empty(shape, dtype=bool)
         self.is_min = np.empty(shape, dtype=bool)
-        self.notmin = np.empty(shape, dtype=bool)
-        self.sel = np.empty(shape, dtype=dtype)
         self.tot = np.empty((z, batch), dtype=bool)
-        self.min1 = np.empty((z, batch), dtype=dtype)
-        self.mmin = np.empty((z, batch), dtype=dtype)
-        self.cnt = np.empty((z, batch), dtype=np.int16)
+        #: per-check (min1, min2), stacked so one pass scales both
+        self.mins = np.empty((2, z, batch), dtype=dtype)
+        self.min1, self.min2 = self.mins
+        self.loser = np.empty((z, batch), dtype=dtype)
 
 
 class BatchLayeredMinSumDecoder(object):
@@ -152,9 +158,12 @@ class BatchLayeredMinSumDecoder(object):
         #: fixed-mode saturation bounds, as int16 scalars for np.clip
         self._lo = np.int16(fmt.min_code)
         self._hi = np.int16(fmt.max_code)
-        #: masked-min identity: +inf for floats, int16 max for codes
+        #: min identity (the column kernel masks an edge out with it):
+        #: +inf for floats, int16 max for codes
         self._big = np.int16(np.iinfo(np.int16).max) if fixed else np.inf
         self._scratch: Dict[Tuple[int, int], _LayerScratch] = {}
+        #: syndrome hard-decision buffers, ``(n + 1, A)`` per state width A
+        self._syndrome_bits: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # state primitives (shared with the continuous-batching engine)
@@ -201,19 +210,22 @@ class BatchLayeredMinSumDecoder(object):
     def syndrome_weights(self, p: np.ndarray, frames=None) -> np.ndarray:
         """Unsatisfied-check count per frame of an ``(n, A)`` P state.
 
-        ``frames`` optionally restricts the computation to a subset of
-        frames (an index array).
+        ``frames`` optionally restricts the result to a subset of frames
+        (an index array).  One gather through the plan's padded
+        check-major index reads every check's hard decisions at once
+        (pad entries hit the bit buffer's zero last row), so the call
+        count does not grow with the number of layers.  The bit buffer
+        is kept per state width, which the engine holds to a few powers
+        of two.
         """
-        if frames is not None:
-            p = p[:, frames]
-        bits = hard_decision(p)
-        weights = np.zeros(p.shape[1], dtype=np.int64)
-        for lp in self.plan.layers:
-            vals = bits[lp.var_idx]  # (degree, z, A)
-            weights += np.count_nonzero(
-                np.bitwise_xor.reduce(vals, axis=0), axis=0
-            )
-        return weights
+        bits = self._syndrome_bits.get(p.shape[1])
+        if bits is None:
+            bits = np.zeros((self.code.n + 1, p.shape[1]), dtype=bool)
+            self._syndrome_bits[p.shape[1]] = bits
+        np.less(p, 0, out=bits[:-1])   # hard decision; last row stays 0
+        edges = np.take(bits, self.plan.check_idx, axis=0)
+        weights = np.count_nonzero(np.logical_xor.reduce(edges, axis=0), axis=0)
+        return weights if frames is None else weights[frames]
 
     def finalize_llrs(self, p: np.ndarray) -> np.ndarray:
         """Frame-minor P state -> ``(A, n)`` a-posteriori LLRs."""
@@ -260,8 +272,12 @@ class BatchLayeredMinSumDecoder(object):
     def compact(
         self, p: np.ndarray, r: List[np.ndarray], keep: np.ndarray
     ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Drop retired frames from the working state (boolean mask)."""
-        return p[:, keep], [rl[:, :, keep] for rl in r]
+        """Drop retired frames from the working state (boolean mask).
+
+        ``compress`` copies in C order, so the surviving state stays
+        frame-minor and contiguous for the remaining iterations.
+        """
+        return p.compress(keep, axis=1), [rl.compress(keep, axis=2) for rl in r]
 
     def resize(
         self, p: np.ndarray, r: List[np.ndarray], width: int
@@ -363,24 +379,27 @@ class BatchLayeredMinSumDecoder(object):
         return scratch
 
     def _two_min(self, s: _LayerScratch, degree: int):
-        """Reference-exact (min1, min2) per check from ``s.mag``.
+        """Exact per-check ``(min1, min2)`` from ``s.mag``, as ``s.mins``.
 
-        ``min2`` is the second order statistic: a plain min, then a
-        masked min over the non-minimum entries; a tie (two edges at the
-        minimum) makes the true second-min equal the min itself, which
-        the ``cnt > 1`` correction restores — matching the per-frame
-        kernel's scatter-at-first-argmin semantics exactly.
+        Core1's min-finder in software, a running comparator chain over
+        the edges: each new magnitude ``x`` first lets the loser of ``x``
+        vs ``min1`` compete for ``min2``, then updates ``min1``.
+        ``min2`` is therefore the second order statistic, so a tie at
+        the minimum gives ``min2 == min1`` — the per-frame kernel's
+        min2-at-first-argmin value.  A degree-1 check reports ``min1``
+        twice.
         """
-        mag = s.mag
-        np.min(mag, axis=0, out=s.min1)
-        np.equal(mag, s.min1[None], out=s.is_min)
-        np.logical_not(s.is_min, out=s.notmin)
+        mag, min1, min2 = s.mag, s.min1, s.min2
         if degree == 1:
-            return s.min1, s.min1
-        np.add.reduce(s.is_min, axis=0, dtype=np.int16, out=s.cnt)
-        np.min(mag, axis=0, where=s.notmin, initial=self._big, out=s.mmin)
-        min2 = np.where(s.cnt > 1, s.min1, s.mmin)
-        return s.min1, min2
+            np.copyto(s.mins, mag[0])
+            return s.mins
+        np.minimum(mag[0], mag[1], out=min1)
+        np.maximum(mag[0], mag[1], out=min2)
+        for x in mag[2:]:
+            np.maximum(min1, x, out=s.loser)
+            np.minimum(min2, s.loser, out=min2)
+            np.minimum(min1, x, out=min1)
+        return s.mins
 
     def _gather_q(
         self, p: np.ndarray, rl: np.ndarray, idx: np.ndarray, s: _LayerScratch
@@ -419,22 +438,21 @@ class BatchLayeredMinSumDecoder(object):
         """
         self._gather_q(p, rl, idx, s)
         q = s.q
-        min1, min2 = self._two_min(s, idx.shape[0])
+        mins = self._two_min(s, idx.shape[0])
+        np.equal(s.mag, mins[0], out=s.is_min)
         # scaling the per-check minima gives the same values as scaling
         # every edge: each edge carries min1 or min2
-        s1 = self._scale(min1)
-        s2 = self._scale(min2)
-        np.multiply(s.is_min, s2, out=rl)        # |R'|: min2 at argmin,
-        np.multiply(s.notmin, s1, out=s.sel)
-        np.add(rl, s.sel, out=rl)                # ... min1 elsewhere
-        # outgoing sign = check parity * own sign
+        scaled = self._scale(mins)
         if self.fixed:
-            np.multiply(s.neg, np.int16(-2), out=s.sel)
-            np.add(s.sel, np.int16(1), out=s.sel)  # 1 - 2*neg
-            np.multiply(rl, s.sel, out=rl)
-            np.multiply(rl, np.int16(1) - np.int16(2) * s.tot, out=rl)
+            # outgoing sign = check parity * own sign; the parity folds
+            # into the (2, z, B) minima before the select
+            scaled *= np.int16(1) - np.int16(2) * s.tot
+        s1, s2 = scaled
+        sel = np.where(s.is_min, s2, s1)         # min2 at argmin, min1 elsewhere
+        if self.fixed:
+            np.multiply(sel, 1 - 2 * s.neg.view(np.int8), out=rl)
         else:
-            np.copysign(rl, q, out=rl)
+            np.copysign(sel, q, out=rl)
             np.multiply(rl, 1.0 - 2.0 * s.tot, out=rl)
         np.add(q, rl, out=q)                     # P' = Q + R'
         if self.fixed:

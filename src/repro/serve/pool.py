@@ -220,7 +220,7 @@ class DecodeService(object):
     schedule:
         ``"row"`` (default, bit-exact with the per-frame row-layered
         decoder) or ``"column"`` — the column-layered schedule of
-        :mod:`repro.serve.column`; thread backend only.
+        :mod:`repro.serve.column`, on either backend.
     queue_capacity:
         Bound of each shard's admission queue (the backpressure knob).
     metrics:
@@ -297,8 +297,6 @@ class DecodeService(object):
             raise ServeError(
                 f"schedule must be 'row' or 'column', got {schedule!r}"
             )
-        if schedule == "column" and backend == "process":
-            raise ServeError("schedule='column' needs backend='thread'")
         if queue_capacity < 1:
             raise ServeError(f"queue_capacity must be >= 1, got {queue_capacity}")
         if default_max_retries < 0:
@@ -375,6 +373,7 @@ class DecodeService(object):
                     batch_size=batch_size,
                     max_iterations=max_iterations,
                     fixed=fixed,
+                    schedule=self.schedule,
                     metrics=self.metrics,
                     recorder=self.recorder,
                     log=self.log,

@@ -1,8 +1,10 @@
 """Fused batch kernel: bit-exactness against the per-frame decoder.
 
 The batch kernel fuses the layer update into few passes: it lays the
-decode state out frame-minor (P ``(n, B)``, per-layer R stacks), replaces argmin-based two-min search with a tie-counted
-masked reduction, and carries signs via ``copysign`` — every one of
+decode state out frame-minor (P ``(n, B)``, per-layer R stacks),
+replaces argmin-based two-min search with a running comparator chain,
+and carries signs as per-check parities (applied with ``copysign`` in
+float mode, folded into the per-check minima in fixed mode) — every one of
 those transforms must be *exactly* value-preserving, because the serve
 stack's correctness story is "batched output == per-frame output, bit
 for bit".  This sweep drives the comparison across random QC code
@@ -103,6 +105,41 @@ def test_state_reuse_across_decodes(wimax_short, fixed):
     reference = decoder.decode(second_traffic)
     np.testing.assert_array_equal(again.bits, reference.bits)
     np.testing.assert_array_equal(again.llrs, reference.llrs)
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_retirement_keeps_state_contiguous(fixed):
+    """Compaction after early retirement hands the remaining iterations
+    C-contiguous frame-minor state, and decode() stays bit-exact."""
+    code = wimax_code("1/2", 576)
+    rng = np.random.default_rng(202)
+    # clean and noisy frames retire at different iterations
+    llrs_2d = np.concatenate([
+        _random_traffic(code, 4, 4.0, rng),
+        _random_traffic(code, 4, 1.0, rng),
+    ])
+    decoder = BatchLayeredMinSumDecoder(code, max_iterations=10, fixed=fixed)
+    compacted = []
+    compact = decoder.compact
+
+    def spy(p, r, keep):
+        p, r = compact(p, r, keep)
+        compacted.append((p, r))
+        return p, r
+
+    decoder.compact = spy
+    result = decoder.decode(llrs_2d)
+    assert compacted, "no frame retired early"
+    for p, r in compacted:
+        assert p.flags.c_contiguous
+        assert all(rl.flags.c_contiguous for rl in r)
+    reference = LayeredMinSumDecoder(code, max_iterations=10, fixed=fixed)
+    for i, row in enumerate(llrs_2d):
+        ref = reference.decode(row)
+        np.testing.assert_array_equal(result.bits[i], ref.bits)
+        np.testing.assert_array_equal(result.llrs[i], ref.llrs)
+        assert result.iterations[i] == ref.iterations
+        assert result.iteration_syndromes[i] == ref.iteration_syndromes
 
 
 @pytest.mark.parametrize("fixed", [False, True])

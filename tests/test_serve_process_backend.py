@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.accel.procpool import ProcessEngineProxy
-from repro.decoder import LayeredMinSumDecoder
+from repro.decoder import ColumnLayeredMinSumDecoder, LayeredMinSumDecoder
 from repro.errors import (
     DecodingError,
     EngineFullError,
@@ -56,6 +56,17 @@ def _stuck_frames(code, count, seed):
     return [rng.normal(0.0, 0.3, code.n) for _ in range(count)]
 
 
+def _assert_bit_exact(reference, frames, results):
+    """Every service result equals the per-frame reference decode."""
+    for llrs, done in zip(frames, results):
+        ref = reference.decode(llrs)
+        np.testing.assert_array_equal(done.result.bits, ref.bits)
+        np.testing.assert_array_equal(done.result.llrs, ref.llrs)
+        assert done.result.iterations == ref.iterations
+        assert done.result.converged == ref.converged
+        assert done.result.iteration_syndromes == ref.iteration_syndromes
+
+
 def _kill_child(shard):
     """SIGKILL the shard's current worker process (must be spawned)."""
     proc = shard.engine._proc
@@ -76,13 +87,7 @@ class TestProcessBackendSmoke:
         with svc:
             futures = [svc.submit(f, timeout=None) for f in frames]
             results = [f.result(timeout=60) for f in futures]
-        for llrs, done in zip(frames, results):
-            ref = reference.decode(llrs)
-            np.testing.assert_array_equal(done.result.bits, ref.bits)
-            np.testing.assert_array_equal(done.result.llrs, ref.llrs)
-            assert done.result.iterations == ref.iterations
-            assert done.result.converged == ref.converged
-            assert done.result.iteration_syndromes == ref.iteration_syndromes
+        _assert_bit_exact(reference, frames, results)
         # clean close shut the worker process down, not just the thread
         assert not _shard(svc).engine.process_alive
 
@@ -90,9 +95,21 @@ class TestProcessBackendSmoke:
     def test_rejects_bad_backend_name(self, wimax_short):
         with pytest.raises(ServeError, match="backend"):
             DecodeService(wimax_short, backend="fibers")
-        # the child engine runs the row schedule only
-        with pytest.raises(ServeError, match="backend"):
-            DecodeService(wimax_short, backend="process", schedule="column")
+
+    @pytest.mark.timeout(120)
+    def test_column_schedule_decodes_bit_exactly(self, wimax_short):
+        """The child engine runs the schedule the service was built with."""
+        reference = ColumnLayeredMinSumDecoder(wimax_short, fixed=True)
+        frames = traffic(wimax_short, 8, seed=71)
+        svc = DecodeService(
+            wimax_short, batch_size=4, fixed=True,
+            backend="process", schedule="column",
+            shed_policy=NoShedPolicy(), **FAST,
+        )
+        with svc:
+            futures = [svc.submit(f, timeout=None) for f in frames]
+            results = [f.result(timeout=60) for f in futures]
+        _assert_bit_exact(reference, frames, results)
 
 
 class TestProcessKillResilience:
@@ -179,6 +196,8 @@ class TestProcessEngineProxy:
             ProcessEngineProxy(wimax_short, kernel="warp")
         with pytest.raises(DecodingError, match="batch_size"):
             ProcessEngineProxy(wimax_short, batch_size=0)
+        with pytest.raises(DecodingError, match="schedule"):
+            ProcessEngineProxy(wimax_short, schedule="diagonal")
 
     @pytest.mark.timeout(120)
     def test_full_proxy_rejects_admission(self, wimax_short):
