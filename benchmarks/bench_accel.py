@@ -5,13 +5,15 @@ throughput scaling argument.  The hardware gains its throughput from a
 z-way parallel datapath fed by precomputed message routing; the
 software gains its own from memoized
 :class:`~repro.accel.plan.CodePlan` routing tables, the fused
-frame-minor batch kernel, and the pluggable thread/process shard
-backends.  Four paths over the same traffic on the paper's
-(2304, rate-1/2) case-study code at Eb/N0 = 2.5 dB, 8-bit fixed
-arithmetic (the paper's datapath):
+frame-minor batch kernel, the continuous-batching engine, and the
+pluggable thread/process shard backends.  Five paths over the same
+traffic on the paper's (2304, rate-1/2) case-study code at
+Eb/N0 = 2.5 dB, 8-bit fixed arithmetic (the paper's datapath):
 
 * ``per-frame``    — one ``decode()`` per frame (scalar baseline);
 * ``batch``        — the batch kernel on static batches;
+* ``engine``       — the bare continuous-batching engine (retired
+  slots refilled mid-flight; no queue, no worker thread);
 * ``thread-pool``  — ``DecodeService`` (thread backend);
 * ``process-pool`` — ``DecodeService`` (worker-process backend).
 

@@ -5,11 +5,8 @@ Commands:
 * ``codes`` — list the supported code families and their parameters;
 * ``demo`` — encode/transmit/decode one frame and print the outcome;
 * ``experiments [IDS...]`` — regenerate paper tables/figures;
-* ``serve-bench`` — compare per-frame, batch, and continuous-batching
-  decode throughput on generated traffic (``--json`` for the metrics
-  registry snapshot instead of tables);
 * ``accel-bench`` — frames/s and per-layer ns for every decode path
-  (per-frame, batch, thread-pool, process-pool) with a
+  (per-frame, batch, engine, thread-pool, process-pool) with a
   built-in bit-exactness cross-check (``--json`` emits the
   ``BENCH_accel.json`` document; see docs/PERFORMANCE.md);
 * ``faults-bench`` — sweep fault rate x injection site and report
@@ -81,6 +78,19 @@ def _build_code(args):
     return wifi_code(args.rate, args.length)
 
 
+def _emit_json(doc, output: str = "") -> None:
+    """Print ``doc`` as sorted, indented JSON, or write it to ``output``."""
+    import json
+
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    if output:
+        with open(output, "w") as handle:
+            handle.write(text + "\n")
+        print(f"wrote {output}", file=sys.stderr)
+    else:
+        print(text)
+
+
 def cmd_codes(_args) -> int:
     from repro.codes import WIFI_BLOCK_LENGTHS, WIFI_RATES, WIMAX_RATES, WIMAX_Z_FACTORS
     from repro.utils.tables import render_table
@@ -116,70 +126,6 @@ def cmd_demo(args) -> int:
         f"{result.iterations} iterations, payload errors={errors}"
     )
     return 0 if result.converged and errors == 0 else 1
-
-
-def cmd_serve_bench(args) -> int:
-    from repro.serve.bench import run_serve_bench
-    from repro.utils.tables import render_table
-
-    if args.frames < 1:
-        print("serve-bench: --frames must be >= 1", file=sys.stderr)
-        return 2
-    if args.batch < 1:
-        print("serve-bench: --batch must be >= 1", file=sys.stderr)
-        return 2
-    if args.iterations < 1:
-        print("serve-bench: --iterations must be >= 1", file=sys.stderr)
-        return 2
-
-    report = run_serve_bench(
-        code=_build_code(args),
-        frames=args.frames,
-        batch=args.batch,
-        ebno_db=args.ebno,
-        iterations=args.iterations,
-        fixed=args.fixed,
-        seed=args.seed,
-        backend=args.backend or None,
-    )
-    agree = report["agree"]
-    if args.json:
-        import json
-
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text + "\n")
-            print(f"wrote {args.output}", file=sys.stderr)
-        else:
-            print(text)
-        return 0 if agree else 1
-
-    rows = [
-        [
-            m["mode"],
-            report["frames"],
-            f"{m['time_s']:.3f}",
-            f"{m['frames_per_s']:.1f}",
-            f"{m['speedup_vs_per_frame']:.2f}x",
-            m["converged"],
-        ]
-        for m in report["modes"]
-    ]
-    print(
-        render_table(
-            ["mode", "frames", "time s", "frames/s", "speedup", "converged"],
-            rows,
-            title=(
-                f"serve-bench: {report['code']}, Eb/N0={args.ebno} dB, "
-                f"{report['arithmetic']}, "
-                f"{args.iterations} iterations max"
-            ),
-        )
-    )
-    if not agree:
-        print("WARNING: modes disagree on converged frame count")
-    return 0 if agree else 1
 
 
 def cmd_zoo_bench(args) -> int:
@@ -229,15 +175,7 @@ def cmd_zoo_bench(args) -> int:
         return 2
 
     if args.json:
-        import json
-
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text + "\n")
-            print(f"wrote {args.output}", file=sys.stderr)
-        else:
-            print(text)
+        _emit_json(report, args.output)
         return 0
 
     rows = [
@@ -298,15 +236,7 @@ def cmd_accel_bench(args) -> int:
     )
     exact = all(r["mismatches"] == 0 for r in report["rows"])
     if args.json:
-        import json
-
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text + "\n")
-            print(f"wrote {args.output}", file=sys.stderr)
-        else:
-            print(text)
+        _emit_json(report, args.output)
         return 0 if exact else 1
 
     rows = [
@@ -373,8 +303,6 @@ def cmd_faults_bench(args) -> int:
     )
     result = campaign.run()
     if args.json:
-        import json
-
         from repro.utils.provenance import bench_meta
 
         cells = [
@@ -404,13 +332,7 @@ def cmd_faults_bench(args) -> int:
                 "metrics": registry.to_dict(),
             }
         )
-        print(
-            json.dumps(
-                doc,
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        _emit_json(doc)
         return 0
     print(result.report())
     return 0
@@ -425,10 +347,10 @@ def _parse_hostport(spec, default_host="127.0.0.1"):
 
 
 def cmd_obs_report(args) -> int:
+    from repro.accel.bench import generate_traffic
     from repro.obs import EventLog, TraceRecorder, layer_profile_report
     from repro.obs.slo import default_serve_slos
     from repro.serve import ContinuousBatchingEngine, DecodeJob, ServeMetrics
-    from repro.serve.bench import generate_serve_traffic
     from repro.serve.pool import DecodeService
 
     if args.endpoint:
@@ -446,11 +368,9 @@ def cmd_obs_report(args) -> int:
         if args.format == "prometheus":
             print(status.get("prometheus", ""), end="")
         elif args.format == "json":
-            import json
-
             doc = dict(status)
             doc.pop("prometheus", None)  # redundant with "metrics"
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            _emit_json(doc)
         else:
             print(render_top(status))
         return 0
@@ -463,7 +383,7 @@ def cmd_obs_report(args) -> int:
         return 2
 
     code = _build_code(args)
-    traffic = generate_serve_traffic(code, args.frames, args.ebno, args.seed)
+    traffic = generate_traffic(code, args.frames, args.ebno, args.seed)
 
     recorder = TraceRecorder()
     metrics = ServeMetrics()
@@ -511,12 +431,10 @@ def cmd_obs_report(args) -> int:
 
     registry = metrics.registry
     if args.format == "json":
-        import json
-
         doc = {"spans": recorder.summary(), "metrics": registry.to_dict()}
         if slo_report is not None:
             doc["slo"] = slo_report.to_dict()
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _emit_json(doc)
     elif args.format == "prometheus":
         print(registry.render_prometheus(), end="")
     else:
@@ -780,15 +698,7 @@ def cmd_net_soak(args) -> int:
     if trace_verify is not None:
         ok = ok and trace_verify["ok"]
     if args.json:
-        import json
-
-        text = json.dumps(doc, indent=2, sort_keys=True)
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text + "\n")
-            print(f"wrote {args.output}", file=sys.stderr)
-        else:
-            print(text)
+        _emit_json(doc, args.output)
         return 0 if ok else 1
 
     mode = doc["modes"][0]
@@ -914,7 +824,7 @@ def cmd_trace_request(args) -> int:
         print(f"wrote request slice to {args.output}", file=sys.stderr)
     waterfall = request_waterfall(request)
     if args.json:
-        print(json.dumps(waterfall, indent=2, sort_keys=True))
+        _emit_json(waterfall)
     else:
         print(format_waterfall(waterfall))
     return 0
@@ -922,7 +832,6 @@ def cmd_trace_request(args) -> int:
 
 def cmd_chaos_proxy(args) -> int:
     import asyncio
-    import json
 
     from repro.chaos import ChaosConfig, ChaosProxy
     from repro.utils.provenance import bench_meta
@@ -977,7 +886,7 @@ def cmd_chaos_proxy(args) -> int:
         }
     )
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _emit_json(doc)
     else:
         print(f"chaos-proxy: injected {doc['injected']}", file=sys.stderr)
     return 0
@@ -986,15 +895,10 @@ def cmd_chaos_proxy(args) -> int:
 def cmd_perf_gate(args) -> int:
     import os
 
-    from repro.obs.perfgate import PerfGateError, run_perf_gate
+    from repro.obs.perfgate import DEFAULT_BASELINES, PerfGateError, run_perf_gate
 
     baselines = args.baseline or [
-        name
-        for name in (
-            "BENCH_accel.json", "BENCH_serve.json", "BENCH_net.json",
-            "BENCH_net_trace.json", "BENCH_zoo.json", "BENCH_zoo_column.json",
-        )
-        if os.path.exists(name)
+        name for name in DEFAULT_BASELINES if os.path.exists(name)
     ]
     if not baselines:
         print(
@@ -1015,9 +919,7 @@ def cmd_perf_gate(args) -> int:
         print(f"perf-gate: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        import json
-
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        _emit_json(report.to_dict())
     else:
         print(report.report())
     return 0 if report.ok else 1
@@ -1083,6 +985,8 @@ def cmd_alist(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.obs.perfgate import DEFAULT_BASELINES, DEFAULT_K, DEFAULT_TOLERANCE
+
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1097,29 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiments", help="regenerate paper artifacts")
     exp.add_argument("ids", nargs="*", help="experiment ids (default: all)")
-
-    sb = sub.add_parser(
-        "serve-bench", help="batched/continuous serving throughput comparison"
-    )
-    _add_code_args(sb)
-    sb.add_argument("--ebno", type=float, default=2.5)
-    sb.add_argument("--frames", type=int, default=64, help="traffic size")
-    sb.add_argument("--batch", type=int, default=16, help="decoder slots")
-    sb.add_argument("--iterations", type=int, default=10)
-    sb.add_argument("--seed", type=int, default=0)
-    sb.add_argument("--fixed", action="store_true", help="8-bit datapath")
-    sb.add_argument(
-        "--backend", choices=("thread", "process"), default="",
-        help="also bench a full DecodeService with this worker backend",
-    )
-    sb.add_argument(
-        "--json", action="store_true",
-        help="emit a machine-readable JSON report (metrics registry snapshot)",
-    )
-    sb.add_argument(
-        "--output", "-o", default="",
-        help="with --json, write the document to this path",
-    )
 
     zb = sub.add_parser(
         "zoo-bench",
@@ -1171,7 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ab.add_argument(
         "--modes", nargs="*", default=None,
-        help="subset of modes to run (default: all four)",
+        help="subset of modes to run (default: all five)",
     )
     ab.add_argument(
         "--json", action="store_true",
@@ -1489,16 +1370,14 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument(
         "--baseline", action="append", default=[],
         help="bench JSON baseline to gate (repeatable; default: the "
-             "committed BENCH_accel.json, BENCH_serve.json, "
-             "BENCH_net.json, BENCH_net_trace.json, BENCH_zoo.json, and "
-             "BENCH_zoo_column.json)",
+             f"committed {', '.join(DEFAULT_BASELINES)})",
     )
     pg.add_argument(
-        "--k", type=int, default=3,
+        "--k", type=int, default=DEFAULT_K,
         help="re-runs per baseline (the median is compared)",
     )
     pg.add_argument(
-        "--tolerance", type=float, default=0.30,
+        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
         help="allowed relative slowdown (0.30 = 30%% below baseline fails)",
     )
     pg.add_argument(
@@ -1541,7 +1420,6 @@ def main(argv=None) -> int:
         "codes": cmd_codes,
         "demo": cmd_demo,
         "experiments": cmd_experiments,
-        "serve-bench": cmd_serve_bench,
         "zoo-bench": cmd_zoo_bench,
         "accel-bench": cmd_accel_bench,
         "faults-bench": cmd_faults_bench,

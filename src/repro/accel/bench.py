@@ -4,12 +4,16 @@ Shared by ``python -m repro accel-bench`` and
 ``benchmarks/bench_accel.py`` so the CLI, the pytest benchmark, and the
 committed ``BENCH_accel.json`` artifact all measure exactly the same
 thing: the paper's (2304, rate-1/2) case-study code at Eb/N0 = 2.5 dB
-pushed through four software datapaths —
+pushed through five software datapaths —
 
 * ``per-frame``     — :class:`~repro.decoder.layered.LayeredMinSumDecoder`,
   one ``decode()`` per frame (the scalar baseline);
 * ``batch``         — :class:`~repro.serve.batch.BatchLayeredMinSumDecoder`
   on static batches (frame-minor state, minimal-pass layer kernel);
+* ``engine``        — the bare
+  :class:`~repro.serve.engine.ContinuousBatchingEngine` (retired slots
+  refilled mid-flight; no queue, no worker thread), so the gap between
+  ``batch`` and ``thread-pool`` splits into engine cost and pool cost;
 * ``thread-pool``   — :class:`~repro.serve.pool.DecodeService` with the
   default in-process backend;
 * ``process-pool``  — the same service with ``backend="process"``
@@ -29,7 +33,7 @@ software analogue of the paper's per-layer clock-cycle accounting.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -46,17 +50,28 @@ __all__ = ["DEFAULT_MODES", "generate_traffic", "run_accel_bench"]
 DEFAULT_MODES = (
     "per-frame",
     "batch",
+    "engine",
     "thread-pool",
     "process-pool",
 )
 
 
 def generate_traffic(
-    code: QCLDPCCode, frames: int, ebno_db: float, seed: int
+    code: QCLDPCCode,
+    frames: int,
+    ebno_db: float,
+    seed: int,
+    encoder: Any = None,
 ) -> np.ndarray:
-    """Encoded random payloads through an AWGN channel: ``(frames, n)`` LLRs."""
+    """Encoded random payloads through an AWGN channel: ``(frames, n)`` LLRs.
+
+    Reproducible per ``seed``: one generator draws each payload and then
+    that frame's noise.  ``encoder`` defaults to ``RuEncoder(code)``;
+    the zoo passes the registry's encoder (``NrEncoder`` for NR codes).
+    """
     rng = np.random.default_rng(seed)
-    encoder = RuEncoder(code)
+    if encoder is None:
+        encoder = RuEncoder(code)
     out = np.empty((frames, code.n), dtype=np.float64)
     for i in range(frames):
         message = rng.integers(0, 2, encoder.k).astype(np.uint8)
@@ -79,6 +94,14 @@ def _mismatch(reference: List, bits: np.ndarray, iters: np.ndarray,
         ):
             bad += 1
     return bad
+
+
+def _outcomes(done: List) -> tuple:
+    """(bits, iterations, converged) arrays of completed jobs, in order."""
+    bits = np.stack([d.result.bits for d in done])
+    iters = np.array([d.result.iterations for d in done], dtype=np.int64)
+    conv = np.array([d.result.converged for d in done])
+    return bits, iters, conv
 
 
 def run_accel_bench(
@@ -156,6 +179,19 @@ def run_accel_bench(
         )
         rows.append(row("batch", *run_static(decoder)))
 
+    if "engine" in modes:
+        from repro.serve.engine import ContinuousBatchingEngine
+        from repro.serve.jobs import DecodeJob
+
+        engine = ContinuousBatchingEngine(
+            code, batch_size=batch, max_iterations=iterations, fixed=fixed
+        )
+        jobs = [DecodeJob(llrs=f) for f in llrs_2d]
+        t0 = time.perf_counter()
+        done = engine.run(jobs)  # results come back in input order
+        elapsed = time.perf_counter() - t0
+        rows.append(row("engine", elapsed, *_outcomes(done)))
+
     def run_service(backend: str):
         from repro.serve.pool import DecodeService
         from repro.serve.shedding import NoShedPolicy
@@ -179,10 +215,7 @@ def run_accel_bench(
             elapsed = time.perf_counter() - t0
         finally:
             service.close(wait=True)
-        bits = np.stack([d.result.bits for d in done])
-        iters = np.array([d.result.iterations for d in done], dtype=np.int64)
-        conv = np.array([d.result.converged for d in done])
-        return elapsed, bits, iters, conv
+        return (elapsed, *_outcomes(done))
 
     if "thread-pool" in modes:
         rows.append(row("thread-pool", *run_service("thread")))

@@ -1,16 +1,15 @@
 """Performance regression gate over committed benchmark baselines.
 
-The bench documents under version control (``BENCH_accel.json``,
-``BENCH_serve.json``, ``BENCH_net.json``, ``BENCH_zoo.json``,
-``BENCH_zoo_column.json``) freeze the throughput story of the repo —
-the batch-kernel speedup, the process-pool scaling, the serving
-overhead, the network-gateway overhead, and the per-code cost of the
-registry zoo under both schedules.
+The bench documents under version control (:data:`DEFAULT_BASELINES`)
+freeze the throughput story of the repo — the batch-kernel speedup,
+the engine and pool overhead, the process-pool scaling, the
+network-gateway overhead, and the per-code cost of the registry zoo
+under both schedules.
 :func:`run_perf_gate` re-runs each baseline's bench with the baseline's
 own embedded configuration, compares per-mode throughput medians
 against the committed numbers, and fails when any mode regressed by
-more than a relative tolerance.  ``repro perf-gate`` (and
-``benchmarks/perf_gate.py``) turn the report into an exit code for CI.
+more than a relative tolerance.  ``python -m repro perf-gate`` turns the
+report into an exit code; CI runs it.
 
 Noise policy
 ------------
@@ -48,6 +47,7 @@ from repro.utils.provenance import git_commit
 from repro.utils.tables import render_table
 
 __all__ = [
+    "DEFAULT_BASELINES",
     "DEFAULT_K",
     "DEFAULT_TOLERANCE",
     "TRACING_OVERHEAD_BUDGET",
@@ -60,6 +60,15 @@ __all__ = [
     "rerun_baseline",
     "run_perf_gate",
 ]
+
+#: The committed baselines ``repro perf-gate`` gates by default.
+DEFAULT_BASELINES = (
+    "BENCH_accel.json",
+    "BENCH_net.json",
+    "BENCH_net_trace.json",
+    "BENCH_zoo.json",
+    "BENCH_zoo_column.json",
+)
 
 #: Median-of-k re-runs per baseline.
 DEFAULT_K = 3
@@ -216,6 +225,10 @@ class GateReport(object):
 # ----------------------------------------------------------------------
 # baseline loading / re-running
 # ----------------------------------------------------------------------
+#: Bench kinds the gate can re-run.
+_BENCH_KINDS = ("accel", "net", "zoo")
+
+
 def load_baseline(path: str) -> Dict[str, Any]:
     """Parse one committed bench document and validate its shape."""
     try:
@@ -224,24 +237,24 @@ def load_baseline(path: str) -> Dict[str, Any]:
     except (OSError, ValueError) as exc:
         raise PerfGateError(f"cannot read baseline {path!r}: {exc}") from None
     if not isinstance(doc, dict) or _bench_kind(doc) is None:
+        kind = doc.get("bench") if isinstance(doc, dict) else None
         raise PerfGateError(
             f"baseline {path!r} is not a recognised bench document "
-            "(need a 'rows' (accel) or 'modes' (serve) list)"
+            f"(bench kind {kind!r}; need one of {list(_BENCH_KINDS)} "
+            "with a 'rows' or 'modes' list)"
         )
     return doc
 
 
 def _bench_kind(doc: Dict[str, Any]) -> Optional[str]:
     # provenance header first (bench_meta stamps it), shape as fallback
-    if doc.get("bench") in ("accel", "serve", "net", "zoo"):
+    if doc.get("bench") in _BENCH_KINDS:
         if isinstance(doc.get("rows"), list) or isinstance(
             doc.get("modes"), list
         ):
             return str(doc["bench"])
     if isinstance(doc.get("rows"), list):
         return "accel"
-    if isinstance(doc.get("modes"), list):
-        return "serve"
     return None
 
 
@@ -294,6 +307,11 @@ def rerun_baseline(
     if k < 1:
         raise PerfGateError(f"k must be >= 1, got {k}")
     kind = _bench_kind(doc)
+    if kind is None:
+        raise PerfGateError(
+            f"cannot re-run bench kind {doc.get('bench')!r}; "
+            f"need one of {list(_BENCH_KINDS)}"
+        )
     wanted = list(modes) if modes else list(baseline_fps(doc))
     # zoo baselines span many codes; their config embeds the registry
     # ids, so no single code is reconstructed from the header
@@ -330,26 +348,10 @@ def rerun_baseline(
                 modes=tuple(wanted),
             )
             observed = {r["mode"]: float(r["frames_per_s"]) for r in run["rows"]}
-        elif kind == "net":
+        else:  # net
             from repro.net.soak import SoakConfig, run_net_soak
 
             run = run_net_soak(SoakConfig.from_dict(doc.get("config", {})))
-            observed = {
-                m["mode"]: float(m["frames_per_s"]) for m in run["modes"]
-            }
-        else:
-            from repro.serve.bench import run_serve_bench
-
-            run = run_serve_bench(
-                code=code,
-                frames=int(doc.get("frames", 64)),
-                batch=int(doc.get("batch", 16)),
-                ebno_db=float(doc.get("ebno_db", 2.5)),
-                iterations=int(doc.get("max_iterations", 10)),
-                fixed=doc.get("arithmetic", "float") == "fixed",
-                seed=int(doc.get("seed", 0)),
-                backend=str(doc.get("backend") or "") or None,
-            )
             observed = {
                 m["mode"]: float(m["frames_per_s"]) for m in run["modes"]
             }
@@ -414,7 +416,7 @@ def run_perf_gate(
     ----------
     baselines:
         Paths of bench JSON documents (``BENCH_accel.json``,
-        ``BENCH_serve.json``, ...).
+        ``BENCH_net.json``, ...).
     k / tolerance:
         Median-of-k re-runs and the allowed relative slowdown.
     modes:

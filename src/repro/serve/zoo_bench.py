@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.channel import AwgnChannel
+from repro.accel.bench import generate_traffic
 from repro.decoder.api import decode_many
 from repro.errors import ServeError
 from repro.utils.provenance import bench_meta
@@ -47,19 +47,6 @@ DEFAULT_ZOO_IDS = (
     "nr-bg1-z16",
     "nr-bg2-z32",
 )
-
-
-def _traffic(code, encoder, frames: int, ebno_db: float, seed: int):
-    """Encoded random payloads through AWGN: ``(frames, n)`` LLRs."""
-    rng = np.random.default_rng(seed)
-    out = np.empty((frames, code.n), dtype=np.float64)
-    for i in range(frames):
-        message = rng.integers(0, 2, encoder.k).astype(np.uint8)
-        codeword = encoder.encode(message)
-        out[i] = AwgnChannel.from_ebno(ebno_db, code.rate, seed=rng).llrs(
-            codeword
-        )
-    return out
 
 
 def run_zoo_bench(
@@ -94,7 +81,7 @@ def run_zoo_bench(
         entry = registry.entry(code_id)  # UnknownCodeError on a bad id
         code = registry.get(code_id)
         encoder = registry.encoder(code_id)
-        llrs = _traffic(code, encoder, frames, ebno_db, seed)
+        llrs = generate_traffic(code, frames, ebno_db, seed, encoder=encoder)
 
         # warm the plan cache outside the timed region, like a serving
         # process that built its plans at startup

@@ -1,7 +1,7 @@
 """Run provenance for benchmark documents: schema version + commit.
 
-Every ``--json`` bench payload (``serve-bench``, ``accel-bench``,
-``faults-bench``) carries the same provenance header so the perf gate
+Every ``--json`` bench payload (``accel-bench``, ``zoo-bench``,
+``faults-bench``, ``net-soak``) carries the same provenance header so the perf gate
 and ``BENCH_history.jsonl`` can compare runs across commits:
 
 * ``schema_version`` — bumped when a payload's shape changes

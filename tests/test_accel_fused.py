@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.accel.bench import run_accel_bench
 from repro.channel import AwgnChannel
 from repro.codes import random_qc_code, wimax_code
 from repro.decoder import LayeredMinSumDecoder
@@ -182,3 +183,16 @@ def test_negative_zero_llrs_are_handled_exactly():
     llrs_2d[0, :7] = -0.0
     llrs_2d[1, 100:110] = 0.0
     _assert_fused_matches_per_frame(code, llrs_2d, fixed=False)
+
+
+def test_accel_bench_float_batch_and_engine_rows_are_bit_exact():
+    # 8 frames through 3 engine slots: retired slots are refilled mid-run
+    report = run_accel_bench(
+        code=wimax_code("1/2", 576), frames=8, batch=3, iterations=5,
+        fixed=False, seed=2, modes=("batch", "engine"),
+    )
+    assert report["arithmetic"] == "float"
+    rows = report["rows"]
+    assert [r["mode"] for r in rows] == ["per-frame", "batch", "engine"]
+    assert all(r["mismatches"] == 0 for r in rows)
+    assert len({r["converged"] for r in rows}) == 1

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.accel.bench import generate_traffic
 from repro.chaos import ChaosConfig, ChaosOps, ChaosProxy, ChaosWriter
 from repro.codes import wimax_code
 from repro.decoder import decode_many
@@ -30,7 +31,6 @@ from repro.net import (
     pack_llrs,
     unpack_llrs,
 )
-from repro.serve.bench import generate_serve_traffic
 from repro.serve.pool import DecodeService
 
 pytestmark = [pytest.mark.chaos, pytest.mark.timeout(120)]
@@ -45,7 +45,7 @@ def code():
 
 @pytest.fixture(scope="module")
 def traffic(code):
-    frames = generate_serve_traffic(code, 8, 4.0, seed=11)
+    frames = generate_traffic(code, 8, 4.0, seed=11)
     return [unpack_llrs(*pack_llrs(f)) for f in frames]
 
 

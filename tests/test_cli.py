@@ -164,12 +164,13 @@ class TestCommands:
     def test_accel_bench_json(self, capsys):
         rc = main([
             "accel-bench", "--length", "576", "--frames", "6", "--batch", "3",
-            "--modes", "per-frame", "batch", "thread-pool", "--json",
+            "--modes", "per-frame", "batch", "engine", "thread-pool",
+            "--json",
         ])
         assert rc == 0
         obj = json.loads(capsys.readouterr().out)
         modes = [r["mode"] for r in obj["rows"]]
-        assert modes == ["per-frame", "batch", "thread-pool"]
+        assert modes == ["per-frame", "batch", "engine", "thread-pool"]
         assert all(r["mismatches"] == 0 for r in obj["rows"])
         assert obj["arithmetic"] == "fixed"
 
@@ -196,40 +197,6 @@ class TestCommands:
 
     def test_accel_bench_rejects_bad_frames(self, capsys):
         assert main(["accel-bench", "--frames", "0"]) == 2
-
-    def test_serve_bench_json(self, capsys):
-        rc = main([
-            "serve-bench", "--length", "576", "--frames", "6",
-            "--batch", "3", "--json",
-        ])
-        assert rc == 0
-        obj = json.loads(capsys.readouterr().out)
-        assert len(obj["modes"]) == 3
-        frames_in = obj["metrics"]["serve_frames_in"]["series"][0]["value"]
-        assert frames_in == 6
-        assert obj["schema_version"] == 1
-        assert obj["bench"] == "serve"
-        assert obj["commit"]
-
-    def test_serve_bench_backend_mode(self, capsys):
-        rc = main([
-            "serve-bench", "--length", "576", "--frames", "6",
-            "--batch", "3", "--backend", "thread", "--json",
-        ])
-        assert rc == 0
-        obj = json.loads(capsys.readouterr().out)
-        assert [m["mode"] for m in obj["modes"]][-1] == "service-thread"
-        assert obj["backend"] == "thread"
-
-    def test_serve_bench_json_to_file(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_serve.json"
-        rc = main([
-            "serve-bench", "--length", "576", "--frames", "4",
-            "--batch", "2", "--json", "-o", str(out),
-        ])
-        assert rc == 0
-        obj = json.loads(out.read_text())
-        assert len(obj["modes"]) == 3
 
     def test_faults_bench_json_provenance(self, capsys):
         rc = main([

@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.accel.bench import generate_traffic
 from repro.codes import wimax_code
 from repro.errors import ClientClosedError
 from repro.net import (
@@ -23,7 +24,6 @@ from repro.net import (
     DecodeGateway,
     TenantPolicy,
 )
-from repro.serve.bench import generate_serve_traffic
 from repro.serve.pool import DecodeService
 
 pytestmark = [pytest.mark.net, pytest.mark.timeout(120)]
@@ -90,7 +90,7 @@ class TestFailFast:
     def test_decode_after_close_raises_typed_error(self, gateway, code):
         host, port = gateway
         client = DecodeClient(host, port)
-        frame = generate_serve_traffic(code, 1, 4.0, seed=1)[0]
+        frame = generate_traffic(code, 1, 4.0, seed=1)[0]
         client.close()
         with pytest.raises(ClientClosedError, match="closed"):
             client.decode(frame)
@@ -108,7 +108,7 @@ class TestFailFast:
         # typed error, not block forever on a dead executor
         host, port = gateway
         client = DecodeClient(host, port)
-        frame = generate_serve_traffic(code, 1, 4.0, seed=2)[0]
+        frame = generate_traffic(code, 1, 4.0, seed=2)[0]
         client._loop.call_soon_threadsafe(client._loop.stop)
         client._thread.join(timeout=10.0)
         assert not client._thread.is_alive()
@@ -131,7 +131,7 @@ class TestFailFast:
 class TestStillWorksBeforeClose:
     def test_decode_roundtrip_then_close(self, gateway, code):
         host, port = gateway
-        frame = generate_serve_traffic(code, 1, 4.0, seed=3)[0]
+        frame = generate_traffic(code, 1, 4.0, seed=3)[0]
         with DecodeClient(host, port) as client:
             result = client.decode(np.asarray(frame), timeout=60)
             assert result.bits.size == code.n  # full codeword comes back

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.accel.bench import generate_traffic
 from repro.net import (
     AdmissionController,
     AsyncDecodeClient,
@@ -24,7 +25,6 @@ from repro.net import (
     run_top,
 )
 from repro.net.console import STATUS_SCHEMA
-from repro.serve.bench import generate_serve_traffic
 from repro.serve.pool import DecodeService
 
 pytestmark = [pytest.mark.net, pytest.mark.obs, pytest.mark.timeout(120)]
@@ -41,7 +41,7 @@ def code():
 
 @pytest.fixture(scope="module")
 def traffic(code):
-    return list(generate_serve_traffic(code, 3, 4.0, seed=9))
+    return list(generate_traffic(code, 3, 4.0, seed=9))
 
 
 @pytest.fixture()

@@ -13,6 +13,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.accel.bench import generate_traffic
 from repro.codes import wimax_code
 from repro.decoder import decode_many
 from repro.errors import (
@@ -33,7 +34,6 @@ from repro.net import (
     pack_llrs,
     unpack_llrs,
 )
-from repro.serve.bench import generate_serve_traffic
 from repro.serve.pool import DecodeService
 
 pytestmark = [pytest.mark.net, pytest.mark.timeout(120)]
@@ -50,7 +50,7 @@ def code():
 def traffic(code):
     """Canonical (wire-quantized) LLR frames, so the reference decode
     sees exactly what the gateway decodes."""
-    frames = generate_serve_traffic(code, 12, 4.0, seed=3)
+    frames = generate_traffic(code, 12, 4.0, seed=3)
     return [unpack_llrs(*pack_llrs(f)) for f in frames]
 
 

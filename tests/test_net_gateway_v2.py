@@ -14,6 +14,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.accel.bench import generate_traffic
 from repro.codes import wimax_code
 from repro.decoder import decode_many
 from repro.net import (
@@ -33,7 +34,6 @@ from repro.net.protocol import (
     encode_request,
     read_frame,
 )
-from repro.serve.bench import generate_serve_traffic
 from repro.serve.pool import DecodeService
 
 pytestmark = [pytest.mark.net, pytest.mark.timeout(120)]
@@ -48,7 +48,7 @@ def code():
 
 @pytest.fixture(scope="module")
 def traffic(code):
-    frames = generate_serve_traffic(code, 6, 4.0, seed=5)
+    frames = generate_traffic(code, 6, 4.0, seed=5)
     return [unpack_llrs(*pack_llrs(f)) for f in frames]
 
 

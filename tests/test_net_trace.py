@@ -17,6 +17,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.accel.bench import generate_traffic
 from repro.errors import FrameCorruptionError
 from repro.net import (
     AdmissionController,
@@ -39,7 +40,6 @@ from repro.net.protocol import (
     read_frame,
 )
 from repro.obs.trace import NULL_TRACE, TraceContext, TraceRecorder
-from repro.serve.bench import generate_serve_traffic
 from repro.serve.pool import DecodeService
 
 pytestmark = [pytest.mark.net, pytest.mark.obs, pytest.mark.timeout(120)]
@@ -64,7 +64,7 @@ def code():
 
 @pytest.fixture(scope="module")
 def traffic(code):
-    return list(generate_serve_traffic(code, 4, 4.0, seed=7))
+    return list(generate_traffic(code, 4, 4.0, seed=7))
 
 
 @pytest.fixture()

@@ -17,6 +17,7 @@ from repro.__main__ import main
 from repro.accel.bench import run_accel_bench
 from repro.codes import wimax_code
 from repro.obs.perfgate import (
+    DEFAULT_BASELINES,
     GateReport,
     GateVerdict,
     PerfGateError,
@@ -73,12 +74,22 @@ class TestBaselineLoading(object):
         assert all(v > 0 for v in fps.values())
 
     def test_committed_baselines_are_loadable(self):
-        for name in ("BENCH_accel.json", "BENCH_serve.json"):
+        for name in DEFAULT_BASELINES:
             doc = load_baseline(name)
             assert doc["schema_version"] == 1
-            assert doc["bench"] in ("accel", "serve")
+            assert doc["bench"] in ("accel", "net", "zoo")
             assert doc["commit"]
             assert baseline_fps(doc)
+
+    def test_retired_serve_kind_is_refused_by_name(self, tmp_path):
+        doc = {
+            "schema_version": 1, "bench": "serve", "commit": "abc",
+            "modes": [{"mode": "frame-at-a-time", "frames_per_s": 10.0}],
+        }
+        with pytest.raises(PerfGateError, match="'serve'"):
+            load_baseline(_write(tmp_path, doc))
+        with pytest.raises(PerfGateError, match="'serve'"):
+            rerun_baseline(doc, k=1)
 
 
 @pytest.mark.zoo
@@ -253,7 +264,7 @@ class TestGate(object):
         report = run_perf_gate(
             [path], k=1, tolerance=0.3, modes=["frame-at-a-time"]
         )
-        assert report.verdicts == ()  # serve-only mode: accel doc skipped
+        assert report.verdicts == ()  # mode not in the accel doc: skipped
 
     def test_bad_tolerance_raises(self, tmp_path, tiny_baseline_doc):
         path = _write(tmp_path, tiny_baseline_doc)
@@ -305,20 +316,3 @@ class TestCli(object):
         ])
         assert rc == 2
         assert "perf-gate:" in capsys.readouterr().err
-
-    def test_benchmarks_runner_agrees(self, tmp_path, tiny_baseline_doc):
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parents[1]
-        path = _write(tmp_path, _scaled(tiny_baseline_doc, 10.0))
-        proc = subprocess.run(
-            [
-                sys.executable, str(repo / "benchmarks" / "perf_gate.py"),
-                "--baseline", path, "--k", "1", "--history", "",
-            ],
-            capture_output=True, text=True, cwd=str(repo),
-        )
-        assert proc.returncode == 1
-        assert "[FAIL]" in proc.stdout

@@ -10,9 +10,9 @@ group can never be taken away.
 import numpy as np
 import pytest
 
+from repro.accel.bench import generate_traffic
 from repro.decoder import decode_many
 from repro.errors import ServeError, ServiceClosedError, ShardDeadError
-from repro.serve.bench import generate_serve_traffic
 from repro.serve.pool import DecodeService
 
 pytestmark = [pytest.mark.serve, pytest.mark.timeout(120)]
@@ -44,7 +44,7 @@ class TestAddShard:
         assert service.add_shard() == f"{group}#2"
 
     def test_new_shard_serves_live_traffic(self, service, small_code):
-        traffic = generate_serve_traffic(small_code, 16, 4.0, seed=11)
+        traffic = generate_traffic(small_code, 16, 4.0, seed=11)
         before = [service.submit(f, timeout=None) for f in traffic[:8]]
         key = service.add_shard()
         # route directly at the newcomer: it must decode, not just exist
@@ -105,7 +105,7 @@ class TestRemoveShard:
         )
         try:
             victim = svc.add_shard()
-            traffic = generate_serve_traffic(small_code, 6, 4.0, seed=13)
+            traffic = generate_traffic(small_code, 6, 4.0, seed=13)
             futures = [
                 svc.submit(f, code_key=victim, timeout=None) for f in traffic
             ]
@@ -130,7 +130,7 @@ class TestRemoveShard:
         )
         try:
             victim = svc.add_shard()
-            traffic = generate_serve_traffic(small_code, 4, 4.0, seed=17)
+            traffic = generate_traffic(small_code, 4, 4.0, seed=17)
             futures = [
                 svc.submit(f, code_key=victim, timeout=None) for f in traffic
             ]
@@ -146,7 +146,7 @@ class TestRemoveShard:
     def test_service_survives_scaling_churn(self, service, small_code):
         # interleave decode traffic with grow/shrink events; bits stay
         # exact throughout
-        traffic = generate_serve_traffic(small_code, 18, 4.0, seed=19)
+        traffic = generate_traffic(small_code, 18, 4.0, seed=19)
         futures = [service.submit(f, timeout=None) for f in traffic[:6]]
         service.add_shard()
         futures += [service.submit(f, timeout=None) for f in traffic[6:12]]
@@ -170,7 +170,7 @@ class TestQueueFill:
         try:
             key = list(svc.groups)[0]
             assert svc.queue_fill() == 0.0
-            frame = generate_serve_traffic(small_code, 1, 4.0, seed=23)[0]
+            frame = generate_traffic(small_code, 1, 4.0, seed=23)[0]
             svc.submit(frame, timeout=None)
             svc.submit(frame, timeout=None)
             assert svc.queue_fill(key) == pytest.approx(0.5)
@@ -184,7 +184,7 @@ class TestQueueFill:
         try:
             group = list(svc.groups)[0]
             other = svc.add_shard()
-            frame = generate_serve_traffic(small_code, 1, 4.0, seed=23)[0]
+            frame = generate_traffic(small_code, 1, 4.0, seed=23)[0]
             for _ in range(2):
                 svc.submit(frame, code_key=other, timeout=None)
             # one replica at 0.5, one at 0.0 -> group mean 0.25

@@ -9,9 +9,9 @@ as soon as pressure does.
 import numpy as np
 import pytest
 
+from repro.accel.bench import generate_traffic
 from repro.errors import ServeError
 from repro.net.admission import BRONZE, AdmissionController, TenantPolicy
-from repro.serve.bench import generate_serve_traffic
 from repro.serve.metrics import ServeMetrics
 from repro.serve.pool import DecodeService
 from repro.serve.shedding import NoShedPolicy, StepShedPolicy
@@ -49,7 +49,7 @@ class TestBudgetExhaustion:
     def test_budget_does_not_change_easy_frames(self, small_code):
         # a frame converging under the cap decodes identically with and
         # without one — budgets trim the tail only
-        frame = generate_serve_traffic(small_code, 1, 6.0, seed=5)[0]
+        frame = generate_traffic(small_code, 1, 6.0, seed=5)[0]
         with DecodeService(
             small_code, batch_size=2, max_iterations=MAX_ITER
         ) as svc:
