@@ -44,7 +44,9 @@ from repro.decoder.layered import LayeredMinSumDecoder
 from repro.encoder import RuEncoder
 from repro.utils.provenance import bench_meta
 
-__all__ = ["DEFAULT_MODES", "generate_traffic", "run_accel_bench"]
+__all__ = [
+    "DEFAULT_MODES", "count_mismatches", "generate_traffic", "run_accel_bench",
+]
 
 #: Benchmark rows, in report order.
 DEFAULT_MODES = (
@@ -82,8 +84,8 @@ def generate_traffic(
     return out
 
 
-def _mismatch(reference: List, bits: np.ndarray, iters: np.ndarray,
-              conv: np.ndarray) -> int:
+def count_mismatches(reference: List, bits: np.ndarray, iters: np.ndarray,
+                     conv: np.ndarray) -> int:
     """Frames whose (bits, iterations, converged) differ from the reference."""
     bad = 0
     for i, ref in enumerate(reference):
@@ -147,7 +149,7 @@ def run_accel_bench(
             "frames_per_s": frames / elapsed,
             "per_layer_ns": elapsed / total_layer_updates * 1e9,
             "converged": int(np.count_nonzero(conv)),
-            "mismatches": _mismatch(reference, bits, iters, conv),
+            "mismatches": count_mismatches(reference, bits, iters, conv),
         }
 
     rows: List[Dict[str, object]] = [

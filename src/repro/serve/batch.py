@@ -9,9 +9,18 @@ fixed-point modes; the golden vectors and the differential sweeps pin
 the equivalence.  How the passes stay value-identical to the per-frame
 update rule:
 
-* **frame-minor layout.**  P is ``(n, B)`` and each layer's R store is
-  ``(degree, z, B)``, so the batch axis is innermost and every
+* **frame-minor layout.**  P is ``(n, B)`` and each sweep's R store is
+  ``(degree, rows, B)``, so the batch axis is innermost and every
   gather/scatter/reduction streams over contiguous frame lanes.
+* **layer sweeps.**  A pass updates a whole sweep of the plan
+  (:attr:`~repro.accel.plan.CodePlan.sweeps`): a maximal run of
+  consecutive layers that share no block column and have one degree.
+  Disjoint columns mean disjoint P rows, so the fused pass reads and
+  writes exactly what the layers would one after another (the paper's
+  hazard-free pipelining of layer ``l + 1`` behind layer ``l``); equal
+  degree means the stacked edges need no padding or mask.  The code's
+  structure alone decides the fusion: NR extension rows fuse, while
+  every WiMAX and WiFi code keeps one layer per sweep.
 * **running two-min.**  ``min1``/``min2`` come from core1's comparator
   chain over the degree axis (``min2 = min(min2, max(min1, x))``, then
   ``min1 = min(min1, x)``), so ``min2`` is the exact second order
@@ -26,9 +35,9 @@ update rule:
 * **one-gather syndrome.**  The parity check reads every check's hard
   decisions through the plan's padded check-major index in one gather,
   one XOR reduction and one count, whatever the number of layers.
-* **preallocated scratch.**  Per-layer temporaries live in reusable
-  buffers, one set per (layer degree, batch width); once warm, a layer
-  allocates only its per-check ``(z, B)`` values and the select.
+* **preallocated scratch.**  Per-pass temporaries live in reusable
+  buffers, one set per (degree, check rows, batch width); once warm, a
+  pass allocates only its per-check ``(rows, B)`` values and the select.
 * **narrow fixed-point state.**  The fixed mode stores P and R as
   ``int16`` (every intermediate of the 8-bit datapath provably fits).
 
@@ -48,7 +57,7 @@ to refill freed slots with new frames instead of shrinking the batch.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,19 +76,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["BatchLayeredMinSumDecoder"]
 
 class _LayerScratch(object):
-    """Reusable per-layer temporaries for one (degree, z, batch) shape."""
+    """Reusable pass temporaries for one (degree, rows, batch) shape."""
 
-    def __init__(self, degree: int, z: int, batch: int, dtype) -> None:
-        shape = (degree, z, batch)
+    def __init__(self, degree: int, rows: int, batch: int, dtype) -> None:
+        shape = (degree, rows, batch)
         self.q = np.empty(shape, dtype=dtype)
         self.mag = np.empty(shape, dtype=dtype)
         self.neg = np.empty(shape, dtype=bool)
         self.is_min = np.empty(shape, dtype=bool)
-        self.tot = np.empty((z, batch), dtype=bool)
+        self.tot = np.empty((rows, batch), dtype=bool)
         #: per-check (min1, min2), stacked so one pass scales both
-        self.mins = np.empty((2, z, batch), dtype=dtype)
+        self.mins = np.empty((2, rows, batch), dtype=dtype)
         self.min1, self.min2 = self.mins
-        self.loser = np.empty((z, batch), dtype=dtype)
+        self.loser = np.empty((rows, batch), dtype=dtype)
 
 
 class BatchLayeredMinSumDecoder(object):
@@ -100,20 +109,19 @@ class BatchLayeredMinSumDecoder(object):
     early_termination:
         Retire frames as soon as their parity checks pass at an
         iteration boundary (per-frame early exit, as in the paper).
-    layer_order:
-        Optional permutation of layer indices per iteration.
     recorder:
         Optional :class:`~repro.obs.trace.TraceRecorder`; when enabled,
-        every layer sweep emits a ``batch.layer`` span (labelled with
-        the layer index and the batch width iterated) and every full
-        iteration a ``batch.iteration`` span.  Tracing never touches the
+        every sweep emits a ``batch.layer`` span (labelled ``layer``,
+        the sweep's first layer, ``layers``, how many layers it fused,
+        and ``batch``, the width iterated) and every full iteration a
+        ``batch.iteration`` span.  Tracing never touches the
         working arrays, so batch results stay bit-exact with and
         without it.
 
     Notes
     -----
     Kernel state is frame-minor: P is ``(n, B)`` and R one ``(degree,
-    z, B)`` array per layer.  The batch driver and the
+    k * z, B)`` array per sweep of ``k`` layers.  The batch driver and the
     continuous-batching engine touch it only through the state
     accessors (``prepare`` / ``load_slot`` / ``frame_bits`` /
     ``compact`` / ``resize`` / ...).
@@ -127,7 +135,6 @@ class BatchLayeredMinSumDecoder(object):
         fixed: bool = False,
         fmt: FixedPointFormat = MESSAGE_8BIT,
         early_termination: bool = True,
-        layer_order: Optional[Sequence[int]] = None,
         recorder: "Optional[TraceRecorder]" = None,
     ) -> None:
         if max_iterations < 1:
@@ -146,14 +153,6 @@ class BatchLayeredMinSumDecoder(object):
         # Cached routing tables (gather indices) shared by every decoder
         # of this code structure.
         self.plan = get_plan(code)
-        if layer_order is None:
-            self.layer_order = list(range(code.num_layers))
-        else:
-            self.layer_order = [int(i) for i in layer_order]
-            if sorted(self.layer_order) != list(range(code.num_layers)):
-                raise DecodingError(
-                    "layer_order must be a permutation of the layer indices"
-                )
         self._dtype = np.int16 if fixed else np.float64
         #: fixed-mode saturation bounds, as int16 scalars for np.clip
         self._lo = np.int16(fmt.min_code)
@@ -161,7 +160,7 @@ class BatchLayeredMinSumDecoder(object):
         #: min identity (the column kernel masks an edge out with it):
         #: +inf for floats, int16 max for codes
         self._big = np.int16(np.iinfo(np.int16).max) if fixed else np.inf
-        self._scratch: Dict[Tuple[int, int], _LayerScratch] = {}
+        self._scratch: Dict[Tuple[int, int, int], _LayerScratch] = {}
         #: syndrome hard-decision buffers, ``(n + 1, A)`` per state width A
         self._syndrome_bits: Dict[int, np.ndarray] = {}
 
@@ -185,27 +184,27 @@ class BatchLayeredMinSumDecoder(object):
         return p
 
     def new_r_state(self, batch: int) -> List[np.ndarray]:
-        """Zeroed per-layer R messages in ``(degree, z, batch)`` layout."""
+        """Zeroed per-sweep R messages in ``(degree, rows, batch)`` layout."""
         return [
-            np.zeros((lp.degree, self.plan.z, batch), dtype=self._dtype)
-            for lp in self.plan.layers
+            np.zeros(sw.var_idx.shape + (batch,), dtype=self._dtype)
+            for sw in self.plan.sweeps
         ]
 
     def iterate_once(self, p: np.ndarray, r: List[np.ndarray]) -> None:
-        """Run one full iteration (all layers) in place on ``(n, A)`` state."""
+        """Run one full iteration (all sweeps) in place on ``(n, A)`` state."""
         rec = self.recorder
         tracing = rec is not None and rec.enabled
         batch = p.shape[1]
         mode = "fixed" if self.fixed else "float"
-        for l in self.layer_order:
+        for sw, rs in zip(self.plan.sweeps, r):
             if tracing:
                 layer_t0 = time.perf_counter()
-            idx = self.plan.layers[l].var_idx
-            s = self._layer_scratch(idx.shape[0], batch)
-            p[idx] = self._check_update(p, r[l], idx, s)
+            idx = sw.var_idx
+            s = self._layer_scratch(*idx.shape, batch)
+            p[idx] = self._check_update(p, rs, idx, s)
             if tracing:
-                rec.complete("batch.layer", layer_t0, layer=l,
-                             batch=batch, mode=mode)
+                rec.complete("batch.layer", layer_t0, layer=sw.layers[0],
+                             layers=len(sw.layers), batch=batch, mode=mode)
 
     def syndrome_weights(self, p: np.ndarray, frames=None) -> np.ndarray:
         """Unsatisfied-check count per frame of an ``(n, A)`` P state.
@@ -370,11 +369,13 @@ class BatchLayeredMinSumDecoder(object):
     # ------------------------------------------------------------------
     # the layer update
     # ------------------------------------------------------------------
-    def _layer_scratch(self, degree: int, batch: int) -> _LayerScratch:
-        key = (degree, batch)
+    def _layer_scratch(
+        self, degree: int, rows: int, batch: int
+    ) -> _LayerScratch:
+        key = (degree, rows, batch)
         scratch = self._scratch.get(key)
         if scratch is None:
-            scratch = _LayerScratch(degree, self.plan.z, batch, self._dtype)
+            scratch = _LayerScratch(degree, rows, batch, self._dtype)
             self._scratch[key] = scratch
         return scratch
 
@@ -430,7 +431,7 @@ class BatchLayeredMinSumDecoder(object):
     def _check_update(
         self, p: np.ndarray, rl: np.ndarray, idx: np.ndarray, s: _LayerScratch
     ) -> np.ndarray:
-        """One layer's check-node update on frame-minor state.
+        """One pass's check-node update on frame-minor state.
 
         Writes the outgoing ``R'`` of every edge into ``rl`` and returns
         ``P' = Q + R'`` (a view into ``s.q``) for the caller to scatter

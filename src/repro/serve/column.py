@@ -5,8 +5,10 @@
 same vertical shuffled schedule (sweep block columns; per column,
 re-evaluate each incident layer and write back only that column's
 edges) on the row kernel's frame-minor state.  It subclasses the
-row-layered batch kernel and replaces only :meth:`iterate_once`, so the
-state primitives, the early-retirement batch driver, and the
+row-layered batch kernel and replaces only :meth:`iterate_once` and the
+R layout (one ``(degree, z, B)`` array per layer: a column visit touches
+one layer at a time, so the row kernel's sweep fusion does not apply),
+so the state primitives, the early-retirement batch driver, and the
 continuous-batching engine integration all carry over unchanged —
 ``DecodeService(schedule="column")`` is just a different iteration
 under the same machinery.
@@ -35,9 +37,8 @@ class ColumnBatchLayeredMinSumDecoder(BatchLayeredMinSumDecoder):
     """Column-layered scaled min-sum over a batch of frames.
 
     Accepts the same parameters as
-    :class:`~repro.serve.batch.BatchLayeredMinSumDecoder`;
-    ``layer_order`` is ignored by the column schedule (columns are swept
-    in natural order, layers in each column's adjacency order).
+    :class:`~repro.serve.batch.BatchLayeredMinSumDecoder`.  Columns are
+    swept in natural order, layers in each column's adjacency order.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -45,13 +46,20 @@ class ColumnBatchLayeredMinSumDecoder(BatchLayeredMinSumDecoder):
         self.col_edges = column_adjacency(self.plan)
         self.column_order = list(range(len(self.col_edges)))
 
+    def new_r_state(self, batch: int) -> List[np.ndarray]:
+        """Zeroed per-layer R messages in ``(degree, z, batch)`` layout."""
+        return [
+            np.zeros(lp.var_idx.shape + (batch,), dtype=self._dtype)
+            for lp in self.plan.layers
+        ]
+
     def iterate_once(self, p: np.ndarray, r: List[np.ndarray]) -> None:
         """One column-layered iteration in place on ``(n, A)`` state."""
         batch = p.shape[1]
         for j in self.column_order:
             for l, k in self.col_edges[j]:
                 idx = self.plan.layers[l].var_idx
-                s = self._layer_scratch(idx.shape[0], batch)
+                s = self._layer_scratch(*idx.shape, batch)
                 # column write-back: only block column j's edge k
                 p[idx[k]] = self._edge_update(p, r[l], idx, s, k)
 

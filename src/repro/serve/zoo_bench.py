@@ -18,7 +18,10 @@ gets behind :meth:`~repro.serve.pool.DecodeService.from_registry`.
 
 FER is advisory (reported, never gated): a single Eb/N0 is applied to
 every code, so high-rate codes legitimately show higher FER than the
-rate-1/2 floor at the default operating point.
+rate-1/2 floor at the default operating point.  Bit-exactness is gated:
+each row's ``mismatches`` counts frames whose bits, iterations or
+converged flag differ from the per-frame reference decoder of the same
+schedule, and ``repro zoo-bench`` exits 1 on any.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.accel.bench import generate_traffic
+from repro.accel.bench import count_mismatches, generate_traffic
 from repro.decoder.api import decode_many
+from repro.decoder.column_layered import ColumnLayeredMinSumDecoder
+from repro.decoder.layered import LayeredMinSumDecoder
 from repro.errors import ServeError
 from repro.utils.provenance import bench_meta
 
@@ -63,8 +68,13 @@ def run_zoo_bench(
 
     Each row carries ``mode`` (the registry id — so the perf gate's
     per-mode comparison machinery applies unchanged), ``frames_per_s``,
-    ``time_s``, ``fer``, ``mean_iterations``, ``converged``, and the
-    code's shape.  The run configuration is embedded under ``config``
+    ``time_s``, ``fer``, ``mean_iterations``, ``converged``,
+    ``mismatches`` (frames that differ from the per-frame reference:
+    :class:`~repro.decoder.layered.LayeredMinSumDecoder` for
+    ``schedule="row"``,
+    :class:`~repro.decoder.column_layered.ColumnLayeredMinSumDecoder`
+    for ``"column"``; decoded outside the timed region), and the code's
+    shape.  The run configuration is embedded under ``config``
     so the gate can re-run the identical measurement from the committed
     document alone.
     """
@@ -75,6 +85,10 @@ def run_zoo_bench(
 
         registry = default_registry()
     ids = list(code_ids) if code_ids else list(DEFAULT_ZOO_IDS)
+    reference_cls = (
+        ColumnLayeredMinSumDecoder if schedule == "column"
+        else LayeredMinSumDecoder
+    )
 
     rows: List[Dict[str, object]] = []
     for code_id in ids:
@@ -93,6 +107,13 @@ def run_zoo_bench(
             schedule=schedule,
         )
         elapsed = time.perf_counter() - t0
+        reference = reference_cls(
+            code, max_iterations=iterations, fixed=fixed
+        )
+        mismatches = count_mismatches(
+            [reference.decode(f) for f in llrs],
+            batch.bits, batch.iterations, batch.converged,
+        )
 
         converged = int(np.count_nonzero(batch.converged))
         rows.append({
@@ -111,6 +132,7 @@ def run_zoo_bench(
             "mean_iterations": round(
                 float(np.mean(batch.iterations)), 3
             ),
+            "mismatches": mismatches,
         })
 
     doc = dict(bench_meta("zoo"))

@@ -123,6 +123,27 @@ class TestCommands:
         assert obj["config"]["code_ids"] == ["nr-bg2-z16"]
 
     @pytest.mark.zoo
+    @pytest.mark.parametrize("extra", [[], ["--fixed"], ["--schedule", "column"]])
+    def test_zoo_bench_rows_are_bit_exact(self, capsys, extra):
+        rc = main([
+            "zoo-bench", "--frames", "3", "--codes", "nr-bg1-z16",
+            "nr-bg2-z16", "--json", *extra,
+        ])
+        assert rc == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert [r["mismatches"] for r in obj["rows"]] == [0, 0]
+
+    @pytest.mark.zoo
+    def test_zoo_bench_fails_on_a_mismatch(self, capsys, monkeypatch):
+        import repro.serve.zoo_bench as zoo_bench
+
+        monkeypatch.setattr(zoo_bench, "count_mismatches", lambda *a: 1)
+        rc = main(["zoo-bench", "--frames", "2", "--codes", "nr-bg2-z16"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "mismatches" in out and "disagrees" in out
+
+    @pytest.mark.zoo
     def test_zoo_bench_family_filter(self, capsys):
         rc = main(["zoo-bench", "--frames", "2", "--family", "nr"])
         assert rc == 0
@@ -285,6 +306,10 @@ class TestObsReport:
         assert rc == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["slo"]["status"] in ("pass", "unknown")
+        # the warm-up frame (which waits out the worker spawn) is not
+        # part of the SLO window
+        retired = obj["metrics"]["serve_frames_out"]["series"]
+        assert [s["value"] for s in retired] == [6]
         assert "engine.step" in obj["spans"]
         doc = json.loads(trace.read_text())
         rows = {

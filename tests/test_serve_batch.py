@@ -110,8 +110,6 @@ class TestBatchEdgeCases:
             BatchLayeredMinSumDecoder(wimax_short, max_iterations=0)
         with pytest.raises(DecodingError):
             BatchLayeredMinSumDecoder(wimax_short, scaling_factor=1.5)
-        with pytest.raises(DecodingError):
-            BatchLayeredMinSumDecoder(wimax_short, layer_order=[0, 0, 1])
 
     def test_no_early_termination_runs_budget(self, wimax_short):
         frames = traffic(wimax_short, 3, seed=5, ebno_range=(4.0, 5.0))

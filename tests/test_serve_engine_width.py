@@ -206,3 +206,37 @@ def test_step_span_reports_width():
     layers = rec.by_name("batch.layer")
     assert len(layers) == code.num_layers
     assert {span.label_dict["batch"] for span in layers} == {4}
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
+@pytest.mark.parametrize("width", [1, 2, 4, 16])
+@pytest.mark.parametrize("code_id", ["nr-bg1-z16", "nr-bg2-z16"])
+def test_fused_sweeps_match_the_per_frame_decoder(code_id, width, fixed):
+    """NR plans fuse layers into sweeps; every width stays bit-exact."""
+    code, frames = _frames(code_id)
+    engine = ContinuousBatchingEngine(
+        code, batch_size=width, max_iterations=MAX_ITER, fixed=fixed
+    )
+    jobs = [DecodeJob(llrs=frame) for frame in frames]
+    done = {d.job_id: d for d in engine.run(jobs)}
+    for frame, job in enumerate(jobs):
+        _assert_matches(code_id, fixed, done[job.job_id], frame, MAX_ITER)
+
+
+def test_step_spans_cover_every_layer_once():
+    """One ``batch.layer`` span per sweep; together they tile the layers."""
+    code, frames = _frames("nr-bg2-z16")
+    rec = TraceRecorder()
+    engine = ContinuousBatchingEngine(
+        code, batch_size=4, max_iterations=MAX_ITER, recorder=rec
+    )
+    for frame in frames[:3]:
+        engine.admit(DecodeJob(llrs=frame))
+    engine.step()
+    spans = rec.by_name("batch.layer")
+    assert len(spans) < code.num_layers   # NR extension rows fuse
+    covered = []
+    for span in spans:
+        first, count = span.label_dict["layer"], span.label_dict["layers"]
+        covered.extend(range(first, first + count))
+    assert covered == list(range(code.num_layers))
