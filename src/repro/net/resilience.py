@@ -117,6 +117,8 @@ class CircuitBreaker(object):
     while open, :meth:`allow` refuses instantly.  After
     ``reset_timeout_s`` one probe request is let through (half-open):
     success closes the circuit, failure re-opens it for another full
+    timeout, and a probe abandoned without a verdict (:meth:`release`)
+    re-opens it too, so the endpoint is probed again after another
     timeout.  The clock is injectable so tests need no real sleeping.
     """
 
@@ -172,6 +174,14 @@ class CircuitBreaker(object):
             return
         self._failures += 1
         if self._failures >= self.failure_threshold:
+            self._state = "open"
+            self._opened_at = self._clock()
+
+    def release(self) -> None:
+        """An attempt ended with no verdict on the endpoint (cancelled,
+        say, because a hedge won): give back the half-open probe."""
+        if self._probing:
+            self._probing = False
             self._state = "open"
             self._opened_at = self._clock()
 
@@ -352,6 +362,11 @@ class ResilientDecodeClient(object):
     ) -> RemoteResult:
         """One wire attempt on one endpoint; updates its breaker.
 
+        An exit that says nothing about the endpoint (cancellation, an
+        error outside the retryable and quota families) records no
+        verdict but releases a half-open probe, so the endpoint is not
+        shut out for good.
+
         With a trace context, the attempt is its own ``client.attempt``
         span (a sibling of any hedge racing it, all sharing the
         idempotency ``key`` label) and the wire hop parents under it.
@@ -386,6 +401,7 @@ class ResilientDecodeClient(object):
             )
         except asyncio.CancelledError:
             span(False, error="cancelled")
+            ep.breaker.release()
             raise
         except RETRYABLE_ERRORS as exc:
             span(False, error=type(exc).__name__)
@@ -398,6 +414,9 @@ class ResilientDecodeClient(object):
             # a healthy endpoint refusing on quota is not a failure
             span(False, error=type(exc).__name__)
             ep.breaker.record_success()
+            raise
+        except Exception:
+            ep.breaker.release()
             raise
         span(True)
         ep.breaker.record_success()
@@ -500,9 +519,14 @@ class ResilientDecodeClient(object):
         )
         if self.hedge_delay_s is None or len(self._endpoints) < 2:
             return await primary
-        done, _pending = await asyncio.wait(
-            {primary}, timeout=self.hedge_delay_s
-        )
+        try:
+            done, _pending = await asyncio.wait(
+                {primary}, timeout=self.hedge_delay_s
+            )
+        except asyncio.CancelledError:
+            # asyncio.wait leaves its tasks running when it is cancelled
+            primary.cancel()
+            raise
         if done:
             return primary.result()  # raises the attempt's error, if any
         other = self._pick(exclude=ep)

@@ -22,19 +22,26 @@ The harness is *checked*, not just timed:
 * the autoscaler's decision log and the per-tenant admission counters
   are part of the report.
 
-``repro net-soak`` runs it from the CLI; ``benchmarks/bench_net.py``
-freezes its throughput as ``BENCH_net.json`` for the perf gate; the
+The plain and the chaos soak (``chaos=True``: fault-injecting proxies
+in front of gateway replicas, resilient clients) are one code path: one
+driver, one connection loop and one send function, with the topology as
+data.
+
+``repro net-soak`` runs it from the CLI, and ``repro net-soak --json -o
+BENCH_net.json`` freezes its throughput for the perf gate; the
 acceptance test in ``tests/test_net_soak.py`` runs the 500-connection
-configuration from the issue.
+configuration.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, fields
+from types import SimpleNamespace
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,6 +96,16 @@ DEFAULT_PHASES: Tuple[Tuple[str, float, float], ...] = (
     ("evening", 0.08, 1.5),
 )
 
+#: Autoscaler tuning, fast enough to act inside a seconds-long curve.
+MIN_SHARDS = 1
+SCALE_UP_FILL = 0.25
+SCALE_DOWN_FILL = 0.05
+AUTOSCALE_INTERVAL_S = 0.1
+COOLDOWN_S = 0.5
+SHRINK_AFTER = 3
+#: Crash-rate objective of the final SLO report.
+SLO_CRASH_RATE = 0.05
+
 
 @dataclass(frozen=True)
 class SoakConfig(object):
@@ -114,18 +131,11 @@ class SoakConfig(object):
     ebno_db: float = 4.0
     seed: int = 0
     inject_crash: bool = True
-    min_shards: int = 1
     max_shards: int = 3
-    scale_up_fill: float = 0.25
-    scale_down_fill: float = 0.05
-    autoscale_interval_s: float = 0.1
-    cooldown_s: float = 0.5
-    shrink_after: int = 3
     shrink_wait_s: float = 10.0
     request_timeout_s: float = 60.0
     max_retries: int = 6
     slo_p99_s: float = 5.0
-    slo_crash_rate: float = 0.05
     slo_error_rate: float = 0.15
     #: Distributed tracing: a recorder on every client, so
     #: each request yields one client→gateway→shard span chain under a
@@ -151,60 +161,17 @@ class SoakConfig(object):
     hedge_delay_s: float = 1.0
     heartbeat_s: float = 0.5
     client_max_attempts: int = 6
-    dedup_ttl_s: float = 30.0
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form (phases become lists)."""
-        return {
-            "family": self.family,
-            "rate_class": self.rate_class,
-            "length": self.length,
-            "iterations": self.iterations,
-            "fixed": self.fixed,
-            "backend": self.backend,
-            "batch": self.batch,
-            "queue_capacity": self.queue_capacity,
-            "connections": self.connections,
-            "peak_frames_per_conn": self.peak_frames_per_conn,
-            "phases": [list(p) for p in self.phases],
-            "tenants": {k: dict(v) for k, v in self.tenants.items()},
-            "ebno_db": self.ebno_db,
-            "seed": self.seed,
-            "inject_crash": self.inject_crash,
-            "min_shards": self.min_shards,
-            "max_shards": self.max_shards,
-            "scale_up_fill": self.scale_up_fill,
-            "scale_down_fill": self.scale_down_fill,
-            "autoscale_interval_s": self.autoscale_interval_s,
-            "cooldown_s": self.cooldown_s,
-            "shrink_after": self.shrink_after,
-            "shrink_wait_s": self.shrink_wait_s,
-            "request_timeout_s": self.request_timeout_s,
-            "max_retries": self.max_retries,
-            "slo_p99_s": self.slo_p99_s,
-            "slo_crash_rate": self.slo_crash_rate,
-            "slo_error_rate": self.slo_error_rate,
-            "trace": self.trace,
-            "chaos": self.chaos,
-            "replicas": self.replicas,
-            "chaos_corrupt_p": self.chaos_corrupt_p,
-            "chaos_truncate_p": self.chaos_truncate_p,
-            "chaos_latency_p": self.chaos_latency_p,
-            "chaos_latency_s": self.chaos_latency_s,
-            "chaos_reset_p": self.chaos_reset_p,
-            "chaos_partial_p": self.chaos_partial_p,
-            "partition_s": self.partition_s,
-            "kill_gateway": self.kill_gateway,
-            "hedge_delay_s": self.hedge_delay_s,
-            "heartbeat_s": self.heartbeat_s,
-            "client_max_attempts": self.client_max_attempts,
-            "dedup_ttl_s": self.dedup_ttl_s,
-        }
+        doc = asdict(self)
+        doc["phases"] = [list(p) for p in self.phases]
+        return doc
 
     @classmethod
     def from_dict(cls, obj: Dict[str, Any]) -> "SoakConfig":
         """Inverse of :meth:`to_dict` (unknown keys are ignored)."""
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
+        known = {f.name for f in fields(cls)}
         kwargs = {k: v for k, v in obj.items() if k in known}
         if "phases" in kwargs:
             kwargs["phases"] = tuple(
@@ -265,48 +232,64 @@ def _assign_tenants(cfg: SoakConfig) -> List[str]:
     return assignment[: cfg.connections]
 
 
+def _phase_offset(cfg: SoakConfig, index: int, fraction: float) -> float:
+    """Seconds into the run at ``fraction`` of phase ``index``."""
+    phases = cfg.phases
+    if not phases:
+        return 0.0
+    index = max(0, min(index, len(phases) - 1))
+    before = sum(d for _n, _l, d in phases[:index])
+    return before + phases[index][2] * fraction
+
+
+def _peak_index(cfg: SoakConfig) -> int:
+    """Index of the heaviest-load phase."""
+    return max(
+        range(len(cfg.phases)), key=lambda i: cfg.phases[i][1], default=0
+    )
+
+
 def _crash_at(cfg: SoakConfig) -> float:
     """Seconds into the run at which the worker crash is injected:
     the middle of the heaviest-load phase."""
-    if not cfg.phases:
-        return 0.0
-    peak_idx = max(
-        range(len(cfg.phases)), key=lambda i: cfg.phases[i][1]
-    )
-    before = sum(d for _n, _l, d in cfg.phases[:peak_idx])
-    return before + cfg.phases[peak_idx][2] * 0.5
+    return _phase_offset(cfg, _peak_index(cfg), 0.5)
 
 
 async def _send_one(
-    client: AsyncDecodeClient,
+    client: Any,
     llrs: np.ndarray,
-    cfg: SoakConfig,
     stats: _TenantStats,
     records: List[Tuple[np.ndarray, np.ndarray, bool]],
+    max_retries: int,
+    retryable: Tuple[type, ...],
+    dropped: type,
 ) -> None:
-    """One frame through the gateway, with typed-error retry."""
-    for attempt in range(cfg.max_retries + 1):
+    """One frame through ``client``, sorted into the tenant's counters.
+
+    Quota refusal and a ``dropped`` error end the frame at once.  A
+    ``retryable`` error counts a retry and backs off linearly, for at
+    most ``max_retries + 1`` attempts; any other typed failure, or the
+    last retryable one, fails the frame.
+    """
+    for attempt in range(max_retries + 1):
         try:
-            result = await client.decode(llrs, timeout=cfg.request_timeout_s)
+            result = await client.decode(llrs)
         except QuotaExceededError:
             stats.quota_rejected += 1
             return
-        except GatewayClosedError:
+        except dropped:
             stats.dropped += 1
             return
-        except ServeError:
-            # backpressure, a crashed shard, a drained replica: all
-            # retryable — the typed family is the contract that lets a
-            # client distinguish "try again" from "stop asking"
+        except retryable:
             stats.retries += 1
             await asyncio.sleep(0.05 * (attempt + 1))
             continue
+        except ServeError:
+            break
         stats.ok += 1
-        if result.converged:
-            records.append((llrs, result.bits, True))
-        else:
+        if not result.converged:
             stats.unconverged += 1
-            records.append((llrs, result.bits, False))
+        records.append((llrs, result.bits, bool(result.converged)))
         return
     stats.failed += 1
 
@@ -315,21 +298,23 @@ async def _connection_task(
     index: int,
     tenant: str,
     cfg: SoakConfig,
-    host: str,
-    port: int,
+    connect: Callable[[int, str, int], Awaitable[Any]],
+    policy: Dict[str, Any],
     encoder: RuEncoder,
     code: QCLDPCCode,
     stats: _TenantStats,
     records: List[Tuple[np.ndarray, np.ndarray, bool]],
     latencies: List[float],
-    recorder: Optional[TraceRecorder] = None,
 ) -> None:
-    """One client connection living through the whole diurnal curve."""
+    """One client connection living through the whole diurnal curve.
+
+    ``connect(index, tenant, priority)`` builds the topology's client
+    (anything with ``decode(llrs)`` and ``close()``); ``policy`` is the
+    topology's keyword arguments to :func:`_send_one`.
+    """
     rng = np.random.default_rng(cfg.seed * 100003 + index)
     priority = int(cfg.tenants[tenant].get("priority", GOLD))
-    client = await AsyncDecodeClient.connect(
-        host, port, tenant=tenant, priority=priority, recorder=recorder
-    )
+    client = await connect(index, tenant, priority)
     try:
         # stagger connection ramp-up so the accept loop is not a spike
         await asyncio.sleep((index % 97) / 97 * 0.25)
@@ -349,114 +334,37 @@ async def _connection_task(
                 i8, scale = pack_llrs(raw)
                 canonical = unpack_llrs(i8, scale)
                 t0 = time.monotonic()
-                await _send_one(client, canonical, cfg, stats, records)
+                await _send_one(client, canonical, stats, records, **policy)
                 latencies.append(time.monotonic() - t0)
                 await asyncio.sleep(spacing * (0.5 + rng.random() * 0.5))
     finally:
         await client.close()
 
 
-async def _chaos_send_one(
-    client: ResilientDecodeClient,
-    llrs: np.ndarray,
-    stats: _TenantStats,
-    records: List[Tuple[np.ndarray, np.ndarray, bool]],
-) -> None:
-    """One frame through the resilient client (retries live inside it)."""
-    try:
-        result = await client.decode(llrs)
-    except QuotaExceededError:
-        stats.quota_rejected += 1
-        return
-    except CircuitOpenError:
-        # every endpoint's breaker open: shed locally, no wire traffic
-        stats.dropped += 1
-        return
-    except ServeError:
-        stats.failed += 1
-        return
-    stats.ok += 1
-    if result.converged:
-        records.append((llrs, result.bits, True))
-    else:
-        stats.unconverged += 1
-        records.append((llrs, result.bits, False))
-
-
-async def _chaos_connection_task(
-    index: int,
-    tenant: str,
-    cfg: SoakConfig,
-    endpoints: List[Tuple[str, int]],
-    encoder: RuEncoder,
-    code: QCLDPCCode,
-    stats: _TenantStats,
-    records: List[Tuple[np.ndarray, np.ndarray, bool]],
-    latencies: List[float],
-    clients: List[ResilientDecodeClient],
-    recorder: Optional[TraceRecorder] = None,
-) -> None:
-    """One resilient client living through the whole diurnal curve."""
-    rng = np.random.default_rng(cfg.seed * 100003 + index)
-    priority = int(cfg.tenants[tenant].get("priority", GOLD))
-    client = ResilientDecodeClient(
-        endpoints,
-        tenant=tenant,
-        priority=priority,
-        recorder=recorder,
-        retry=RetryPolicy(
-            max_attempts=cfg.client_max_attempts,
-            base_delay_s=0.05, max_delay_s=1.0,
-        ),
-        hedge_delay_s=cfg.hedge_delay_s if len(endpoints) > 1 else None,
-        request_timeout_s=cfg.request_timeout_s,
-        heartbeat_s=cfg.heartbeat_s,
-        breaker_failures=4,
-        breaker_reset_s=1.0,
-        seed=cfg.seed * 7919 + index,
-        tag=f"conn{index}",
+def _proxy_configs(cfg: SoakConfig, count: int) -> List[ChaosConfig]:
+    """Proxy 0 is hostile; the others only delay and split writes."""
+    hostile = ChaosConfig(
+        seed=cfg.seed,
+        corrupt_p=cfg.chaos_corrupt_p,
+        truncate_p=cfg.chaos_truncate_p,
+        reset_p=cfg.chaos_reset_p,
+        latency_p=cfg.chaos_latency_p,
+        latency_s=cfg.chaos_latency_s,
+        partial_write_p=cfg.chaos_partial_p,
     )
-    clients.append(client)  # stats outlive the connection
-    try:
-        await asyncio.sleep((index % 97) / 97 * 0.25)
-        for _phase, load, duration in cfg.phases:
-            frames = int(round(cfg.peak_frames_per_conn * load))
-            if frames == 0:
-                await asyncio.sleep(duration)
-                continue
-            spacing = duration / frames
-            for _ in range(frames):
-                message = rng.integers(0, 2, encoder.k).astype(np.uint8)
-                codeword = encoder.encode(message)
-                channel = AwgnChannel.from_ebno(
-                    cfg.ebno_db, code.rate, seed=rng
-                )
-                raw = channel.llrs(codeword)
-                i8, scale = pack_llrs(raw)
-                canonical = unpack_llrs(i8, scale)
-                t0 = time.monotonic()
-                await _chaos_send_one(client, canonical, stats, records)
-                latencies.append(time.monotonic() - t0)
-                await asyncio.sleep(spacing * (0.5 + rng.random() * 0.5))
-    finally:
-        await client.close()
+    benign = ChaosConfig(
+        seed=cfg.seed + 1,
+        latency_p=cfg.chaos_latency_p,
+        latency_s=cfg.chaos_latency_s,
+        partial_write_p=cfg.chaos_partial_p,
+    )
+    return [hostile] + [benign] * (count - 1)
 
 
-def _phase_offset(cfg: SoakConfig, index: int, fraction: float) -> float:
-    """Seconds into the run at ``fraction`` of phase ``index``."""
-    phases = cfg.phases
-    if not phases:
-        return 0.0
-    index = max(0, min(index, len(phases) - 1))
-    before = sum(d for _n, _l, d in phases[:index])
-    return before + phases[index][2] * fraction
-
-
-async def _drive_chaos(
+async def _drive(
     cfg: SoakConfig,
     service: DecodeService,
     gateways: List[DecodeGateway],
-    chaos_cfgs: List[ChaosConfig],
     scaler: Autoscaler,
     encoder: RuEncoder,
     code: QCLDPCCode,
@@ -466,30 +374,93 @@ async def _drive_chaos(
     progress: Callable[[str], None],
     recorder: Optional[TraceRecorder] = None,
 ) -> Dict[str, Any]:
-    """The chaos topology: clients -> chaos proxies -> gateway replicas.
+    """Start ``gateways``, run every connection, inject the faults.
 
-    Only proxy 0 injects corruption/truncation/resets (see the config
-    docstring); during the peak it is additionally partitioned for
-    ``partition_s`` seconds, and in the final phase gateway replica N-1
-    is killed without drain.  The resilient clients must ride all of it
-    out with zero silent corruption and bounded retry amplification.
+    The plain topology is one gateway dialled by
+    :class:`AsyncDecodeClient` connections, which the soak itself
+    retries.  The chaos topology puts a :class:`ChaosProxy` in front of
+    every replica and dials them with :class:`ResilientDecodeClient`,
+    which retries on its own.  Only proxy 0 injects
+    corruption/truncation/resets (see the config docstring); during the
+    peak it is additionally partitioned for ``partition_s`` seconds, and
+    in the final phase gateway replica N-1 is killed without drain.
+    The resilient clients must ride all of it out with zero silent
+    corruption and bounded retry amplification.
     """
     for gateway in gateways:
         await gateway.start()
-    proxies = [
-        ChaosProxy(gw.host, gw.port, chaos_cfg)
-        for gw, chaos_cfg in zip(gateways, chaos_cfgs)
-    ]
-    for proxy in proxies:
-        await proxy.start()
-    endpoints = [proxy.address for proxy in proxies]
-    progress(
-        "chaos topology up: "
-        + ", ".join(
-            f"proxy {p.address[1]} -> gateway {g.address[1]}"
-            for p, g in zip(proxies, gateways)
+    proxies: List[ChaosProxy] = []
+    clients: List[ResilientDecodeClient] = []
+    if cfg.chaos:
+        proxies = [
+            ChaosProxy(gw.host, gw.port, chaos_cfg)
+            for gw, chaos_cfg in zip(
+                gateways, _proxy_configs(cfg, len(gateways))
+            )
+        ]
+        for proxy in proxies:
+            await proxy.start()
+        progress(
+            "chaos topology up: "
+            + ", ".join(
+                f"proxy {p.address[1]} -> gateway {g.address[1]}"
+                for p, g in zip(proxies, gateways)
+            )
         )
-    )
+        endpoints = [proxy.address for proxy in proxies]
+
+        async def connect(index: int, tenant: str, priority: int) -> Any:
+            client = ResilientDecodeClient(
+                endpoints,
+                tenant=tenant,
+                priority=priority,
+                recorder=recorder,
+                retry=RetryPolicy(
+                    max_attempts=cfg.client_max_attempts,
+                    base_delay_s=0.05, max_delay_s=1.0,
+                ),
+                hedge_delay_s=(
+                    cfg.hedge_delay_s if len(endpoints) > 1 else None
+                ),
+                request_timeout_s=cfg.request_timeout_s,
+                heartbeat_s=cfg.heartbeat_s,
+                breaker_failures=4,
+                breaker_reset_s=1.0,
+                seed=cfg.seed * 7919 + index,
+                tag=f"conn{index}",
+            )
+            clients.append(client)  # stats outlive the connection
+            return client
+
+        # the client retried already; every breaker open is a local shed
+        policy: Dict[str, Any] = {
+            "max_retries": 0, "retryable": (), "dropped": CircuitOpenError,
+        }
+    else:
+        host, port = gateways[0].address
+        progress(f"gateway listening on {host}:{port}")
+
+        async def connect(index: int, tenant: str, priority: int) -> Any:
+            client = await AsyncDecodeClient.connect(
+                host, port, tenant=tenant, priority=priority,
+                recorder=recorder,
+            )
+            # the request timeout rides on every decode, as it does
+            # inside the resilient client
+            return SimpleNamespace(
+                decode=functools.partial(
+                    client.decode, timeout=cfg.request_timeout_s
+                ),
+                close=client.close,
+            )
+
+        # backpressure, a crashed shard, a drained replica: all
+        # retryable — the typed family is the contract that lets a
+        # client distinguish "try again" from "stop asking"
+        policy = {
+            "max_retries": cfg.max_retries, "retryable": (ServeError,),
+            "dropped": GatewayClosedError,
+        }
     scaler.start()
     crash_info: Dict[str, Any] = {"injected": False, "shard": None}
     chaos_info: Dict[str, Any] = {
@@ -507,10 +478,7 @@ async def _drive_chaos(
         progress(f"injected worker crash on shard {shard!r}")
 
     async def _partition() -> None:
-        peak_idx = max(
-            range(len(cfg.phases)), key=lambda i: cfg.phases[i][1]
-        )
-        await asyncio.sleep(_phase_offset(cfg, peak_idx, 0.25))
+        await asyncio.sleep(_phase_offset(cfg, _peak_index(cfg), 0.25))
         proxies[0].partition()
         chaos_info["partitioned"] = True
         progress(f"partitioned proxy 0 for {cfg.partition_s}s (mid-peak)")
@@ -525,34 +493,33 @@ async def _drive_chaos(
         chaos_info["gateway_killed"] = True
         progress(f"killed gateway replica on port {victim.address[1]}")
 
-    fault_tasks = [asyncio.ensure_future(_partition())]
+    faults = []
     if cfg.inject_crash:
-        fault_tasks.append(asyncio.ensure_future(_crash()))
-    if cfg.kill_gateway and len(gateways) > 1:
-        fault_tasks.append(asyncio.ensure_future(_kill_gateway()))
+        faults.append(_crash())
+    if proxies:
+        faults.append(_partition())
+        if cfg.kill_gateway and len(gateways) > 1:
+            faults.append(_kill_gateway())
+    fault_tasks = [asyncio.ensure_future(fault) for fault in faults]
 
     assignment = _assign_tenants(cfg)
-    clients: List[ResilientDecodeClient] = []
     t_start = time.monotonic()
-    tasks = [
-        asyncio.ensure_future(
-            _chaos_connection_task(
-                i, tenant, cfg, endpoints, encoder, code,
-                stats[tenant], records, latencies, clients,
-                recorder=recorder,
-            )
+    await asyncio.gather(*(
+        _connection_task(
+            i, tenant, cfg, connect, policy, encoder, code,
+            stats[tenant], records, latencies,
         )
         for i, tenant in enumerate(assignment)
-    ]
-    await asyncio.gather(*tasks)
+    ))
     traffic_s = time.monotonic() - t_start
     progress(
-        f"chaos traffic done in {traffic_s:.1f}s "
+        f"{'chaos ' if proxies else ''}traffic done in {traffic_s:.1f}s "
         f"({sum(s.ok for s in stats.values())} frames decoded)"
     )
     for task in fault_tasks:
         task.cancel()
     await asyncio.gather(*fault_tasks, return_exceptions=True)
+    # idle tail: give the autoscaler the calm it needs to scale down
     deadline = time.monotonic() + cfg.shrink_wait_s
     while scaler.count("down") == 0 and time.monotonic() < deadline:
         await asyncio.sleep(0.2)
@@ -560,13 +527,13 @@ async def _drive_chaos(
         await proxy.close()
     for gateway in gateways:
         await gateway.close(drain=True)
-    client_stats: Dict[str, int] = {
-        "jobs": 0, "requests_sent": 0, "retries": 0, "hedges": 0,
-        "reconnects": 0, "breaker_refusals": 0, "dead_peers": 0,
+    client_stats = {
+        key: sum(client.stats[key] for client in clients)
+        for key in ("jobs", "requests_sent", "retries", "hedges",
+                    "reconnects", "breaker_refusals", "dead_peers")
     }
-    for client in clients:
-        for key in client_stats:
-            client_stats[key] += client.stats[key]
+    for client in clients:  # each connection's retries, to its tenant
+        stats[client.tenant].retries += client.stats["retries"]
     return {
         "traffic_s": traffic_s,
         "crash": crash_info,
@@ -574,69 +541,6 @@ async def _drive_chaos(
         "clients": client_stats,
         "proxies": [proxy.injected() for proxy in proxies],
     }
-
-
-async def _drive(
-    cfg: SoakConfig,
-    service: DecodeService,
-    gateway: DecodeGateway,
-    scaler: Autoscaler,
-    encoder: RuEncoder,
-    code: QCLDPCCode,
-    stats: Dict[str, _TenantStats],
-    records: List[Tuple[np.ndarray, np.ndarray, bool]],
-    latencies: List[float],
-    progress: Callable[[str], None],
-    recorder: Optional[TraceRecorder] = None,
-) -> Dict[str, Any]:
-    host, port = await gateway.start()
-    progress(f"gateway listening on {host}:{port}")
-    scaler.start()
-    crash_info: Dict[str, Any] = {"injected": False, "shard": None}
-
-    async def _crash() -> None:
-        await asyncio.sleep(_crash_at(cfg))
-        try:
-            shard = service.inject_worker_crash()
-        except ServeError:
-            return
-        crash_info["injected"] = True
-        crash_info["shard"] = shard
-        progress(f"injected worker crash on shard {shard!r}")
-
-    crash_task = (
-        asyncio.ensure_future(_crash()) if cfg.inject_crash else None
-    )
-    assignment = _assign_tenants(cfg)
-    t_start = time.monotonic()
-    tasks = [
-        asyncio.ensure_future(
-            _connection_task(
-                i, tenant, cfg, host, port, encoder, code,
-                stats[tenant], records, latencies,
-                recorder=recorder,
-            )
-        )
-        for i, tenant in enumerate(assignment)
-    ]
-    await asyncio.gather(*tasks)
-    traffic_s = time.monotonic() - t_start
-    progress(
-        f"traffic done in {traffic_s:.1f}s "
-        f"({sum(s.ok for s in stats.values())} frames decoded)"
-    )
-    if crash_task is not None:
-        crash_task.cancel()
-        try:
-            await crash_task
-        except (asyncio.CancelledError, Exception):
-            pass
-    # idle tail: give the autoscaler the calm it needs to scale down
-    deadline = time.monotonic() + cfg.shrink_wait_s
-    while scaler.count("down") == 0 and time.monotonic() < deadline:
-        await asyncio.sleep(0.2)
-    await gateway.close(drain=True)
-    return {"traffic_s": traffic_s, "crash": crash_info}
 
 
 def _verify_trace_chains(recorder: TraceRecorder) -> Dict[str, Any]:
@@ -717,7 +621,7 @@ def run_net_soak(
     log = EventLog(path=log_path, recorder=recorder, min_level="debug")
     monitor = default_serve_slos(
         p99_latency_s=cfg.slo_p99_s,
-        crash_rate=cfg.slo_crash_rate,
+        crash_rate=SLO_CRASH_RATE,
         error_rate=cfg.slo_error_rate,
     )
     service = DecodeService(
@@ -744,35 +648,27 @@ def run_net_soak(
         },
         max_iterations=cfg.iterations,
     )
-    dedup = DedupWindow(ttl_s=cfg.dedup_ttl_s)
-    if cfg.chaos:
-        # replica gateways share the service, metrics, AND the dedup
-        # window, so a hedge landing on replica 1 still joins replica
-        # 0's in-flight decode
-        gateways = [
-            DecodeGateway(
-                service, admission,
-                metrics=net_metrics, log=log, recorder=recorder,
-                dedup=dedup, heartbeat_interval_s=cfg.heartbeat_s,
-            )
-            for _ in range(max(1, cfg.replicas))
-        ]
-        gateway = gateways[0]
-    else:
-        gateway = DecodeGateway(
+    # chaos replica gateways share the service, metrics, AND the dedup
+    # window, so a hedge landing on replica 1 still joins replica 0's
+    # in-flight decode
+    dedup = DedupWindow()
+    gateways = [
+        DecodeGateway(
             service, admission,
-            metrics=net_metrics, log=log, recorder=recorder,
+            metrics=net_metrics, log=log, recorder=recorder, dedup=dedup,
+            heartbeat_interval_s=cfg.heartbeat_s if cfg.chaos else None,
         )
-        gateways = [gateway]
+        for _ in range(max(1, cfg.replicas) if cfg.chaos else 1)
+    ]
     scaler = Autoscaler(
         service,
-        min_shards=cfg.min_shards,
+        min_shards=MIN_SHARDS,
         max_shards=cfg.max_shards,
-        interval_s=cfg.autoscale_interval_s,
-        cooldown_s=cfg.cooldown_s,
-        shrink_after=cfg.shrink_after,
-        scale_up_fill=cfg.scale_up_fill,
-        scale_down_fill=cfg.scale_down_fill,
+        interval_s=AUTOSCALE_INTERVAL_S,
+        cooldown_s=COOLDOWN_S,
+        shrink_after=SHRINK_AFTER,
+        scale_up_fill=SCALE_UP_FILL,
+        scale_down_fill=SCALE_DOWN_FILL,
         metrics=net_metrics,
         log=log,
     )
@@ -781,38 +677,13 @@ def run_net_soak(
     latencies: List[float] = []
     slo_report = None
     try:
-        if cfg.chaos:
-            hostile = ChaosConfig(
-                seed=cfg.seed,
-                corrupt_p=cfg.chaos_corrupt_p,
-                truncate_p=cfg.chaos_truncate_p,
-                reset_p=cfg.chaos_reset_p,
-                latency_p=cfg.chaos_latency_p,
-                latency_s=cfg.chaos_latency_s,
-                partial_write_p=cfg.chaos_partial_p,
+        drive_out = asyncio.run(
+            _drive(
+                cfg, service, gateways, scaler, encoder, code,
+                stats, records, latencies, note,
+                recorder=recorder if cfg.trace else None,
             )
-            benign = ChaosConfig(
-                seed=cfg.seed + 1,
-                latency_p=cfg.chaos_latency_p,
-                latency_s=cfg.chaos_latency_s,
-                partial_write_p=cfg.chaos_partial_p,
-            )
-            chaos_cfgs = [hostile] + [benign] * (len(gateways) - 1)
-            drive_out = asyncio.run(
-                _drive_chaos(
-                    cfg, service, gateways, chaos_cfgs, scaler, encoder,
-                    code, stats, records, latencies, note,
-                    recorder=recorder if cfg.trace else None,
-                )
-            )
-        else:
-            drive_out = asyncio.run(
-                _drive(
-                    cfg, service, gateway, scaler, encoder, code,
-                    stats, records, latencies, note,
-                    recorder=recorder if cfg.trace else None,
-                )
-            )
+        )
         scaler.stop()
         slo_report = service.health().slo
     finally:
@@ -826,7 +697,7 @@ def run_net_soak(
 
         with open(top_path, "w") as handle:
             json.dump(
-                build_status(gateway, autoscaler=scaler), handle,
+                build_status(gateways[0], autoscaler=scaler), handle,
                 sort_keys=True,
             )
 

@@ -72,6 +72,12 @@ class TestChaosActuallyHappened:
         assert clients["retries"] > 0
         assert clients["reconnects"] > 0
 
+    def test_tenant_retries_add_up_to_the_clients(self, soak_doc):
+        tenants = soak_doc["tenants"].values()
+        assert sum(s["retries"] for s in tenants) == (
+            soak_doc["chaos"]["clients"]["retries"]
+        )
+
 
 class TestHardInvariants:
     def test_zero_silent_corruption(self, soak_doc):

@@ -8,10 +8,28 @@ SLO passing and zero decoded-payload mismatches against
 ``decode_many`` on the same wire-canonical LLRs.
 """
 
+import json
+import os
+
 import pytest
 
-from repro.net import SoakConfig, run_net_soak
+from repro.net import SoakConfig, run_net_soak, soak
+from repro.net.dedup import DedupWindow
 from repro.net.soak import DEFAULT_TENANTS, _assign_tenants, _crash_at
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Config keys that became module constants, with the value now used.
+RETIRED_KEYS = {
+    "min_shards": soak.MIN_SHARDS,
+    "scale_up_fill": soak.SCALE_UP_FILL,
+    "scale_down_fill": soak.SCALE_DOWN_FILL,
+    "autoscale_interval_s": soak.AUTOSCALE_INTERVAL_S,
+    "cooldown_s": soak.COOLDOWN_S,
+    "shrink_after": soak.SHRINK_AFTER,
+    "slo_crash_rate": soak.SLO_CRASH_RATE,
+    "dedup_ttl_s": DedupWindow().ttl_s,
+}
 
 pytestmark = [pytest.mark.net, pytest.mark.timeout(300)]
 
@@ -39,6 +57,22 @@ class TestConfig:
     def test_every_tenant_gets_a_connection(self):
         cfg = SoakConfig(connections=4)
         assert set(_assign_tenants(cfg)) == set(DEFAULT_TENANTS)
+
+    @pytest.mark.parametrize(
+        "name", ["BENCH_net.json", "BENCH_net_trace.json"]
+    )
+    def test_committed_baseline_reruns_exactly(self, name):
+        with open(os.path.join(ROOT, name)) as handle:
+            committed = json.load(handle)["config"]
+        rerun = SoakConfig.from_dict(committed).to_dict()
+        for key, value in committed.items():
+            if key in rerun:
+                assert rerun[key] == value, key
+            elif key in RETIRED_KEYS:
+                assert RETIRED_KEYS[key] == value, key
+            else:
+                # the batch-kernel selector, gone with the second kernel
+                assert key == "kernel" and value == "fused"
 
     def test_crash_lands_mid_peak(self):
         cfg = SoakConfig()  # night 1.0s, peak 2.5s, evening 1.5s
