@@ -19,7 +19,7 @@ import numpy as np
 from repro.channel import AwgnChannel
 from repro.codes import wimax_code
 from repro.encoder import RuEncoder
-from repro.serve import DecodeService, ServeMetrics
+from repro.serve import DecodeService
 
 
 def make_traffic(code, count, ebno_db, rng):
@@ -52,10 +52,8 @@ def main() -> int:
         for key, code in codes.items()
     }
 
-    metrics = ServeMetrics()
     with DecodeService(
         codes, batch_size=args.batch, queue_capacity=4 * args.frames,
-        metrics=metrics,
     ) as service:
         futures = []
         for key, frames in traffic.items():
@@ -78,7 +76,7 @@ def main() -> int:
         f"{converged} converged, {payload_errors} payload bit errors"
     )
     print()
-    print(metrics.report(title="decode service metrics"))
+    print(service.metrics.report(title="decode service metrics"))
     return 0 if converged == total and payload_errors == 0 else 1
 
 

@@ -391,10 +391,10 @@ def cmd_obs_report(args) -> int:
     traffic = generate_traffic(code, args.frames, args.ebno, args.seed)
 
     recorder = TraceRecorder()
-    metrics = ServeMetrics()
     log = EventLog(path=args.log_out or None, recorder=recorder)
     slo_report = None
     if args.backend == "engine":
+        metrics = ServeMetrics()
         engine = ContinuousBatchingEngine(
             code,
             batch_size=args.batch,
@@ -414,11 +414,11 @@ def cmd_obs_report(args) -> int:
             max_iterations=args.iterations,
             fixed=args.fixed,
             backend=args.backend,
-            metrics=metrics,
             recorder=recorder,
             log=log,
             slo=monitor,
         )
+        metrics = service.metrics
         try:
             # warm-up: one frame through the service (for the process
             # backend this waits out the worker spawn), then zero the
@@ -564,10 +564,8 @@ def cmd_net_serve(args) -> int:
     from repro.net.admission import AdmissionController, TenantPolicy
     from repro.net.autoscaler import Autoscaler
     from repro.net.gateway import DecodeGateway
-    from repro.net.metrics import NetMetrics
     from repro.obs import EventLog, TraceRecorder
     from repro.obs.slo import default_serve_slos
-    from repro.serve import ServeMetrics
     from repro.serve.pool import DecodeService
 
     try:
@@ -580,7 +578,6 @@ def cmd_net_serve(args) -> int:
 
     code = _build_code(args)
     recorder = TraceRecorder()
-    metrics = ServeMetrics()
     log = EventLog(path=args.log_out or None, recorder=recorder)
     service = DecodeService(
         code,
@@ -589,7 +586,6 @@ def cmd_net_serve(args) -> int:
         fixed=args.fixed,
         backend=args.backend,
         queue_capacity=args.queue_capacity,
-        metrics=metrics,
         recorder=recorder,
         log=log,
         slo=default_serve_slos(),
@@ -599,10 +595,9 @@ def cmd_net_serve(args) -> int:
         max_iterations=args.iterations,
         default_policy=default_policy,
     )
-    net_metrics = NetMetrics(registry=metrics.registry)
     gateway = DecodeGateway(
         service, admission, host=args.host, port=args.port,
-        metrics=net_metrics, log=log, recorder=recorder,
+        log=log, recorder=recorder,
     )
     scaler = None
     if args.max_shards > 1:
@@ -610,7 +605,6 @@ def cmd_net_serve(args) -> int:
             service,
             min_shards=1,
             max_shards=args.max_shards,
-            metrics=net_metrics,
             log=log,
         )
 

@@ -398,7 +398,7 @@ class ProcessEngineProxy(object):
         # the queue put happens-after the shared-memory write, so the
         # child observes a fully written LLR lane when the ticket arrives
         self._job_q.put((slot, job.job_id, job.iteration_budget))
-        self.metrics.frame_admitted()
+        self.metrics.frames_in.inc()
         return slot
 
     def step(self) -> List[CompletedJob]:

@@ -23,10 +23,10 @@ import numpy as np
 
 from repro.errors import FaultConfigError
 from repro.faults.models import FaultModel
+from repro.obs.log import EventLog, emit
 from repro.utils.rng import SeedLike, as_generator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.log import EventLog
     from repro.obs.trace import TraceRecorder
 
 __all__ = ["FaultInjector", "ARCH_SITES", "LLR_SITE", "ALL_SITES"]
@@ -114,14 +114,9 @@ class FaultInjector(object):
         if corrupted is not word:
             flips = int(np.count_nonzero(corrupted != word))
             self.injections += flips
-            if flips and self.recorder is not None:
-                self.recorder.event(
-                    "fault.inject", site=self.site, kind=kind, lanes=flips
-                )
-            if flips and self.log is not None:
-                self.log.warning(
-                    "fault.inject", site=self.site, kind=kind, lanes=flips
-                )
+            if flips:
+                emit(self.recorder, self.log, "warning", "fault.inject",
+                     site=self.site, kind=kind, lanes=flips)
         return corrupted
 
     # ------------------------------------------------------------------
@@ -143,22 +138,10 @@ class FaultInjector(object):
         if corrupted is not p:
             flips = int(np.count_nonzero(corrupted != p))
             self.injections += flips
-            if flips and self.recorder is not None:
-                self.recorder.event(
-                    "fault.inject",
-                    site=self.site,
-                    kind="iteration",
-                    iteration=iteration,
-                    lanes=flips,
-                )
-            if flips and self.log is not None:
-                self.log.warning(
-                    "fault.inject",
-                    site=self.site,
-                    kind="iteration",
-                    iteration=iteration,
-                    lanes=flips,
-                )
+            if flips:
+                emit(self.recorder, self.log, "warning", "fault.inject",
+                     site=self.site, kind="iteration", iteration=iteration,
+                     lanes=flips)
             p[...] = corrupted
 
     def reset(self) -> None:

@@ -24,7 +24,8 @@ Stability mechanics, in order of precedence:
 :meth:`evaluate` is one synchronous decision step (exactly testable
 with an injected clock); :meth:`start` runs it on a daemon thread every
 ``interval_s``.  Every action lands in ``decisions``, the
-``net_autoscale_total`` counter, and the event log.
+``net_autoscale_total`` counter in the service's registry, and the
+event log.
 """
 
 from __future__ import annotations
@@ -35,19 +36,12 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.errors import ServeError, ServeTimeoutError
 from repro.net.metrics import NetMetrics
+from repro.obs.log import EventLog, emit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.log import EventLog
     from repro.serve.pool import DecodeService
 
 __all__ = ["Autoscaler"]
-
-_EVENT_LEVELS = {
-    "scale.up": "info",
-    "scale.down": "info",
-    "scale.replace": "warning",
-    "scale.limit": "debug",
-}
 
 
 class Autoscaler(object):
@@ -72,9 +66,8 @@ class Autoscaler(object):
         for shrink.  A failing SLO report also triggers growth.
     drain_timeout_s:
         Bound on waiting for a shrinking shard to drain.
-    metrics / log:
-        Optional :class:`NetMetrics` (for ``net_autoscale_total``) and
-        :class:`~repro.obs.log.EventLog`.
+    log:
+        Optional :class:`~repro.obs.log.EventLog`.
     clock:
         Injectable monotonic clock (cooldown arithmetic in tests).
     """
@@ -91,8 +84,7 @@ class Autoscaler(object):
         scale_up_fill: float = 0.5,
         scale_down_fill: float = 0.1,
         drain_timeout_s: float = 30.0,
-        metrics: Optional[NetMetrics] = None,
-        log: "Optional[EventLog]" = None,
+        log: Optional[EventLog] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if group is None:
@@ -126,7 +118,8 @@ class Autoscaler(object):
         self.scale_up_fill = scale_up_fill
         self.scale_down_fill = scale_down_fill
         self.drain_timeout_s = drain_timeout_s
-        self.metrics = metrics
+        #: ``net_autoscale_total`` lives in the service's registry.
+        self.metrics = NetMetrics(service.metrics.registry)
         self.log = log
         self._clock = clock
         self._last_action = -float("inf")
@@ -185,8 +178,8 @@ class Autoscaler(object):
         if fill >= self.scale_up_fill or slo_failing:
             self._calm_streak = 0
             if replicas >= self.max_shards:
-                self._event("scale.limit", at="max", replicas=replicas,
-                            fill=round(fill, 3))
+                emit(None, self.log, "debug", "scale.limit", at="max",
+                     replicas=replicas, fill=round(fill, 3))
                 return None
             if not cooled:
                 return None
@@ -282,14 +275,10 @@ class Autoscaler(object):
                 "at": self._clock(),
             }
         )
-        if self.metrics is not None:
-            self.metrics.autoscaled(action)
+        self.metrics.autoscale.inc(direction=action)
         # code_id mirrors group so `repro logs --code-id` isolates the
         # scaling history of one code alongside its request incidents
-        self._event(f"scale.{action}", group=self.group,
-                    code_id=self.group, replicas=replicas,
-                    fill=round(fill, 3), **extra)
-
-    def _event(self, name: str, **fields: object) -> None:
-        if self.log is not None:
-            self.log.log(_EVENT_LEVELS.get(name, "info"), name, **fields)
+        level = "warning" if action == "replace" else "info"
+        emit(None, self.log, level, f"scale.{action}", group=self.group,
+             code_id=self.group, replicas=replicas, fill=round(fill, 3),
+             **extra)

@@ -86,9 +86,9 @@ def build_status(
 ) -> Dict[str, Any]:
     """One JSON-ready status document for a live gateway.
 
-    Reads the gateway's shared registry (so ``serve_*`` series ride
-    along when the service publishes into the same one), then layers
-    the derived views on top.  Cheap enough to call per connection.
+    Reads the gateway's registry — its service's, so ``serve_*``
+    series ride along with ``net_*`` — then layers the derived views on
+    top.  Cheap enough to call per connection.
     """
     registry = gateway.metrics.registry
     reg_dict = registry.to_dict()
@@ -165,7 +165,7 @@ def build_status(
         "tenants": tenant_rows,
         "codes": codes,
         "shards": shards,
-        "dedup": gateway.dedup.to_dict() if gateway.dedup else None,
+        "dedup": gateway.dedup.to_dict(),
         "autoscaler": autoscaler.to_dict() if autoscaler else None,
         "slo": slo_report.to_dict(),
         "metrics": reg_dict,

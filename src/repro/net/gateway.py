@@ -80,31 +80,13 @@ from repro.net.protocol import (
     encode_result,
     read_raw,
 )
+from repro.obs.log import EventLog, emit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.log import EventLog
     from repro.obs.trace import TraceRecorder
     from repro.serve.pool import DecodeService
 
 __all__ = ["DecodeGateway"]
-
-#: Severity of each gateway lifecycle event in the structured log.
-_EVENT_LEVELS = {
-    "net.listen": "info",
-    "net.drain": "info",
-    "net.closed": "info",
-    "net.conn_open": "debug",
-    "net.conn_close": "debug",
-    "net.hello": "debug",
-    "net.request": "debug",
-    "net.result": "debug",
-    "net.dedup": "debug",
-    "net.reject": "warning",
-    "net.error": "warning",
-    "net.protocol_error": "warning",
-    "net.crc_corrupt": "warning",
-    "net.dead_peer": "warning",
-}
 
 #: Rejection reasons, keyed by the typed error that caused them.
 _REJECT_REASONS = {
@@ -149,10 +131,6 @@ class DecodeGateway(object):
     host / port:
         Listen address; port 0 (default) lets the OS pick — read the
         bound address back from :attr:`address` after :meth:`start`.
-    metrics:
-        Optional :class:`NetMetrics`; pass one built on the service's
-        registry so gateway and engine series share one snapshot/SLO
-        evaluation.  A private one is created if absent.
     log / recorder:
         Optional structured :class:`~repro.obs.log.EventLog` and
         :class:`~repro.obs.trace.TraceRecorder` for lifecycle events.
@@ -164,10 +142,8 @@ class DecodeGateway(object):
     dedup:
         Optional :class:`DedupWindow` for idempotency keys; pass one
         shared instance to several replica gateways so hedged requests
-        dedup across all of them.  A private window is created when
-        None; pass ``dedup_ttl_s <= 0`` to disable entirely.
-    dedup_ttl_s:
-        TTL of the private dedup window (ignored when ``dedup`` given).
+        dedup across all of them.  A private window with the default
+        TTL is created when None.
     heartbeat_interval_s:
         PING cadence for idle connections; None (default) disables
         gateway-side pings.
@@ -181,13 +157,11 @@ class DecodeGateway(object):
         admission: AdmissionController,
         host: str = "127.0.0.1",
         port: int = 0,
-        metrics: Optional[NetMetrics] = None,
         log: "Optional[EventLog]" = None,
         recorder: "Optional[TraceRecorder]" = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         drain_timeout_s: float = 10.0,
         dedup: Optional[DedupWindow] = None,
-        dedup_ttl_s: float = 30.0,
         heartbeat_interval_s: Optional[float] = None,
         heartbeat_misses: int = 3,
     ) -> None:
@@ -195,17 +169,13 @@ class DecodeGateway(object):
         self.admission = admission
         self.host = host
         self.port = port
-        self.metrics = metrics if metrics is not None else NetMetrics()
+        #: ``net_*`` instruments in the service's registry.
+        self.metrics = NetMetrics(service.metrics.registry)
         self.log = log
         self.recorder = recorder
         self.max_frame_bytes = max_frame_bytes
         self.drain_timeout_s = drain_timeout_s
-        if dedup is not None:
-            self.dedup: Optional[DedupWindow] = dedup
-        elif dedup_ttl_s > 0:
-            self.dedup = DedupWindow(ttl_s=dedup_ttl_s)
-        else:
-            self.dedup = None
+        self.dedup = dedup if dedup is not None else DedupWindow()
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_misses = heartbeat_misses
         self._server: Optional[asyncio.AbstractServer] = None
@@ -228,7 +198,8 @@ class DecodeGateway(object):
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
-        self._event("net.listen", host=self.host, port=self.port)
+        emit(self.recorder, self.log, "info", "net.listen", host=self.host,
+             port=self.port)
         return self.address
 
     @property
@@ -257,7 +228,8 @@ class DecodeGateway(object):
         if self._closed:
             return
         self._draining = True
-        self._event("net.drain", inflight=len(self._inflight), drain=drain)
+        emit(self.recorder, self.log, "info", "net.drain",
+             inflight=len(self._inflight), drain=drain)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -278,7 +250,7 @@ class DecodeGateway(object):
                 list(self._conn_tasks), timeout=self.drain_timeout_s
             )
         self._closed = True
-        self._event("net.closed")
+        emit(self.recorder, self.log, "info", "net.closed")
 
     async def __aenter__(self) -> "DecodeGateway":
         await self.start()
@@ -297,9 +269,10 @@ class DecodeGateway(object):
         if task is not None:
             self._conn_tasks.add(task)
         self._writers.add(writer)
-        self.metrics.conn_opened()
+        self.metrics.connections.inc()
+        self.metrics.connections_total.inc()
         conn = _ConnState(writer)
-        self._event("net.conn_open", peer=conn.peer)
+        emit(self.recorder, self.log, "debug", "net.conn_open", peer=conn.peer)
         conn_tasks: Set["asyncio.Task"] = set()
         heartbeat_task: Optional["asyncio.Task"] = None
         if self.heartbeat_interval_s:
@@ -315,7 +288,7 @@ class DecodeGateway(object):
                     break
                 if payload is None:
                     break  # client closed cleanly
-                self.metrics.bytes_in(len(payload) + 4)
+                self.metrics.bytes_in.inc(len(payload) + 4)
                 try:
                     frame = decode_frame(payload)
                 except NetProtocolError as exc:
@@ -324,8 +297,9 @@ class DecodeGateway(object):
                 conn.saw_frame()
                 if isinstance(frame, Hello):
                     # decode_frame already checked the version
-                    self.metrics.hello(VERSION)
-                    self._event("net.hello", peer=conn.peer, version=VERSION)
+                    self.metrics.hello.inc(version=str(VERSION))
+                    emit(self.recorder, self.log, "debug", "net.hello",
+                         peer=conn.peer, version=VERSION)
                     await self._send_quiet(conn, encode_hello(frame.job_id))
                     continue
                 if isinstance(frame, Ping):
@@ -337,8 +311,8 @@ class DecodeGateway(object):
                     exc = NetProtocolError(
                         f"clients may not send {type(frame).__name__} frames"
                     )
-                    self._event("net.protocol_error", peer=conn.peer,
-                                error=str(exc))
+                    emit(self.recorder, self.log, "warning",
+                         "net.protocol_error", peer=conn.peer, error=str(exc))
                     await self._send_quiet(
                         conn, encode_error(frame.job_id, exc)
                     )
@@ -365,8 +339,9 @@ class DecodeGateway(object):
                 await writer.wait_closed()
             except Exception:
                 pass
-            self.metrics.conn_closed()
-            self._event("net.conn_close", peer=conn.peer)
+            self.metrics.connections.dec()
+            emit(self.recorder, self.log, "debug", "net.conn_close",
+                 peer=conn.peer)
             if task is not None:
                 self._conn_tasks.discard(task)
 
@@ -381,9 +356,9 @@ class DecodeGateway(object):
                 if time.monotonic() - conn.last_rx <= interval:
                     continue  # traffic is liveness; no ping needed
                 if conn.missed_pings >= self.heartbeat_misses:
-                    self.metrics.dead_peer()
-                    self._event("net.dead_peer", peer=conn.peer,
-                                missed=conn.missed_pings)
+                    self.metrics.dead_peers.inc()
+                    emit(self.recorder, self.log, "warning", "net.dead_peer",
+                         peer=conn.peer, missed=conn.missed_pings)
                     conn.writer.close()
                     return
                 conn.missed_pings += 1
@@ -397,11 +372,12 @@ class DecodeGateway(object):
     ) -> None:
         """Report a connection-scoped protocol failure (ERROR, job 0)."""
         if isinstance(exc, FrameCorruptionError):
-            self.metrics.crc_corrupt()
-            self._event("net.crc_corrupt", peer=conn.peer, error=str(exc))
+            self.metrics.crc_corrupt.inc()
+            emit(self.recorder, self.log, "warning", "net.crc_corrupt",
+                 peer=conn.peer, error=str(exc))
         else:
-            self._event("net.protocol_error", peer=conn.peer,
-                        error=str(exc))
+            emit(self.recorder, self.log, "warning", "net.protocol_error",
+                 peer=conn.peer, error=str(exc))
         await self._send_quiet(conn, encode_error(0, exc))
 
     async def _serve_request(self, req: Request, conn: _ConnState) -> None:
@@ -450,12 +426,13 @@ class DecodeGateway(object):
                     outcome=outcome, **extra
                 )
 
-        self.metrics.request(tenant)
-        self._event("net.request", tenant=tenant, job=req.job_id,
-                    priority=req.priority)
+        metrics = self.metrics
+        metrics.requests.inc(tenant=tenant)
+        emit(self.recorder, self.log, "debug", "net.request", tenant=tenant,
+             job=req.job_id, priority=req.priority)
         dedup_key = None
         owner: "Optional[asyncio.Future]" = None
-        if self.dedup is not None and req.idempotency_key:
+        if req.idempotency_key:
             dedup_key = (tenant, req.idempotency_key)
             t_dedup = time.perf_counter()
             entry = self.dedup.lookup(dedup_key)
@@ -475,11 +452,13 @@ class DecodeGateway(object):
                     )
                     child("gateway.respond", t_respond)
                     total_s = time.monotonic() - t0
-                    self.metrics.dedup_hit(outcome)
-                    self.metrics.result(tenant, total_s)
-                    self.metrics.phase(tenant, code_label, "total", total_s)
-                    self._event("net.dedup", tenant=tenant, job=req.job_id,
-                                outcome=outcome)
+                    metrics.dedup_hits.inc(outcome=outcome)
+                    metrics.results.inc(tenant=tenant)
+                    metrics.latency.observe(total_s, tenant=tenant)
+                    metrics.phases.observe(total_s, tenant=tenant,
+                                           code_id=code_label, phase="total")
+                    emit(self.recorder, self.log, "debug", "net.dedup",
+                         tenant=tenant, job=req.job_id, outcome=outcome)
                     finish("dedup", dedup=outcome, total_s=round(total_s, 6))
                     return
                 # the original attempt failed: fall through and decode
@@ -500,8 +479,6 @@ class DecodeGateway(object):
             admission_s = time.perf_counter() - t_probe
             child("gateway.admission", t_admit,
                   shed=decision.shed, budget=decision.iteration_budget)
-            if decision.shed:
-                self.metrics.shed(tenant)
             t_submit = time.perf_counter()
             future = self.service.submit(
                 req.llrs(),
@@ -513,6 +490,10 @@ class DecodeGateway(object):
                     if tracing else None
                 ),
             )
+            # counted once submitted: a refused request is rejected,
+            # not shed
+            if decision.shed:
+                metrics.shed.inc(tenant=tenant)
             done = await asyncio.wrap_future(future)
             child("gateway.submit", t_submit, job=req.job_id)
             job = done.job
@@ -534,8 +515,8 @@ class DecodeGateway(object):
                 self.dedup.discard(dedup_key)
             await self._reply_error(req, tenant, conn, exc,
                                     trace=reply_trace)
-            self.metrics.phase(tenant, code_label, "total",
-                               time.monotonic() - t0)
+            metrics.phases.observe(time.monotonic() - t0, tenant=tenant,
+                                   code_id=code_label, phase="total")
             finish("error", error=type(exc).__name__)
             return
         finally:
@@ -552,15 +533,20 @@ class DecodeGateway(object):
         respond_s = time.perf_counter() - t_respond
         child("gateway.respond", t_respond)
         total_s = time.monotonic() - t0
-        self.metrics.result(tenant, total_s)
-        phase = self.metrics.phase
-        phase(tenant, code_label, "total", total_s)
-        phase(tenant, code_label, "admission", admission_s)
-        phase(tenant, code_label, "queue_wait", queue_wait_s)
-        phase(tenant, code_label, "decode", decode_s)
-        phase(tenant, code_label, "respond", respond_s)
-        self._event("net.result", tenant=tenant, job=req.job_id,
-                    converged=value[0], iterations=value[1])
+        metrics.results.inc(tenant=tenant)
+        metrics.latency.observe(total_s, tenant=tenant)
+        # phase="total" is observed for every request; the split phases
+        # only for requests that decoded, so per-phase p99s are not
+        # diluted by fail-fast rejections
+        for phase, seconds in (
+            ("total", total_s), ("admission", admission_s),
+            ("queue_wait", queue_wait_s), ("decode", decode_s),
+            ("respond", respond_s),
+        ):
+            metrics.phases.observe(seconds, tenant=tenant,
+                                   code_id=code_label, phase=phase)
+        emit(self.recorder, self.log, "debug", "net.result", tenant=tenant,
+             job=req.job_id, converged=value[0], iterations=value[1])
         finish(
             "ok", converged=value[0], iterations=value[1],
             admission_s=round(admission_s, 6),
@@ -580,13 +566,14 @@ class DecodeGateway(object):
     ) -> None:
         reason = _REJECT_REASONS.get(type(exc))
         if reason is not None:
-            self.metrics.rejected(tenant, reason)
-            self._event("net.reject", tenant=tenant, job=req.job_id,
-                        reason=reason, error=str(exc))
+            self.metrics.rejected.inc(tenant=tenant, reason=reason)
+            emit(self.recorder, self.log, "warning", "net.reject",
+                 tenant=tenant, job=req.job_id, reason=reason, error=str(exc))
         else:
-            self.metrics.error(tenant, type(exc).__name__)
-            self._event("net.error", tenant=tenant, job=req.job_id,
-                        kind=type(exc).__name__, error=str(exc))
+            self.metrics.errors.inc(tenant=tenant, kind=type(exc).__name__)
+            emit(self.recorder, self.log, "warning", "net.error",
+                 tenant=tenant, job=req.job_id, kind=type(exc).__name__,
+                 error=str(exc))
         if not isinstance(exc, ServeError):
             exc = ServeError(f"{type(exc).__name__}: {exc}")
         await self._send_quiet(
@@ -600,12 +587,6 @@ class DecodeGateway(object):
             async with conn.lock:
                 conn.writer.write(data)
                 await conn.writer.drain()
-            self.metrics.bytes_out(len(data))
+            self.metrics.bytes_out.inc(len(data))
         except (ConnectionError, RuntimeError, OSError):
             pass
-
-    def _event(self, name: str, **fields: object) -> None:
-        if self.recorder is not None:
-            self.recorder.event(name, **fields)
-        if self.log is not None:
-            self.log.log(_EVENT_LEVELS.get(name, "info"), name, **fields)

@@ -68,13 +68,11 @@ from repro.net.autoscaler import Autoscaler
 from repro.net.client import AsyncDecodeClient
 from repro.net.dedup import DedupWindow
 from repro.net.gateway import DecodeGateway
-from repro.net.metrics import NetMetrics
 from repro.net.protocol import pack_llrs, unpack_llrs
 from repro.net.resilience import ResilientDecodeClient, RetryPolicy
 from repro.obs.log import EventLog
 from repro.obs.slo import default_serve_slos
 from repro.obs.trace import TraceRecorder
-from repro.serve.metrics import ServeMetrics
 from repro.serve.pool import DecodeService
 from repro.utils.provenance import bench_meta
 
@@ -617,7 +615,6 @@ def run_net_soak(
     code = cfg.build_code()
     encoder = RuEncoder(code)
     recorder = TraceRecorder()
-    registry_metrics = ServeMetrics()
     log = EventLog(path=log_path, recorder=recorder, min_level="debug")
     monitor = default_serve_slos(
         p99_latency_s=cfg.slo_p99_s,
@@ -631,12 +628,10 @@ def run_net_soak(
         fixed=cfg.fixed,
         backend=cfg.backend,
         queue_capacity=cfg.queue_capacity,
-        metrics=registry_metrics,
         recorder=recorder,
         log=log,
         slo=monitor,
     )
-    net_metrics = NetMetrics(registry=registry_metrics.registry)
     admission = AdmissionController(
         {
             name: TenantPolicy(
@@ -648,14 +643,14 @@ def run_net_soak(
         },
         max_iterations=cfg.iterations,
     )
-    # chaos replica gateways share the service, metrics, AND the dedup
-    # window, so a hedge landing on replica 1 still joins replica 0's
-    # in-flight decode
+    # chaos replica gateways share the service (and so its registry) AND
+    # the dedup window, so a hedge landing on replica 1 still joins
+    # replica 0's in-flight decode
     dedup = DedupWindow()
     gateways = [
         DecodeGateway(
             service, admission,
-            metrics=net_metrics, log=log, recorder=recorder, dedup=dedup,
+            log=log, recorder=recorder, dedup=dedup,
             heartbeat_interval_s=cfg.heartbeat_s if cfg.chaos else None,
         )
         for _ in range(max(1, cfg.replicas) if cfg.chaos else 1)
@@ -669,7 +664,6 @@ def run_net_soak(
         shrink_after=SHRINK_AFTER,
         scale_up_fill=SCALE_UP_FILL,
         scale_down_fill=SCALE_DOWN_FILL,
-        metrics=net_metrics,
         log=log,
     )
     stats = {name: _TenantStats() for name in cfg.tenants}
@@ -720,7 +714,7 @@ def run_net_soak(
     traffic_s = drive_out["traffic_s"]
     fps = total_ok / traffic_s if traffic_s > 0 else 0.0
     lat = np.asarray(latencies, dtype=np.float64)
-    snap = registry_metrics.snapshot()
+    snap = service.metrics.snapshot()
     doc = bench_meta("net")
     doc.update(
         {
@@ -784,7 +778,7 @@ def run_net_soak(
             "gateway_killed": bool(drive_out["chaos"]["gateway_killed"]),
             "proxies": drive_out["proxies"],
             "crc_detected": int(
-                net_metrics.registry.get("net_crc_corrupt_total").total()
+                service.metrics.registry.get("net_crc_corrupt_total").total()
             ),
             "dedup": dedup.to_dict(),
             "clients": client_stats,

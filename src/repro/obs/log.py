@@ -22,11 +22,12 @@ trace-event breadcrumb:
   live file; an in-memory ring of recent records backs tests and
   embedded use without any file at all.
 
-The pool (:mod:`repro.serve.pool`), the fault injectors
-(:mod:`repro.faults.injectors`), and the process shard backend
-(:mod:`repro.accel.procpool`) accept an ``EventLog`` and publish their
-lifecycle into it; ``python -m repro logs FILE`` tails/filters/pretty-
-prints the result.
+The pool (:mod:`repro.serve.pool`), the gateway and autoscaler
+(:mod:`repro.net`), the fault injectors (:mod:`repro.faults.injectors`),
+and the process shard backend (:mod:`repro.accel.procpool`) accept an
+``EventLog`` and publish their lifecycle into it — an incident is one
+:func:`emit` call, a trace event plus a levelled record; ``python -m
+repro logs FILE`` tails/filters/pretty-prints the result.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "LEVELS",
     "EventLog",
     "LogRecord",
+    "emit",
     "follow_log",
     "format_record",
     "format_records",
@@ -283,6 +285,21 @@ class EventLog(object):
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+def emit(
+    recorder: "Optional[TraceRecorder]",
+    log: Optional[EventLog],
+    level: str,
+    event: str,
+    **fields: Any,
+) -> None:
+    """Record one incident: a trace event on ``recorder`` and a
+    ``level`` record in ``log`` (either may be None)."""
+    if recorder is not None:
+        recorder.event(event, **fields)
+    if log is not None:
+        log.log(level, event, **fields)
 
 
 # ----------------------------------------------------------------------

@@ -169,7 +169,7 @@ class ContinuousBatchingEngine(object):
         self._budgets[slot] = min(max(1, int(budget)), self.max_iterations)
         self._jobs[slot] = job
         self._syndromes[slot] = []
-        self.metrics.frame_admitted()
+        self.metrics.frames_in.inc()
         if self.recorder is not None:
             self.recorder.event("engine.admit", slot=slot, job=job.job_id)
         return slot

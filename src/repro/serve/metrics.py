@@ -1,7 +1,7 @@
 """Counters and latency/occupancy statistics for the serving runtime.
 
-One :class:`ServeMetrics` instance can be shared by every engine and
-worker of a service and exposes its state several ways:
+A decode service owns one :class:`ServeMetrics`, shared by every
+engine and worker of the service, and exposes its state several ways:
 :meth:`snapshot` returns an immutable :class:`MetricsSnapshot` dataclass
 for programmatic use, :meth:`report` renders the snapshot as an aligned
 text table in the house style of the evaluation harness, and the
@@ -9,19 +9,16 @@ backing :class:`~repro.obs.metrics.MetricsRegistry` (the ``registry``
 attribute) renders the same series as JSON or Prometheus exposition
 text for machine consumers.
 
-Since the observability refactor every counter and histogram lives in
-the registry (instrument names are prefixed ``serve_``); this class is
-the serving-specific facade — stable recording hooks, the snapshot
-shape the tests and benchmarks rely on — over those instruments, and
-the values it reports are by construction identical to what the
-registry exposes.
+Every counter and histogram lives in the registry (instrument names are
+prefixed ``serve_``) and is also a public attribute, so callers record
+into it directly; the values the snapshot reports are by construction
+identical to what the registry exposes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.utils.tables import render_table
@@ -106,115 +103,75 @@ class MetricsSnapshot(object):
 class ServeMetrics(object):
     """Thread-safe counters + histograms for the decode service.
 
-    Parameters
-    ----------
-    latency_window:
-        Sliding-window size (samples) for latency/occupancy percentiles.
-    registry:
-        Optional shared :class:`~repro.obs.metrics.MetricsRegistry` to
-        publish into; a private registry is created when omitted.  All
-        instruments are named ``serve_*``, so one registry can also
-        carry fault-campaign or application metrics.
+    Every instrument is a public attribute (``frames_in`` ...
+    ``latency``) registered in :attr:`registry` under a ``serve_*``
+    name; code records into them directly
+    (``metrics.frames_rejected.inc()``).  A
+    :class:`~repro.serve.pool.DecodeService` owns one instance, and the
+    gateway and autoscaler in front of it publish their ``net_*``
+    series into the same :attr:`registry`.
     """
 
-    def __init__(
-        self,
-        latency_window: int = 8192,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self._latency_window = latency_window
-        self.registry = registry if registry is not None else MetricsRegistry()
-        reg = self.registry
-        self._frames_in = reg.counter(
+    def __init__(self) -> None:
+        self.registry = reg = MetricsRegistry()
+        self.frames_in = reg.counter(
             "serve_frames_in", "frames admitted to an engine slot")
-        self._frames_out = reg.counter(
+        self.frames_out = reg.counter(
             "serve_frames_out", "frames retired with a result")
-        self._frames_converged = reg.counter(
+        self.frames_converged = reg.counter(
             "serve_frames_converged", "retired frames with parity passing")
-        self._frames_failed = reg.counter(
+        self.frames_failed = reg.counter(
             "serve_frames_failed", "retired frames still failing parity")
-        self._frames_rejected = reg.counter(
+        self.frames_rejected = reg.counter(
             "serve_frames_rejected", "frames refused by backpressure")
-        self._frames_errored = reg.counter(
+        self.frames_errored = reg.counter(
             "serve_frames_errored", "frame futures completed exceptionally")
-        self._frames_retried = reg.counter(
+        self.frames_retried = reg.counter(
             "serve_frames_retried", "re-admissions after transient faults")
-        self._frames_expired = reg.counter(
+        self.frames_expired = reg.counter(
             "serve_frames_expired", "frames dropped past their deadline")
-        self._frames_shed = reg.counter(
+        self.frames_shed = reg.counter(
             "serve_frames_shed", "frames admitted with a shed budget")
-        self._worker_crashes = reg.counter(
+        self.worker_crashes = reg.counter(
             "serve_worker_crashes", "worker loops died unexpectedly")
-        self._worker_restarts = reg.counter(
+        self.worker_restarts = reg.counter(
             "serve_worker_restarts", "worker loops restarted by supervisor")
-        self._engine_steps = reg.counter(
+        self.engine_steps = reg.counter(
             "serve_engine_steps", "layered iterations over occupied slots")
-        self._slot_iterations = reg.counter(
+        self.slot_iterations = reg.counter(
             "serve_slot_iterations", "frame-iterations executed")
-        self._iterations_saved = reg.counter(
+        self.iterations_saved = reg.counter(
             "serve_iterations_saved", "frame-iterations avoided by early retire")
-        self._occupancy = reg.histogram(
+        self.occupancy = reg.histogram(
             "serve_occupancy_ratio", "busy slot fraction per engine step",
-            buckets=_OCCUPANCY_BUCKETS, window=latency_window)
-        self._latency = reg.histogram(
+            buckets=_OCCUPANCY_BUCKETS)
+        self.latency = reg.histogram(
             "serve_latency_seconds", "submit-to-retire latency",
-            buckets=_LATENCY_BUCKETS, window=latency_window)
+            buckets=_LATENCY_BUCKETS)
         self._started_at = time.monotonic()
 
     def reset(self) -> None:
         """Zero every serving instrument and drop retained samples."""
         for inst in (
-            self._frames_in, self._frames_out, self._frames_converged,
-            self._frames_failed, self._frames_rejected, self._frames_errored,
-            self._frames_retried, self._frames_expired, self._frames_shed,
-            self._worker_crashes, self._worker_restarts, self._engine_steps,
-            self._slot_iterations, self._iterations_saved,
-            self._occupancy, self._latency,
+            self.frames_in, self.frames_out, self.frames_converged,
+            self.frames_failed, self.frames_rejected, self.frames_errored,
+            self.frames_retried, self.frames_expired, self.frames_shed,
+            self.worker_crashes, self.worker_restarts, self.engine_steps,
+            self.slot_iterations, self.iterations_saved,
+            self.occupancy, self.latency,
         ):
             inst.reset()
         self._started_at = time.monotonic()
 
     # ------------------------------------------------------------------
-    # recording hooks (called by engines / services)
+    # derived recordings (called by engines / process proxies)
     # ------------------------------------------------------------------
-    def frame_admitted(self, count: int = 1) -> None:
-        """``count`` frames entered a decoder (queue or engine slot)."""
-        self._frames_in.inc(count)
-
-    def frame_rejected(self, count: int = 1) -> None:
-        """``count`` frames were refused admission (backpressure)."""
-        self._frames_rejected.inc(count)
-
-    def frame_errored(self, count: int = 1) -> None:
-        """A frame's future completed with an exception."""
-        self._frames_errored.inc(count)
-
-    def frame_retried(self, count: int = 1) -> None:
-        """A frame was re-admitted after a transient engine failure."""
-        self._frames_retried.inc(count)
-
-    def frame_expired(self, count: int = 1) -> None:
-        """A frame's deadline passed before it reached a decoder slot."""
-        self._frames_expired.inc(count)
-
-    def frame_shed(self, count: int = 1) -> None:
-        """A frame was admitted with a shed (reduced) iteration budget."""
-        self._frames_shed.inc(count)
-
-    def worker_crashed(self) -> None:
-        """A shard worker (thread or child process) died."""
-        self._worker_crashes.inc()
-
-    def worker_restarted(self) -> None:
-        """A crashed shard worker was rebuilt and restarted."""
-        self._worker_restarts.inc()
-
     def step_recorded(self, busy_slots: int, capacity: int) -> None:
         """One engine step over ``busy_slots`` of ``capacity`` slots."""
-        self._engine_steps.inc()
-        self._slot_iterations.inc(busy_slots)
+        self.engine_steps.inc()
+        self.slot_iterations.inc(busy_slots)
         if capacity > 0:
-            self._occupancy.observe(busy_slots / capacity)
+            self.occupancy.observe(busy_slots / capacity)
 
     def absorb_worker_steps(
         self, steps: int, slot_iterations: int, capacity: int
@@ -232,12 +189,12 @@ class ServeMetrics(object):
         """
         if steps <= 0:
             return
-        self._engine_steps.inc(steps)
-        self._slot_iterations.inc(slot_iterations)
+        self.engine_steps.inc(steps)
+        self.slot_iterations.inc(slot_iterations)
         if capacity > 0:
             ratio = min(1.0, slot_iterations / (steps * capacity))
             for _ in range(min(steps, 256)):
-                self._occupancy.observe(ratio)
+                self.occupancy.observe(ratio)
 
     def frame_retired(
         self,
@@ -248,13 +205,13 @@ class ServeMetrics(object):
     ) -> None:
         """A frame finished decoding; records convergence, the
         early-termination saving vs ``max_iterations``, and latency."""
-        self._frames_out.inc()
+        self.frames_out.inc()
         if converged:
-            self._frames_converged.inc()
-            self._iterations_saved.inc(max(0, max_iterations - iterations))
+            self.frames_converged.inc()
+            self.iterations_saved.inc(max(0, max_iterations - iterations))
         else:
-            self._frames_failed.inc()
-        self._latency.observe(latency_s)
+            self.frames_failed.inc()
+        self.latency.observe(latency_s)
 
     # ------------------------------------------------------------------
     # export
@@ -262,27 +219,27 @@ class ServeMetrics(object):
     def snapshot(self) -> MetricsSnapshot:
         """Immutable view of all counters and histograms."""
         elapsed = max(0.0, time.monotonic() - self._started_at)
-        frames_out = int(self._frames_out.value())
+        frames_out = int(self.frames_out.value())
         fps = frames_out / elapsed if elapsed > 0 else 0.0
         return MetricsSnapshot(
-            frames_in=int(self._frames_in.value()),
+            frames_in=int(self.frames_in.value()),
             frames_out=frames_out,
-            frames_converged=int(self._frames_converged.value()),
-            frames_failed=int(self._frames_failed.value()),
-            frames_rejected=int(self._frames_rejected.value()),
-            frames_errored=int(self._frames_errored.value()),
-            frames_retried=int(self._frames_retried.value()),
-            frames_expired=int(self._frames_expired.value()),
-            frames_shed=int(self._frames_shed.value()),
-            worker_crashes=int(self._worker_crashes.value()),
-            worker_restarts=int(self._worker_restarts.value()),
-            engine_steps=int(self._engine_steps.value()),
-            slot_iterations=int(self._slot_iterations.value()),
-            iterations_saved=int(self._iterations_saved.value()),
-            mean_occupancy=self._occupancy.mean(),
-            p50_latency_s=self._latency.percentile(50.0),
-            p99_latency_s=self._latency.percentile(99.0),
-            mean_latency_s=self._latency.mean(),
+            frames_converged=int(self.frames_converged.value()),
+            frames_failed=int(self.frames_failed.value()),
+            frames_rejected=int(self.frames_rejected.value()),
+            frames_errored=int(self.frames_errored.value()),
+            frames_retried=int(self.frames_retried.value()),
+            frames_expired=int(self.frames_expired.value()),
+            frames_shed=int(self.frames_shed.value()),
+            worker_crashes=int(self.worker_crashes.value()),
+            worker_restarts=int(self.worker_restarts.value()),
+            engine_steps=int(self.engine_steps.value()),
+            slot_iterations=int(self.slot_iterations.value()),
+            iterations_saved=int(self.iterations_saved.value()),
+            mean_occupancy=self.occupancy.mean(),
+            p50_latency_s=self.latency.percentile(50.0),
+            p99_latency_s=self.latency.percentile(99.0),
+            mean_latency_s=self.latency.mean(),
             elapsed_s=elapsed,
             throughput_fps=fps,
         )

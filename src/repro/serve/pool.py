@@ -83,13 +83,13 @@ from repro.errors import (
     TransientDecodeError,
     UnknownCodeError,
 )
+from repro.obs.log import EventLog, emit
 from repro.serve.engine import ContinuousBatchingEngine
 from repro.serve.jobs import CompletedJob, DecodeJob
 from repro.serve.metrics import ServeMetrics
 from repro.serve.shedding import LoadShedPolicy, StepShedPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.log import EventLog
     from repro.obs.slo import SloMonitor, SloReport
     from repro.obs.trace import TraceContext, TraceRecorder
 
@@ -98,22 +98,6 @@ __all__ = ["DecodeService", "ServiceHealth", "ShardHealth"]
 _POLL_S = 0.05
 
 _Item = Tuple[DecodeJob, "Future[CompletedJob]"]
-
-#: Severity assigned to each pool lifecycle event in the structured log.
-_EVENT_LEVELS = {
-    "pool.crash": "error",
-    "pool.shard_dead": "error",
-    "pool.restart": "warning",
-    "pool.transient": "warning",
-    "pool.expire": "warning",
-    "pool.shed": "warning",
-    "pool.enqueue": "debug",
-    "pool.dispatch": "debug",
-    "pool.shard_added": "info",
-    "pool.shard_removed": "info",
-    "pool.inject_crash": "warning",
-}
-
 
 @dataclass(frozen=True)
 class ShardHealth(object):
@@ -223,8 +207,6 @@ class DecodeService(object):
         :mod:`repro.serve.column`, on either backend.
     queue_capacity:
         Bound of each shard's admission queue (the backpressure knob).
-    metrics:
-        Optional shared :class:`ServeMetrics` (one is created if absent).
     autostart:
         Start worker threads immediately; with ``False`` the service
         accepts submissions (until queues fill) but decodes nothing
@@ -278,7 +260,6 @@ class DecodeService(object):
         backend: str = "thread",
         schedule: str = "row",
         queue_capacity: int = 256,
-        metrics: Optional[ServeMetrics] = None,
         autostart: bool = True,
         shed_policy: Optional[LoadShedPolicy] = None,
         default_max_retries: int = 1,
@@ -314,7 +295,10 @@ class DecodeService(object):
             codes = {codes.name or "default": codes}
         if not codes:
             raise ServeError("DecodeService needs at least one code")
-        self.metrics = metrics if metrics is not None else ServeMetrics()
+        #: The service's metrics; its ``registry`` is the one registry
+        #: of the serving stack (gateways and autoscalers publish their
+        #: ``net_*`` series into it too).
+        self.metrics = ServeMetrics()
         self.recorder = recorder
         self.log = log
         self.slo = slo
@@ -559,8 +543,8 @@ class DecodeService(object):
             self._shard_gauge.set(len(self._groups[group]), group=group)
         if self._started:
             self._start_worker(shard)
-        self._event("pool.shard_added", shard=key, group=group,
-                    replicas=self.group_size(group))
+        emit(self.recorder, self.log, "info", "pool.shard_added", shard=key,
+             group=group, replicas=self.group_size(group))
         return key
 
     def remove_shard(
@@ -622,8 +606,9 @@ class DecodeService(object):
             if shard.key in length_keys:
                 length_keys.remove(shard.key)
             self._shard_gauge.set(len(members), group=shard.group)
-        self._event("pool.shard_removed", shard=shard.key, group=shard.group,
-                    replicas=self.group_size(shard.group), drained=drain)
+        emit(self.recorder, self.log, "info", "pool.shard_removed",
+             shard=shard.key, group=shard.group,
+             replicas=self.group_size(shard.group), drained=drain)
         return shard.key
 
     def _resolve_removal(
@@ -686,8 +671,10 @@ class DecodeService(object):
 
         The crash takes the real supervision path — pending futures fail
         fast, the engine is rebuilt, the supervisor restarts the worker
-        under backoff — exactly as an organic crash would.  Used by the
-        soak harness and resilience tests; returns the targeted key.
+        under backoff — exactly as an organic crash would.  The worker
+        raises ``exc``, by default a typed :class:`ServeError`, so the
+        futures it fails carry a typed error.  Used by the soak harness
+        and resilience tests; returns the targeted key.
         """
         with self._lock:
             if key is None:
@@ -704,10 +691,11 @@ class DecodeService(object):
                     raise ServeError(
                         f"unknown shard key {key!r}; have {list(self._shards)}"
                     )
-            shard.crash_next = exc or RuntimeError(
+            shard.crash_next = exc or ServeError(
                 f"injected worker crash (shard {shard.key!r})"
             )
-        self._event("pool.inject_crash", shard=shard.key)
+        emit(self.recorder, self.log, "warning", "pool.inject_crash",
+             shard=shard.key)
         return shard.key
 
     def health(self) -> ServiceHealth:
@@ -784,16 +772,19 @@ class DecodeService(object):
             Chrome trace as its wire request.
         """
         if self._closing.is_set():
-            self.metrics.frame_rejected()
+            self.metrics.frames_rejected.inc()
             raise ServiceClosedError("service is closed to new frames")
         llrs = np.asarray(llrs, dtype=np.float64)
         shard = self._route(llrs, code_key)
         self._check_shard_alive(shard)
-        shed = self._shed_budget(shard)
+        capacity = shard.queue.maxsize
+        fill = shard.queue.qsize() / capacity if capacity > 0 else 0.0
+        shed = self.shed_policy.budget(fill, self.max_iterations)
+        budget = shed if shed < self.max_iterations else None
         if iteration_budget is not None:
-            shed = (
-                min(shed, int(iteration_budget)) if shed is not None
-                else min(int(iteration_budget), self.max_iterations)
+            budget = min(
+                self.max_iterations if budget is None else budget,
+                int(iteration_budget),
             )
         job = DecodeJob(
             llrs=llrs,
@@ -804,7 +795,7 @@ class DecodeService(object):
             max_retries=(
                 self.default_max_retries if max_retries is None else max_retries
             ),
-            iteration_budget=shed,
+            iteration_budget=budget,
             trace=trace,
         )
         future: "Future[CompletedJob]" = Future()
@@ -817,7 +808,7 @@ class DecodeService(object):
             else:
                 shard.queue.put_nowait(item)
         except queue.Full:
-            self.metrics.frame_rejected()
+            self.metrics.frames_rejected.inc()
             if timeout:
                 raise ServeTimeoutError(
                     f"shard {shard.key!r}: no queue space within {timeout}s"
@@ -826,7 +817,8 @@ class DecodeService(object):
                 f"shard {shard.key!r}: queue full "
                 f"({shard.queue.maxsize} frames waiting)"
             ) from None
-        self._event("pool.enqueue", shard=shard.key, job=job.job_id)
+        emit(self.recorder, self.log, "debug", "pool.enqueue", shard=shard.key,
+             job=job.job_id)
         if not shard.healthy:
             # the shard died between the liveness check and the enqueue;
             # its final drain may have missed this item, so fail it here
@@ -835,6 +827,12 @@ class DecodeService(object):
                 future, ShardDeadError(f"shard {shard.key!r} is out of service")
             )
             raise ShardDeadError(f"shard {shard.key!r} is out of service")
+        # counted once the frame is accepted: a refused frame is
+        # rejected, not shed
+        if shed < self.max_iterations:
+            self.metrics.frames_shed.inc()
+            emit(self.recorder, self.log, "warning", "pool.shed",
+                 shard=shard.key, budget=shed, fill=round(fill, 3))
         return future
 
     def decode(
@@ -858,12 +856,6 @@ class DecodeService(object):
             raise ServeTimeoutError(
                 f"decode did not complete within {timeout}s"
             ) from None
-
-    def _event(self, name: str, **labels: object) -> None:
-        if self.recorder is not None:
-            self.recorder.event(name, **labels)
-        if self.log is not None:
-            self.log.log(_EVENT_LEVELS.get(name, "info"), name, **labels)
 
     # ------------------------------------------------------------------
     # distributed-trace spans
@@ -924,18 +916,6 @@ class DecodeService(object):
                 "nothing will ever drain this queue"
             )
 
-    def _shed_budget(self, shard: _Shard) -> Optional[int]:
-        """Iteration budget under the shed policy (None = full budget)."""
-        capacity = shard.queue.maxsize
-        fill = shard.queue.qsize() / capacity if capacity > 0 else 0.0
-        budget = self.shed_policy.budget(fill, self.max_iterations)
-        if budget >= self.max_iterations:
-            return None
-        self.metrics.frame_shed()
-        self._event("pool.shed", shard=shard.key, budget=budget,
-                    fill=round(fill, 3))
-        return budget
-
     def _route(self, llrs: np.ndarray, code_key: Optional[str]) -> _Shard:
         with self._lock:
             if code_key is not None:
@@ -963,6 +943,9 @@ class DecodeService(object):
 
     def _pick_replica(self, members: List[str], group: str) -> _Shard:
         """Least-loaded routable replica (caller holds the lock)."""
+        if not members:
+            # the last (dead) replica was removed by key
+            raise ShardDeadError(f"shard group {group!r} has no replicas")
         shards = [self._shards[k] for k in members]
         routable = [
             s for s in shards if s.healthy and not s.stopping.is_set()
@@ -987,9 +970,9 @@ class DecodeService(object):
             except Exception as exc:  # worker crash
                 shard.strikes += 1
                 shard.last_error = exc
-                self.metrics.worker_crashed()
-                self._event("pool.crash", shard=shard.key, error=repr(exc),
-                            strikes=shard.strikes)
+                self.metrics.worker_crashes.inc()
+                emit(self.recorder, self.log, "error", "pool.crash",
+                     shard=shard.key, error=repr(exc), strikes=shard.strikes)
                 # fail-fast: every pending future resolves *now* with a
                 # typed error instead of hanging on a dead worker
                 self._fail_in_flight(shard, exc)
@@ -1009,8 +992,8 @@ class DecodeService(object):
                     return
                 if shard.strikes >= self.max_strikes:
                     shard.healthy = False
-                    self._event("pool.shard_dead", shard=shard.key,
-                                strikes=shard.strikes)
+                    emit(self.recorder, self.log, "error", "pool.shard_dead",
+                         shard=shard.key, strikes=shard.strikes)
                     # final drain: catch items that raced the flag flip
                     self._fail_queue(
                         shard,
@@ -1027,9 +1010,9 @@ class DecodeService(object):
                     pass
                 backoff = min(backoff * 2.0, self.restart_backoff_cap_s)
                 shard.restarts += 1
-                self.metrics.worker_restarted()
-                self._event("pool.restart", shard=shard.key,
-                            restarts=shard.restarts)
+                self.metrics.worker_restarts.inc()
+                emit(self.recorder, self.log, "warning", "pool.restart",
+                     shard=shard.key, restarts=shard.restarts)
 
     def _worker_loop(self, shard: _Shard) -> None:
         while True:
@@ -1049,10 +1032,10 @@ class DecodeService(object):
                 if not future.set_running_or_notify_cancel():
                     continue  # caller cancelled while queued
                 if job.expired:
-                    self.metrics.frame_expired()
-                    self.metrics.frame_errored()
-                    self._event("pool.expire", shard=shard.key,
-                                job=job.job_id)
+                    self.metrics.frames_expired.inc()
+                    self.metrics.frames_errored.inc()
+                    emit(self.recorder, self.log, "warning", "pool.expire",
+                         shard=shard.key, job=job.job_id)
                     future.set_exception(
                         DeadlineExceededError(
                             f"job {job.job_id}: deadline passed after "
@@ -1063,11 +1046,12 @@ class DecodeService(object):
                 try:
                     engine.admit(job)
                 except Exception as exc:  # bad frame: fail just this job
-                    self.metrics.frame_errored()
+                    self.metrics.frames_errored.inc()
                     future.set_exception(exc)
                     continue
                 job.dispatched_at = time.monotonic()
-                self._event("pool.dispatch", shard=shard.key, job=job.job_id)
+                emit(self.recorder, self.log, "debug", "pool.dispatch",
+                     shard=shard.key, job=job.job_id)
                 self._trace_queue_wait(shard, job)
                 shard.futures[job.job_id] = (job, future)
             if engine.in_flight == 0:
@@ -1098,23 +1082,24 @@ class DecodeService(object):
 
     def _recover_transient(self, shard: _Shard, exc: Exception) -> None:
         shard.last_error = exc
-        self._event("pool.transient", shard=shard.key, error=repr(exc))
+        emit(self.recorder, self.log, "warning", "pool.transient",
+             shard=shard.key, error=repr(exc))
         self._close_engine(shard.engine)
         shard.engine = shard.make_engine()
         survivors: Dict[int, _Item] = {}
         for job_id, (job, future) in shard.futures.items():
             if job.attempts < job.max_retries and not job.expired:
                 job.attempts += 1
-                self.metrics.frame_retried()
+                self.metrics.frames_retried.inc()
                 try:
                     shard.engine.admit(job)
                 except Exception as admit_exc:
-                    self.metrics.frame_errored()
+                    self.metrics.frames_errored.inc()
                     future.set_exception(admit_exc)
                 else:
                     survivors[job_id] = (job, future)
             else:
-                self.metrics.frame_errored()
+                self.metrics.frames_errored.inc()
                 future.set_exception(exc)
         shard.futures = survivors
 
@@ -1122,7 +1107,7 @@ class DecodeService(object):
         for _job, future in shard.futures.values():
             try:
                 future.set_exception(exc)
-                self.metrics.frame_errored()
+                self.metrics.frames_errored.inc()
             except InvalidStateError:
                 pass  # already resolved
         shard.futures.clear()
@@ -1139,6 +1124,6 @@ class DecodeService(object):
         try:
             if future.set_running_or_notify_cancel():
                 future.set_exception(exc)
-                self.metrics.frame_errored()
+                self.metrics.frames_errored.inc()
         except InvalidStateError:
             pass  # resolved elsewhere; first resolution wins

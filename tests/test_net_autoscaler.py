@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.errors import ServeError
-from repro.net import Autoscaler, NetMetrics
+from repro.net import Autoscaler
 from repro.serve.pool import DecodeService
 
 pytestmark = pytest.mark.net
@@ -174,10 +174,7 @@ class TestReplace:
 class TestBookkeeping:
     def test_decisions_count_and_metrics(self, service):
         clock = FakeClock()
-        metrics = NetMetrics()
-        scaler = make_scaler(
-            service, clock, cooldown_s=0.0, shrink_after=1, metrics=metrics
-        )
+        scaler = make_scaler(service, clock, cooldown_s=0.0, shrink_after=1)
         fill = set_fill(service, 0.9)
         scaler.evaluate()
         fill["v"] = 0.0
@@ -188,7 +185,7 @@ class TestBookkeeping:
         assert [d["action"] for d in scaler.decisions] == ["up", "down"]
         for decision in scaler.decisions:
             assert set(decision) >= {"action", "fill", "replicas", "at"}
-        counter = metrics.registry.get("net_autoscale_total")
+        counter = service.metrics.registry.get("net_autoscale_total")
         assert counter.value(direction="up") == 1
         assert counter.value(direction="down") == 1
 

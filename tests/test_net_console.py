@@ -16,7 +16,6 @@ from repro.net import (
     AdmissionController,
     AsyncDecodeClient,
     DecodeGateway,
-    NetMetrics,
     ObsEndpoint,
     TenantPolicy,
     build_status,
@@ -73,9 +72,7 @@ async def _drive(gateway, traffic, tenant="gold"):
 class TestBuildStatus:
     def test_red_rollups_match_counters_exactly(self, service, traffic):
         async def run():
-            async with DecodeGateway(
-                service, open_admission(), metrics=NetMetrics()
-            ) as gw:
+            async with DecodeGateway(service, open_admission()) as gw:
                 await _drive(gw, traffic, tenant="gold")
                 return build_status(gw), gw.metrics.registry
 
@@ -97,9 +94,7 @@ class TestBuildStatus:
 
     def test_shards_and_service_state_present(self, service, traffic):
         async def run():
-            async with DecodeGateway(
-                service, open_admission(), metrics=NetMetrics()
-            ) as gw:
+            async with DecodeGateway(service, open_admission()) as gw:
                 await _drive(gw, traffic)
                 return build_status(gw)
 
@@ -114,9 +109,7 @@ class TestBuildStatus:
 class TestEndpoint:
     def test_fetch_matches_build(self, service, traffic):
         async def run():
-            async with DecodeGateway(
-                service, open_admission(), metrics=NetMetrics()
-            ) as gw:
+            async with DecodeGateway(service, open_admission()) as gw:
                 await _drive(gw, traffic, tenant="silver")
                 async with ObsEndpoint(gw) as obs:
                     host, port = obs.address
@@ -134,9 +127,7 @@ class TestEndpoint:
     def test_endpoint_survives_rude_clients(self, service):
         # connect-and-slam must not break the next well-behaved fetch
         async def run():
-            async with DecodeGateway(
-                service, open_admission(), metrics=NetMetrics()
-            ) as gw:
+            async with DecodeGateway(service, open_admission()) as gw:
                 async with ObsEndpoint(gw) as obs:
                     host, port = obs.address
                     _, writer = await asyncio.open_connection(host, port)
@@ -150,9 +141,7 @@ class TestEndpoint:
 class TestRendering:
     def test_render_top_contains_the_numbers(self, service, traffic):
         async def run():
-            async with DecodeGateway(
-                service, open_admission(), metrics=NetMetrics()
-            ) as gw:
+            async with DecodeGateway(service, open_admission()) as gw:
                 await _drive(gw, traffic, tenant="gold")
                 return build_status(gw)
 
@@ -164,9 +153,7 @@ class TestRendering:
 
     def test_run_top_once_json_is_the_raw_document(self, service, traffic):
         async def run():
-            async with DecodeGateway(
-                service, open_admission(), metrics=NetMetrics()
-            ) as gw:
+            async with DecodeGateway(service, open_admission()) as gw:
                 await _drive(gw, traffic, tenant="gold")
                 async with ObsEndpoint(gw) as obs:
                     host, port = obs.address

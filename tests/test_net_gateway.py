@@ -19,6 +19,7 @@ from repro.decoder import decode_many
 from repro.errors import (
     GatewayClosedError,
     NetProtocolError,
+    QueueFullError,
     QuotaExceededError,
     ServeTimeoutError,
 )
@@ -29,7 +30,6 @@ from repro.net import (
     AsyncDecodeClient,
     DecodeClient,
     DecodeGateway,
-    NetMetrics,
     TenantPolicy,
     pack_llrs,
     unpack_llrs,
@@ -284,36 +284,30 @@ class TestDrain:
 
 class TestMetrics:
     def test_request_and_byte_accounting(self, service, traffic):
-        metrics = NetMetrics()
-
         async def run():
-            async with DecodeGateway(
-                service, open_admission(), metrics=metrics
-            ) as gateway:
+            async with DecodeGateway(service, open_admission()) as gateway:
                 host, port = gateway.address
                 async with await AsyncDecodeClient.connect(
                     host, port, tenant="acme"
                 ) as c:
                     for frame in traffic[:3]:
                         await c.decode(frame, timeout=60)
+            return gateway.metrics
 
-        asyncio.run(run())
-        assert metrics.requests("acme") == 3
-        assert metrics.results("acme") == 3
+        metrics = asyncio.run(run())
+        assert metrics.requests.value(tenant="acme") == 3
+        assert metrics.results.value(tenant="acme") == 3
         assert metrics.registry.get("net_bytes_in_total").total() > 0
         assert metrics.registry.get("net_bytes_out_total").total() > 0
         assert metrics.registry.get("net_connections").value() == 0
 
     def test_rejection_reasons_labelled(self, service, traffic):
-        metrics = NetMetrics()
         admission = open_admission(
             poor=TenantPolicy(rate=0.0, burst=1.0)
         )
 
         async def run():
-            async with DecodeGateway(
-                service, admission, metrics=metrics
-            ) as gateway:
+            async with DecodeGateway(service, admission) as gateway:
                 host, port = gateway.address
                 async with await AsyncDecodeClient.connect(
                     host, port, tenant="poor"
@@ -322,9 +316,10 @@ class TestMetrics:
                     for frame in traffic[1:3]:
                         with pytest.raises(QuotaExceededError):
                             await c.decode(frame, timeout=60)
+            return gateway.metrics
 
-        asyncio.run(run())
-        assert metrics.rejections("poor", "quota") == 2
+        metrics = asyncio.run(run())
+        assert metrics.rejected.value(tenant="poor", reason="quota") == 2
 
 
 class TestSheddingBridge:
@@ -393,3 +388,33 @@ class TestSheddingBridge:
             svc.close()
         # biased fill 0.85 -> 75% budget step
         assert result.iterations == int(MAX_ITER * 0.75)
+
+    def test_a_request_refused_for_backpressure_is_not_shed(self, code,
+                                                            traffic):
+        # a full queue sheds every priority class, but the submit that
+        # follows admission is refused: the request counts as rejected
+        # for backpressure and never as shed
+        svc = DecodeService(
+            code, batch_size=2, max_iterations=MAX_ITER, queue_capacity=4,
+            autostart=False,
+        )
+        for frame in traffic[:4]:
+            svc.submit(frame)
+
+        async def run():
+            async with DecodeGateway(svc, open_admission()) as gateway:
+                host, port = gateway.address
+                async with await AsyncDecodeClient.connect(
+                    host, port, tenant="acme"
+                ) as c:
+                    with pytest.raises(QueueFullError):
+                        await c.decode(traffic[4], timeout=60)
+                return gateway.metrics.registry
+
+        try:
+            registry = asyncio.run(run())
+        finally:
+            svc.close()
+        assert registry.get("net_rejected_total").value(
+            tenant="acme", reason="backpressure") == 1
+        assert registry.get("net_shed_total").value(tenant="acme") == 0

@@ -117,14 +117,12 @@ class TestProcessServiceTelemetry(object):
     @pytest.mark.timeout(120)
     def test_child_spans_metrics_and_logs_reach_parent(self, wimax_short):
         recorder = TraceRecorder()
-        metrics = ServeMetrics()
         log = EventLog(recorder=recorder)
         monitor = default_serve_slos(p99_latency_s=120.0)
         service = DecodeService(
             wimax_short,
             batch_size=4,
             backend="process",
-            metrics=metrics,
             recorder=recorder,
             log=log,
             slo=monitor,
@@ -154,7 +152,7 @@ class TestProcessServiceTelemetry(object):
         assert len(pids) == 1
 
         # worker counters were folded into the parent registry
-        reg = metrics.registry
+        reg = service.metrics.registry
         assert reg.get("serve_engine_steps").value() > 0
         assert reg.get("serve_slot_iterations").value() > 0
         assert reg.get("serve_occupancy_ratio").count() > 0

@@ -198,8 +198,9 @@ class TestDefaultServeSlos(object):
 class TestDefaultGatewaySlos(object):
     def _metrics(self):
         from repro.net.metrics import NetMetrics
+        from repro.obs.metrics import MetricsRegistry
 
-        return NetMetrics()
+        return NetMetrics(MetricsRegistry())
 
     def test_fresh_registry_is_unknown(self):
         from repro.obs.slo import default_gateway_slos
@@ -213,8 +214,9 @@ class TestDefaultGatewaySlos(object):
 
         metrics = self._metrics()
         for _ in range(20):
-            metrics.request("gold")
-            metrics.result("gold", 0.01)
+            metrics.requests.inc(tenant="gold")
+            metrics.results.inc(tenant="gold")
+            metrics.latency.observe(0.01, tenant="gold")
         report = default_gateway_slos(tenants=("gold",)).evaluate(
             metrics.registry
         )
@@ -229,9 +231,10 @@ class TestDefaultGatewaySlos(object):
 
         metrics = self._metrics()
         for _ in range(10):
-            metrics.request("gold")
-            metrics.result("gold", 0.01)
-        metrics.error("gold", "ServeError")
+            metrics.requests.inc(tenant="gold")
+            metrics.results.inc(tenant="gold")
+            metrics.latency.observe(0.01, tenant="gold")
+        metrics.errors.inc(tenant="gold", kind="ServeError")
         report = default_gateway_slos(
             error_rate=0.05, tenants=("gold",)
         ).evaluate(metrics.registry)
@@ -245,10 +248,12 @@ class TestDefaultGatewaySlos(object):
 
         metrics = self._metrics()
         for _ in range(10):
-            metrics.request("gold")
-            metrics.result("gold", 0.001)
-            metrics.request("free")
-            metrics.result("free", 30.0)
+            metrics.requests.inc(tenant="gold")
+            metrics.results.inc(tenant="gold")
+            metrics.latency.observe(0.001, tenant="gold")
+            metrics.requests.inc(tenant="free")
+            metrics.results.inc(tenant="free")
+            metrics.latency.observe(30.0, tenant="free")
         report = default_gateway_slos(
             p99_latency_s=1.0, tenants=("gold", "free")
         ).evaluate(metrics.registry)
@@ -261,9 +266,9 @@ class TestDefaultGatewaySlos(object):
 
         metrics = self._metrics()
         for _ in range(4):
-            metrics.request("free")
+            metrics.requests.inc(tenant="free")
         for _ in range(3):
-            metrics.rejected("free", "quota")
+            metrics.rejected.inc(tenant="free", reason="quota")
         report = default_gateway_slos(rejection_rate=0.25).evaluate(
             metrics.registry
         )

@@ -10,7 +10,7 @@ from repro.errors import (
     ServeError,
     ServiceClosedError,
 )
-from repro.serve import DecodeService, ServeMetrics
+from repro.serve import DecodeService
 from tests.test_serve_batch import traffic
 
 pytestmark = pytest.mark.serve
@@ -155,8 +155,7 @@ class TestShutdown:
             "1/2": wimax_code("1/2", 576),
             "3/4A": wimax_code("3/4A", 576),
         }
-        metrics = ServeMetrics()
-        with DecodeService(codes, batch_size=2, metrics=metrics) as svc:
+        with DecodeService(codes, batch_size=2) as svc:
             f1 = svc.submit(
                 traffic(codes["1/2"], 1, seed=42, ebno_range=(4.0, 4.0))[0],
                 code_key="1/2",
@@ -167,4 +166,4 @@ class TestShutdown:
             )
             f1.result(timeout=60)
             f2.result(timeout=60)
-        assert metrics.snapshot().frames_out == 2
+        assert svc.metrics.snapshot().frames_out == 2

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from repro.accel.bench import generate_traffic
-from repro.errors import ServeError
+from repro.codes import wimax_code
+from repro.errors import QueueFullError, ServeError
 from repro.net.admission import BRONZE, AdmissionController, TenantPolicy
-from repro.serve.metrics import ServeMetrics
+from repro.obs.log import EventLog
 from repro.serve.pool import DecodeService
 from repro.serve.shedding import NoShedPolicy, StepShedPolicy
 
@@ -129,10 +130,9 @@ class TestBudgetRestore:
         # budgets are evaluated at submit time: frames queued while the
         # service is saturated get shed, frames after the backlog drains
         # get the full budget back
-        metrics = ServeMetrics()
         svc = DecodeService(
             small_code, batch_size=4, max_iterations=MAX_ITER,
-            queue_capacity=8, autostart=False, metrics=metrics,
+            queue_capacity=8, autostart=False,
         )
         try:
             backlog = [
@@ -151,7 +151,7 @@ class TestBudgetRestore:
                 hopeless_frame(small_code, seed=51), timeout=None
             ).result(60)
             assert restored.result.iterations == MAX_ITER
-            assert metrics.snapshot().frames_shed == 1
+            assert svc.metrics.snapshot().frames_shed == 1
         finally:
             svc.close()
 
@@ -170,3 +170,26 @@ class TestBudgetRestore:
                 assert future.result(60).result.iterations == MAX_ITER
         finally:
             svc.close()
+
+
+class TestRefusedFramesAreNotShed:
+    def test_a_frame_refused_for_backpressure_is_not_shed(self):
+        # the fifth frame meets a full queue (fill 1.0 sheds) and is
+        # refused: it counts as rejected, never as shed, and no
+        # pool.shed incident is logged for it
+        log = EventLog()
+        code = wimax_code("1/2", 576)
+        svc = DecodeService(code, batch_size=2, queue_capacity=4,
+                            autostart=False, log=log)
+        frames = generate_traffic(code, 5, 4.0, seed=1)
+        try:
+            for frame in frames[:4]:
+                svc.submit(frame)
+            with pytest.raises(QueueFullError):
+                svc.submit(frames[4])
+            snap = svc.metrics.snapshot()
+        finally:
+            svc.close()
+        assert snap.frames_rejected == 1
+        assert snap.frames_shed == 0
+        assert log.records(event="pool.shed") == []
