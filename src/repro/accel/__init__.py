@@ -1,14 +1,22 @@
-"""Acceleration layer: cached code-plans and process sharding.
+"""Acceleration layer: cached code-plans, the compiled kernel, process
+sharding.
 
 Where the paper scales throughput by widening the hardware datapath
 (Fig 3's unroll sweep), this package scales the *software* datapath
-along two axes:
+along three axes:
 
 * :mod:`repro.accel.plan` — :class:`CodePlan` / :class:`CodePlanCache`:
   per-code precomputed gather/scatter index arrays, shift tables, and
   check-adjacency layouts, built once per code structure and memoized
   (thread-safe, explicitly invalidatable).  Both numpy decoders consume
   plans, so layer indexing is never re-derived inside an iteration loop.
+* ``kernel.c`` and :mod:`repro.accel.native` — the paper's layer loop
+  nest in C (barrel shift, core1, core2 per block column, over z check
+  rows times the batch's frame lanes), which
+  :class:`~repro.serve.batch.BatchLayeredMinSumDecoder` calls once per
+  iteration.  It is built at first use with the system C compiler and
+  cached per user; without a compiler the batch kernel runs its numpy
+  passes, bit for bit the same.
 * :mod:`repro.accel.procpool` — :class:`ProcessEngineProxy`: the
   multiprocess shard backend of
   :class:`~repro.serve.pool.DecodeService` (``backend="process"``): one

@@ -35,7 +35,7 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.utils.tables import render_table
 
@@ -199,6 +199,47 @@ class _Span(object):
         )
 
 
+class _SpanRun(tuple):
+    """Sibling spans from one :meth:`TraceRecorder.complete_spans` call.
+
+    ``(name, clock, offset, spans, ids, parent_id, depth, thread_id)``:
+    the call's clock readings and span table, built into
+    :class:`SpanRecord` objects only when the buffer is read, so the hot
+    loop pays for one tuple per call, not one record per span.
+    ``offset`` maps the clock onto the recorder's time base.
+    """
+
+    __slots__ = ()
+
+    @property
+    def count(self) -> int:
+        return len(self[3])
+
+    def newest(self, keep: int) -> "_SpanRun":
+        """The run without its oldest ``count - keep`` spans."""
+        name, clock, offset, spans, ids, parent_id, depth, thread_id = self
+        return _SpanRun((name, clock, offset, spans[len(spans) - keep:],
+                         ids[len(ids) - keep:], parent_id, depth, thread_id))
+
+    def records(self) -> List[SpanRecord]:
+        name, clock, offset, spans, ids, parent_id, depth, thread_id = self
+        return [
+            SpanRecord(name, offset + clock[i], offset + clock[j], "span",
+                       span_id, parent_id, depth, thread_id, labels)
+            for span_id, (i, j, labels) in zip(ids, spans)
+        ]
+
+
+def _expand(entries: list) -> List[SpanRecord]:
+    out: List[SpanRecord] = []
+    for entry in entries:
+        if isinstance(entry, _SpanRun):
+            out.extend(entry.records())
+        else:
+            out.append(entry)
+    return out
+
+
 class TraceRecorder(object):
     """Bounded, thread-safe recorder of nested spans and events.
 
@@ -221,7 +262,9 @@ class TraceRecorder(object):
         self.epoch = time.perf_counter()
         self.dropped = 0
         self._lock = threading.Lock()
-        self._buffer: "deque[SpanRecord]" = deque(maxlen=capacity)
+        #: records and span runs, oldest first; ``_size`` counts spans
+        self._buffer: "deque[Any]" = deque()
+        self._size = 0
         self._ids = itertools.count(1)
         self._local = threading.local()
 
@@ -304,6 +347,39 @@ class TraceRecorder(object):
             )
         )
 
+    def complete_spans(
+        self,
+        name: str,
+        clock: Sequence[float],
+        spans: Sequence[Tuple[int, int, Tuple[Tuple[str, Any], ...]]],
+        offset: float = 0.0,
+    ) -> None:
+        """Record sibling spans timed by an external clock, in one go.
+
+        ``clock`` holds readings of a clock that runs at
+        ``time.perf_counter()``'s rate, ``offset`` apart from it.  Each
+        item of ``spans`` is ``(i, j, labels)``: a span from ``clock[i]``
+        to ``clock[j]`` with already sorted label pairs.  The spans
+        share the current parent and are built into records only when
+        the buffer is read, so a loop timed inside compiled code (the
+        batch kernel's per-sweep ``batch.layer`` spans) pays for one
+        append per call.
+        """
+        if not self.enabled or not spans:
+            return
+        stack = self._stack()
+        run = _SpanRun((
+            name, clock, offset - self.epoch, spans,
+            tuple(itertools.islice(self._ids, len(spans))),
+            stack[-1].span_id if stack else None, len(stack),
+            threading.get_ident(),
+        ))
+        with self._lock:
+            self._buffer.append(run)
+            self._size += len(spans)
+            if self._size > self.capacity:
+                self._evict()
+
     def allocate_span_id(self) -> int:
         """Reserve a span id ahead of the span's :meth:`complete` call.
 
@@ -344,9 +420,10 @@ class TraceRecorder(object):
         consistent time base.
         """
         with self._lock:
-            records = list(self._buffer)
+            entries = list(self._buffer)
             self._buffer.clear()
-            return records
+            self._size = 0
+        return _expand(entries)
 
     def merge(
         self,
@@ -407,6 +484,7 @@ class TraceRecorder(object):
         """Drop every record and reset the epoch and drop counter."""
         with self._lock:
             self._buffer.clear()
+            self._size = 0
             self.dropped = 0
             self.epoch = time.perf_counter()
 
@@ -414,12 +492,13 @@ class TraceRecorder(object):
     # access / export
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._buffer)
+        return self._size
 
     def records(self) -> List[SpanRecord]:
         """Snapshot of the retained records, oldest first."""
         with self._lock:
-            return list(self._buffer)
+            entries = list(self._buffer)
+        return _expand(entries)
 
     def by_name(self, name: str) -> List[SpanRecord]:
         """Retained records with the given name."""
@@ -535,9 +614,22 @@ class TraceRecorder(object):
 
     def _append(self, record: SpanRecord) -> None:
         with self._lock:
-            if len(self._buffer) == self.capacity:
-                self.dropped += 1
             self._buffer.append(record)
+            self._size += 1
+            if self._size > self.capacity:
+                self._evict()
+
+    def _evict(self) -> None:
+        """Drop the oldest spans beyond capacity (caller holds the lock)."""
+        while self._size > self.capacity:
+            head = self._buffer.popleft()
+            count = head.count if isinstance(head, _SpanRun) else 1
+            excess = self._size - self.capacity
+            if count > excess:  # keep the run's newest spans
+                self._buffer.appendleft(head.newest(count - excess))
+                count = excess
+            self._size -= count
+            self.dropped += count
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,23 @@
-"""Vectorized batch kernel for layered scaled min-sum decoding.
+"""Batch kernel for layered scaled min-sum decoding.
 
-:class:`BatchLayeredMinSumDecoder` decodes a ``(B, n)`` LLR matrix with
-a handful of numpy passes per layer — the software analogue of the
-paper's z-way parallel datapath, with frames in place of circulant
-lanes.  It is bit-exact with
-:class:`~repro.decoder.layered.LayeredMinSumDecoder` in both float and
+:class:`BatchLayeredMinSumDecoder` decodes a ``(B, n)`` LLR matrix the
+way the paper's z-way parallel datapath does, with frames as extra
+lanes.  One iteration is one call into ``repro/accel/kernel.c``, the
+paper's C loop nest (per layer, per block column: barrel shift, core1,
+then core2's write-back) compiled at first use by
+:mod:`repro.accel.native`; the syndrome is a second call.  Without a C
+compiler the same state is iterated by a handful of numpy passes per
+layer sweep instead, bit for bit the same.  Both are bit-exact with
+:class:`~repro.decoder.layered.LayeredMinSumDecoder` in float and
 fixed-point modes; the golden vectors and the differential sweeps pin
 the equivalence.  How the passes stay value-identical to the per-frame
 update rule:
 
-* **frame-minor layout.**  P is ``(n, B)`` and each sweep's R store is
-  ``(degree, rows, B)``, so the batch axis is innermost and every
-  gather/scatter/reduction streams over contiguous frame lanes.
+* **frame-minor layout.**  P is ``(n, B)`` and R one contiguous
+  ``(rows, B)`` buffer whose per-sweep ``(degree, rows, B)`` blocks are
+  views, so the batch axis is innermost and every
+  gather/scatter/reduction streams over contiguous frame lanes; a
+  circulant's rotation is two contiguous runs (the barrel shifter).
 * **layer sweeps.**  A pass updates a whole sweep of the plan
   (:attr:`~repro.accel.plan.CodePlan.sweeps`): a maximal run of
   consecutive layers that share no block column and have one degree.
@@ -32,12 +38,11 @@ update rule:
   positive, like a two's-complement MSB).  The float path applies the
   own sign with one ``np.copysign`` against Q; the fixed path folds the
   parity into the small per-check minima before the select.
-* **one-gather syndrome.**  The parity check reads every check's hard
-  decisions through the plan's padded check-major index in one gather,
-  one XOR reduction and one count, whatever the number of layers.
-* **preallocated scratch.**  Per-pass temporaries live in reusable
-  buffers, one set per (degree, check rows, batch width); once warm, a
-  pass allocates only its per-check ``(rows, B)`` values and the select.
+* **one-call syndrome.**  The parity check is one call (numpy: one
+  gather through the plan's padded check-major index, one XOR reduction
+  and one count), whatever the number of layers.
+* **preallocated scratch.**  Temporaries live in reusable buffers, one
+  set per batch width (numpy: per degree, check rows and width).
 * **narrow fixed-point state.**  The fixed mode stores P and R as
   ``int16`` (every intermediate of the 8-bit datapath provably fits).
 
@@ -61,7 +66,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.accel.plan import get_plan
+from repro.accel import native
+from repro.accel.plan import CodePlan, get_plan
 from repro.channel.quantize import MESSAGE_8BIT, FixedPointFormat
 from repro.codes.qc import QCLDPCCode
 from repro.decoder.layered import DEFAULT_MAX_ITERATIONS
@@ -74,6 +80,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import TraceRecorder
 
 __all__ = ["BatchLayeredMinSumDecoder"]
+
+
+def _edge_tables(plan: CodePlan) -> Tuple[np.ndarray, np.ndarray]:
+    """Routing tables of ``kernel.c`` for the sweep-ordered R layout.
+
+    Returns ``layer_edge`` (``num_layers + 1`` offsets into the edge
+    list) and ``edges`` (``(E, 3)``: the block column's first variable,
+    the circulant shift, and the edge's first row in the R buffer,
+    where sweep ``s``'s ``(degree, k * z)`` block follows sweep
+    ``s - 1``'s and layer ``i`` of the sweep owns rows ``i * z ..`` of
+    each edge row).
+    """
+    z = plan.z
+    layer_edge = [0]
+    edges = []
+    row = 0
+    for sw in plan.sweeps:
+        rows = sw.var_idx.shape[1]
+        for i, l in enumerate(sw.layers):
+            lp = plan.layers[l]
+            for d, (col, shift) in enumerate(zip(lp.block_cols, lp.shifts)):
+                edges.append((int(col) * z, int(shift) % z,
+                              row + d * rows + i * z))
+            layer_edge.append(len(edges))
+        row += sw.var_idx.size
+    return (np.array(layer_edge, dtype=np.int32),
+            np.array(edges, dtype=np.int32).reshape(-1, 3))
+
 
 class _LayerScratch(object):
     """Reusable pass temporaries for one (degree, rows, batch) shape."""
@@ -163,6 +197,37 @@ class BatchLayeredMinSumDecoder(object):
         self._scratch: Dict[Tuple[int, int, int], _LayerScratch] = {}
         #: syndrome hard-decision buffers, ``(n + 1, A)`` per state width A
         self._syndrome_bits: Dict[int, np.ndarray] = {}
+        #: R layout: one ``(degree, rows)`` block per sweep, stacked
+        #: frame-minor into one ``(rows, B)`` buffer
+        self._r_blocks = [sw.var_idx.shape for sw in self.plan.sweeps]
+        #: the compiled layer loop nest (None: the numpy path below)
+        self._native = native.load()
+        if self._native is not None:
+            self._bind_native()
+
+    def _bind_native(self) -> None:
+        """Routing tables, entry points and constants of ``kernel.c``."""
+        kernel = self._native
+        self._layer_edge, self._edges = _edge_tables(self.plan)
+        self._tables = (self._layer_edge.ctypes.data, self._edges.ctypes.data)
+        self._sweep_layers = [
+            (sw.layers[0], sw.layers[-1] + 1) for sw in self.plan.sweeps
+        ]
+        #: a traced iteration's clock readings, one per layer boundary
+        self._stamps = np.zeros(self.plan.num_layers + 1)
+        self._stamps_addr = self._stamps.ctypes.data
+        self._span_labels: Dict[int, list] = {}
+        if self.fixed:
+            self._iterate_fn = kernel.iterate_i16
+            self._syndrome_fn = kernel.syndrome_i16
+            self._consts: tuple = (int(self._lo), int(self._hi))
+        else:
+            self._iterate_fn = kernel.iterate_f64
+            self._syndrome_fn = kernel.syndrome_f64
+            self._consts = (float(self.scaling_factor),)
+        self._native_bufs: Dict[int, tuple] = {}
+        #: (P, first R view, call arguments) of the last state iterated
+        self._bound: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # state primitives (shared with the continuous-batching engine)
@@ -184,14 +249,81 @@ class BatchLayeredMinSumDecoder(object):
         return p
 
     def new_r_state(self, batch: int) -> List[np.ndarray]:
-        """Zeroed per-sweep R messages in ``(degree, rows, batch)`` layout."""
-        return [
-            np.zeros(sw.var_idx.shape + (batch,), dtype=self._dtype)
-            for sw in self.plan.sweeps
-        ]
+        """Zeroed R messages: ``(degree, rows, batch)`` views, one per
+        block, into one contiguous ``(rows, batch)`` buffer."""
+        return self._r_views(
+            np.zeros((self._r_rows, batch), dtype=self._dtype)
+        )
+
+    @property
+    def _r_rows(self) -> int:
+        return sum(degree * rows for degree, rows in self._r_blocks)
+
+    def _r_views(self, buf: np.ndarray) -> List[np.ndarray]:
+        views, row = [], 0
+        for degree, rows in self._r_blocks:
+            views.append(buf[row : row + degree * rows].reshape(
+                degree, rows, buf.shape[1]))
+            row += degree * rows
+        return views
+
+    def _r_buffer(self, r: List[np.ndarray], width: int) -> np.ndarray:
+        """The one buffer behind the R views of ``r``."""
+        buf = r[0].base if r else None
+        if (
+            buf is None
+            or buf.shape != (self._r_rows, width)
+            or buf.dtype != self._dtype
+            or not buf.flags.c_contiguous
+            or any(rl.base is not buf for rl in r)
+        ):
+            raise DecodingError(
+                "R state must come from new_r_state, compact or resize"
+            )
+        return buf
 
     def iterate_once(self, p: np.ndarray, r: List[np.ndarray]) -> None:
-        """Run one full iteration (all sweeps) in place on ``(n, A)`` state."""
+        """Run one full iteration (all sweeps) in place on ``(n, A)`` state.
+
+        One call into the compiled loop nest.  A traced run passes a
+        stamp buffer the loop fills with the clock after every layer,
+        and every sweep becomes a ``batch.layer`` span from those
+        stamps, so the spans time the C loop itself, not the calls.
+        """
+        if self._native is None:
+            self._iterate_numpy(p, r)
+            return
+        args = self._bind(p, r)
+        rec = self.recorder
+        if rec is None or not rec.enabled:
+            self._iterate_fn(*self._tables, 0, self.plan.num_layers, *args,
+                             None)
+            return
+        t0 = time.perf_counter()
+        self._iterate_fn(*self._tables, 0, self.plan.num_layers, *args,
+                         self._stamps_addr)
+        stamps = self._stamps.tolist()
+        rec.complete_spans("batch.layer", stamps,
+                           self._sweep_spans(p.shape[1]),
+                           offset=t0 - stamps[0])
+
+    def _sweep_spans(self, batch: int) -> list:
+        """Per sweep: its first and end layer boundary (indices into the
+        stamps) and its ``batch.layer`` span labels."""
+        spans = self._span_labels.get(batch)
+        if spans is None:
+            mode = "fixed" if self.fixed else "float"
+            spans = [
+                (l0, l1, (("batch", batch), ("layer", l0),
+                          ("layers", l1 - l0), ("mode", mode)))
+                for l0, l1 in self._sweep_layers
+            ]
+            self._span_labels[batch] = spans
+        return spans
+
+    def _iterate_numpy(self, p: np.ndarray, r: List[np.ndarray]) -> None:
+        """:meth:`iterate_once` without a compiler: a few numpy passes
+        per sweep on the same state."""
         rec = self.recorder
         tracing = rec is not None and rec.enabled
         batch = p.shape[1]
@@ -206,25 +338,79 @@ class BatchLayeredMinSumDecoder(object):
                 rec.complete("batch.layer", layer_t0, layer=sw.layers[0],
                              layers=len(sw.layers), batch=batch, mode=mode)
 
+    def _native_buffers(self, width: int) -> tuple:
+        """Per state width: ``(scratch, scratch address, weights, weights
+        address)`` — the C loop's ``(3 + max_degree) * z * A`` scratch
+        and the syndrome's ``A``-entry output, kept alive here."""
+        bufs = self._native_bufs.get(width)
+        if bufs is None:
+            size = (3 + self.plan.max_degree) * self.plan.z * width
+            scratch = np.empty(max(size, 1), dtype=self._dtype)
+            weights = np.empty(max(width, 1), dtype=np.int64)
+            bufs = (scratch, scratch.ctypes.data, weights, weights.ctypes.data)
+            self._native_bufs[width] = bufs
+        return bufs
+
+    def _bind(self, p: np.ndarray, r: List[np.ndarray]) -> tuple:
+        """State arguments of the C iteration, cached per state."""
+        bound = self._bound
+        if bound is not None and bound[0] is p and bound[1] is r[0]:
+            return bound[2]
+        if p.dtype != self._dtype or not p.flags.c_contiguous:
+            raise DecodingError(
+                f"P state must be a C-contiguous "
+                f"{np.dtype(self._dtype).name} array from prepare()"
+            )
+        width = self._p_width(p)
+        args = (
+            self.plan.z, width, p.ctypes.data,
+            self._r_buffer(r, width).ctypes.data,
+            self._native_buffers(width)[1],
+        ) + self._consts
+        self._bound = (p, r[0], args)
+        return args
+
+    def _p_width(self, p: np.ndarray) -> int:
+        """Frames held by an ``(n, A)`` P state handed to the C loop."""
+        if p.ndim != 2 or p.shape[0] != self.code.n:
+            raise DecodingError(
+                f"P state shape {p.shape} != ({self.code.n}, B)"
+            )
+        return int(p.shape[1])
+
     def syndrome_weights(self, p: np.ndarray, frames=None) -> np.ndarray:
         """Unsatisfied-check count per frame of an ``(n, A)`` P state.
 
         ``frames`` optionally restricts the result to a subset of frames
-        (an index array).  One gather through the plan's padded
-        check-major index reads every check's hard decisions at once
-        (pad entries hit the bit buffer's zero last row), so the call
-        count does not grow with the number of layers.  The bit buffer
-        is kept per state width, which the engine holds to a few powers
-        of two.
+        (an index array).  The compiled kernel counts every check's
+        parity in one call.  The numpy path gathers every check's hard
+        decisions at once through the plan's padded check-major index
+        (pad entries hit the bit buffer's zero last row), so its call
+        count does not grow with the number of layers either.
         """
+        if self._native is None:
+            weights = self._syndrome_numpy(p)
+            return weights if frames is None else weights[frames]
+        bound = self._bound
+        if bound is not None and bound[0] is p:
+            p_addr = bound[2][2]   # the state just iterated
+        else:
+            p = np.ascontiguousarray(p, dtype=self._dtype)
+            p_addr = p.ctypes.data
+        width = self._p_width(p)
+        _, scratch_addr, weights, weights_addr = self._native_buffers(width)
+        self._syndrome_fn(*self._tables, self.plan.num_layers, self.plan.z,
+                          width, p_addr, scratch_addr, weights_addr)
+        return weights[:width].copy() if frames is None else weights[frames]
+
+    def _syndrome_numpy(self, p: np.ndarray) -> np.ndarray:
         bits = self._syndrome_bits.get(p.shape[1])
         if bits is None:
             bits = np.zeros((self.code.n + 1, p.shape[1]), dtype=bool)
             self._syndrome_bits[p.shape[1]] = bits
         np.less(p, 0, out=bits[:-1])   # hard decision; last row stays 0
         edges = np.take(bits, self.plan.check_idx, axis=0)
-        weights = np.count_nonzero(np.logical_xor.reduce(edges, axis=0), axis=0)
-        return weights if frames is None else weights[frames]
+        return np.count_nonzero(np.logical_xor.reduce(edges, axis=0), axis=0)
 
     def finalize_llrs(self, p: np.ndarray) -> np.ndarray:
         """Frame-minor P state -> ``(A, n)`` a-posteriori LLRs."""
@@ -244,8 +430,7 @@ class BatchLayeredMinSumDecoder(object):
     ) -> None:
         """Overwrite slot ``slot`` with a fresh frame's initial state."""
         p[:, slot] = self.prepare(llrs[None, :])[:, 0]
-        for rl in r:
-            rl[:, :, slot] = 0
+        self._r_buffer(r, p.shape[1])[:, slot] = 0
 
     def frame_bits(self, p: np.ndarray, frame: int) -> np.ndarray:
         """Hard-decision bits of one frame of P state."""
@@ -274,9 +459,11 @@ class BatchLayeredMinSumDecoder(object):
         """Drop retired frames from the working state (boolean mask).
 
         ``compress`` copies in C order, so the surviving state stays
-        frame-minor and contiguous for the remaining iterations.
+        frame-minor and contiguous for the remaining iterations; R is
+        re-laid into one fresh buffer.
         """
-        return p.compress(keep, axis=1), [rl.compress(keep, axis=2) for rl in r]
+        buf = self._r_buffer(r, p.shape[1])
+        return p.compress(keep, axis=1), self._r_views(buf.compress(keep, axis=1))
 
     def resize(
         self, p: np.ndarray, r: List[np.ndarray], width: int
@@ -289,10 +476,9 @@ class BatchLayeredMinSumDecoder(object):
         keep = min(width, p.shape[1])
         new_p = np.zeros((p.shape[0], width), dtype=p.dtype)
         new_p[:, :keep] = p[:, :keep]
-        new_r = self.new_r_state(width)
-        for old, new in zip(r, new_r):
-            new[:, :, :keep] = old[:, :, :keep]
-        return new_p, new_r
+        new_buf = np.zeros((self._r_rows, width), dtype=self._dtype)
+        new_buf[:, :keep] = self._r_buffer(r, p.shape[1])[:, :keep]
+        return new_p, self._r_views(new_buf)
 
     # ------------------------------------------------------------------
     # public API

@@ -6,7 +6,7 @@ same vertical shuffled schedule (sweep block columns; per column,
 re-evaluate each incident layer and write back only that column's
 edges) on the row kernel's frame-minor state.  It subclasses the
 row-layered batch kernel and replaces only :meth:`iterate_once` and the
-R layout (one ``(degree, z, B)`` array per layer: a column visit touches
+R layout (one ``(degree, z, B)`` block per layer: a column visit touches
 one layer at a time, so the row kernel's sweep fusion does not apply),
 so the state primitives, the early-retirement batch driver, and the
 continuous-batching engine integration all carry over unchanged —
@@ -45,13 +45,8 @@ class ColumnBatchLayeredMinSumDecoder(BatchLayeredMinSumDecoder):
         super().__init__(*args, **kwargs)
         self.col_edges = column_adjacency(self.plan)
         self.column_order = list(range(len(self.col_edges)))
-
-    def new_r_state(self, batch: int) -> List[np.ndarray]:
-        """Zeroed per-layer R messages in ``(degree, z, batch)`` layout."""
-        return [
-            np.zeros(lp.var_idx.shape + (batch,), dtype=self._dtype)
-            for lp in self.plan.layers
-        ]
+        # one (degree, z) R block per layer, not per sweep
+        self._r_blocks = [lp.var_idx.shape for lp in self.plan.layers]
 
     def iterate_once(self, p: np.ndarray, r: List[np.ndarray]) -> None:
         """One column-layered iteration in place on ``(n, A)`` state."""

@@ -675,6 +675,10 @@ class DecodeService(object):
         raises ``exc``, by default a typed :class:`ServeError`, so the
         futures it fails carry a typed error.  Used by the soak harness
         and resilience tests; returns the targeted key.
+
+        A shard takes at most one pending injected crash: a second call
+        that targets it before its worker's next turn changes nothing,
+        logs nothing and returns the same key.
         """
         with self._lock:
             if key is None:
@@ -691,6 +695,8 @@ class DecodeService(object):
                     raise ServeError(
                         f"unknown shard key {key!r}; have {list(self._shards)}"
                     )
+            if shard.crash_next is not None:
+                return shard.key  # one crash, one event
             shard.crash_next = exc or ServeError(
                 f"injected worker crash (shard {shard.key!r})"
             )
@@ -975,8 +981,14 @@ class DecodeService(object):
                      shard=shard.key, error=repr(exc), strikes=shard.strikes)
                 # fail-fast: every pending future resolves *now* with a
                 # typed error instead of hanging on a dead worker
-                self._fail_in_flight(shard, exc)
-                self._fail_queue(shard, exc)
+                error = exc
+                if not isinstance(exc, ServeError):
+                    error = ServeError(
+                        f"shard {shard.key!r} worker crashed: {exc!r}"
+                    )
+                    error.__cause__ = exc
+                self._fail_in_flight(shard, error)
+                self._fail_queue(shard, error)
                 self._close_engine(shard.engine)
                 shard.engine = shard.make_engine()
                 if shard.stopping.is_set():

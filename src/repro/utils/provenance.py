@@ -8,7 +8,11 @@ and ``BENCH_history.jsonl`` can compare runs across commits:
   incompatibly, so downstream tooling can refuse rather than misread;
 * ``bench`` — which bench produced the document;
 * ``commit`` — ``git describe --always --dirty`` of the working tree
-  (``"unknown"`` outside a repository or without git installed).
+  (``"unknown"`` outside a repository or without git installed);
+* ``kernel`` — which batch kernel decoded: the compiled loop nest's
+  compiler version, flags and source hash, or ``"numpy"`` on the
+  fallback (see :mod:`repro.accel.native`), so no baseline is compared
+  across kernels unnoticed.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 import os
 import subprocess
 from typing import Any, Dict
+
+from repro.accel.native import kernel_info
 
 __all__ = ["BENCH_SCHEMA_VERSION", "bench_meta", "git_commit"]
 
@@ -51,4 +57,5 @@ def bench_meta(bench: str) -> Dict[str, Any]:
         "schema_version": BENCH_SCHEMA_VERSION,
         "bench": bench,
         "commit": git_commit(),
+        "kernel": kernel_info(),
     }

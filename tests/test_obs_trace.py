@@ -94,6 +94,32 @@ class TestRingBuffer(object):
         assert rec.dropped == 6
         assert [r.name for r in rec.records()] == ["e6", "e7", "e8", "e9"]
 
+    def test_complete_spans_nest_label_and_count_evictions(self):
+        rec = TraceRecorder(capacity=4)
+        rec.event("e0")
+        t0 = time.perf_counter()
+        clock = [10.0, 10.5, 11.0, 11.5, 12.0]  # another clock's readings
+        with rec.span("outer"):
+            rec.complete_spans(
+                "part", clock,
+                [(i, i + 1, (("i", i),)) for i in range(4)],
+                offset=t0 - 10.0,
+            )
+        assert len(rec) == 4
+        assert rec.dropped == 2  # e0 and the first part; outer is last
+        parts = rec.by_name("part")
+        outer = rec.by_name("outer")[0]
+        assert [dict(p.labels)["i"] for p in parts] == [1, 2, 3]
+        assert len({p.span_id for p in parts} | {outer.span_id}) == 4
+        assert all(p.parent_id == outer.span_id for p in parts)
+        assert all(p.depth == 1 for p in parts)
+        assert parts[0].start_s == pytest.approx(t0 + 0.5 - rec.epoch)
+        assert parts[0].end_s - parts[0].start_s == pytest.approx(0.5)
+        assert [r.name for r in rec.drain()] == ["part"] * 3 + ["outer"]
+        assert len(rec) == 0
+        TraceRecorder(enabled=False).complete_spans("part", clock,
+                                                    [(0, 1, ())])
+
     def test_clear_resets_everything(self):
         rec = TraceRecorder(capacity=2)
         for _ in range(5):

@@ -28,6 +28,7 @@ from repro.serve import (
     NoShedPolicy,
     StepShedPolicy,
 )
+from repro.obs.log import EventLog
 from repro.serve.pool import ServiceHealth, ShardHealth
 from tests.test_serve_batch import traffic
 
@@ -72,10 +73,12 @@ class TestWorkerCrashRecovery:
         futures = [svc.submit(f) for f in traffic(wimax_short, 5, seed=50)]
         _crash_engine(_shard(svc).engine)
         svc.start()
-        # every pre-crash future fails fast with the crash exception
+        # every pre-crash future fails fast with a typed error that
+        # chains the crash exception
         for f in futures:
-            with pytest.raises(RuntimeError, match="injected crash"):
+            with pytest.raises(ServeError, match="injected crash") as info:
                 f.result(timeout=10)
+            assert isinstance(info.value.__cause__, RuntimeError)
         # the supervisor rebuilt the engine: the shard still serves
         good = traffic(wimax_short, 1, seed=51, ebno_range=(4.0, 4.0))[0]
         assert svc.decode(good, timeout=30).result.converged
@@ -102,7 +105,7 @@ class TestWorkerCrashRecovery:
             try:
                 f.result(timeout=30)
                 outcomes["ok"] += 1
-            except RuntimeError:
+            except ServeError:
                 outcomes["failed"] += 1
         assert outcomes["ok"] + outcomes["failed"] == 24
         assert outcomes["failed"] >= 1  # the crash really happened
@@ -125,8 +128,9 @@ class TestWorkerCrashRecovery:
         _crash_forever(svc)
         future = svc.submit(traffic(wimax_short, 1, seed=54)[0])
         svc.start()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ServeError) as info:
             future.result(timeout=10)
+        assert isinstance(info.value.__cause__, RuntimeError)
         # a crash only happens while stepping work: wait for the restart,
         # then feed the shard its second (and final) strike
         deadline = time.monotonic() + 10
@@ -134,7 +138,7 @@ class TestWorkerCrashRecovery:
             assert time.monotonic() < deadline
             time.sleep(0.01)
         second = svc.submit(traffic(wimax_short, 1, seed=55)[0])
-        with pytest.raises((RuntimeError, ShardDeadError)):
+        with pytest.raises(ServeError):  # the crash, or ShardDeadError
             second.result(timeout=10)
         shard = _shard(svc)
         shard.thread.join(timeout=10)  # supervisor gives up and exits
@@ -157,11 +161,35 @@ class TestWorkerCrashRecovery:
         _crash_forever(svc)
         svc.start()
         future = svc.submit(traffic(wimax_short, 1, seed=56)[0])
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ServeError) as info:
             future.result(timeout=10)
+        assert isinstance(info.value.__cause__, RuntimeError)
         _shard(svc).thread.join(timeout=10)
         with pytest.raises(ShardDeadError):
             svc.submit(traffic(wimax_short, 1, seed=57)[0])
+        svc.close(wait=True)
+
+    def test_two_injections_before_the_next_turn_are_one_crash(
+        self, wimax_short
+    ):
+        log = EventLog()
+        svc = DecodeService(
+            wimax_short, batch_size=2, autostart=False, log=log, **FAST
+        )
+        key = svc.inject_worker_crash()
+        assert svc.inject_worker_crash() == key  # no-op: one is pending
+        svc.start()
+        deadline = time.monotonic() + 10
+        while svc.metrics.snapshot().worker_restarts < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        good = traffic(wimax_short, 1, seed=61, ebno_range=(4.0, 4.0))[0]
+        assert svc.decode(good, timeout=30).result.converged
+        events = [record.event for record in log.records()]
+        assert events.count("pool.inject_crash") == 1
+        assert events.count("pool.crash") == 1
+        assert svc.metrics.snapshot().worker_restarts == 1
+        assert svc.health().shards[key].restarts == 1
         svc.close(wait=True)
 
     def test_degraded_status_until_next_success(self, wimax_short):
@@ -172,8 +200,9 @@ class TestWorkerCrashRecovery:
         future = svc.submit(traffic(wimax_short, 1, seed=58)[0])
         _crash_engine(_shard(svc).engine)
         svc.start()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ServeError) as info:
             future.result(timeout=10)
+        assert isinstance(info.value.__cause__, RuntimeError)
         deadline = time.monotonic() + 10
         while svc.health().status != "degraded":
             assert time.monotonic() < deadline
