@@ -6,8 +6,8 @@ Where the paper scales throughput by widening the hardware datapath
 along three axes:
 
 * :mod:`repro.accel.plan` — :class:`CodePlan` / :class:`CodePlanCache`:
-  per-code precomputed gather/scatter index arrays, shift tables, and
-  check-adjacency layouts, built once per code structure and memoized
+  per-code precomputed gather/scatter index arrays and shift tables,
+  built once per code structure and memoized
   (thread-safe, explicitly invalidatable).  Both numpy decoders consume
   plans, so layer indexing is never re-derived inside an iteration loop.
 * ``kernel.c`` and :mod:`repro.accel.native` — the paper's layer loop
@@ -15,8 +15,8 @@ along three axes:
   rows times the batch's frame lanes), which
   :class:`~repro.serve.batch.BatchLayeredMinSumDecoder` calls once per
   iteration.  It is built at first use with the system C compiler and
-  cached per user; without a compiler the batch kernel runs its numpy
-  passes, bit for bit the same.
+  cached per user; without a compiler the batch kernel runs the same
+  loop as numpy passes, one layer at a time, bit for bit the same.
 * :mod:`repro.accel.procpool` — :class:`ProcessEngineProxy`: the
   multiprocess shard backend of
   :class:`~repro.serve.pool.DecodeService` (``backend="process"``): one

@@ -10,15 +10,14 @@
  *
  * State (all C-contiguous, frames innermost):
  *   p   (n, B)       a-posteriori LLRs, variable v of frame b at v*B + b
- *   r   (rows, B)    check messages; edge e of a layer starts at row
- *                    edges[3e+2] and covers z rows
+ *   r   (E*z, B)     check messages, edges numbered layer by layer:
+ *                    edge e owns rows e*z .. (e+1)*z
  *
  * Routing tables, built once per code structure by repro.serve.batch:
  *   layer_edge[l] .. layer_edge[l+1]   the edges of layer l
- *   edges[3e]   first variable of the edge's block column (col * z)
- *   edges[3e+1] circulant shift s: check row i reads variable
+ *   edges[2e]   first variable of the edge's block column (col * z)
+ *   edges[2e+1] circulant shift s: check row i reads variable
  *               col*z + (i + s) % z, i.e. two contiguous runs
- *   edges[3e+2] the edge's first R row
  *
  * A traced run passes stamps, L + 1 doubles: the monotonic clock in
  * seconds at the start and after each layer (NULL when untraced).
@@ -148,7 +147,7 @@ static inline void core2_i16(int16_t *restrict p, int16_t *restrict r,
     PAR_T *par = (PAR_T *)(scratch + 2 * tile);                              \
     if (stamps)                                                              \
         stamps[0] = seconds();                                               \
-    for (int32_t l = l0; l < l1; l++) {                                      \
+    for (int32_t l = 0; l < L; l++) {                                        \
         const int32_t e0 = layer_edge[l], deg = layer_edge[l + 1] - e0;      \
         for (i64 t0 = 0; t0 < zb; t0 += tile) {                              \
             const i64 t1 = t0 + tile < zb ? t0 + tile : zb;                  \
@@ -157,10 +156,10 @@ static inline void core2_i16(int16_t *restrict p, int16_t *restrict r,
                 par[j] = 0;                                                  \
             }                                                                \
             for (int32_t d = 0; d < deg; d++) {                              \
-                const int32_t *ed = edges + 3 * (e0 + d);                    \
+                const int32_t *ed = edges + 2 * (e0 + d);                    \
                 const i64 head = (i64)(z - ed[1]) * B;                       \
                 const i64 mid = head < t0 ? t0 : head > t1 ? t1 : head;      \
-                const T *src = p + (i64)ed[0] * B, *rd = r + (i64)ed[2] * B; \
+                const T *src = p + (i64)ed[0] * B, *rd = r + (e0 + d) * zb;  \
                 T *qd = q + d * tile;                                        \
                 if (mid > t0)                                                \
                     CORE1(src + zb - head + t0, rd + t0, qd, m1, m2, par,    \
@@ -173,10 +172,10 @@ static inline void core2_i16(int16_t *restrict p, int16_t *restrict r,
             if (deg == 1)                                                    \
                 memcpy(m2, m1, (size_t)(t1 - t0) * sizeof(T));               \
             for (int32_t d = 0; d < deg; d++) {                              \
-                const int32_t *ed = edges + 3 * (e0 + d);                    \
+                const int32_t *ed = edges + 2 * (e0 + d);                    \
                 const i64 head = (i64)(z - ed[1]) * B;                       \
                 const i64 mid = head < t0 ? t0 : head > t1 ? t1 : head;      \
-                T *dst = p + (i64)ed[0] * B, *rd = r + (i64)ed[2] * B;       \
+                T *dst = p + (i64)ed[0] * B, *rd = r + (e0 + d) * zb;        \
                 const T *qd = q + d * tile;                                  \
                 if (mid > t0)                                                \
                     CORE2(dst + zb - head + t0, rd + t0, qd, m1, m2, par,    \
@@ -188,24 +187,24 @@ static inline void core2_i16(int16_t *restrict p, int16_t *restrict r,
             }                                                                \
         }                                                                    \
         if (stamps)                                                          \
-            stamps[l - l0 + 1] = seconds();                                  \
+            stamps[l + 1] = seconds();                                       \
     }
 
-/* One iteration over layers [l0, l1) in float64.  scratch holds
+/* One iteration over layers [0, L) in float64.  scratch holds
  * (3 + max_degree) * min(z * B, TILE) doubles. */
 void ldpc_iterate_f64(const int32_t *layer_edge, const int32_t *edges,
-                      int32_t l0, int32_t l1, int32_t z, i64 B,
+                      int32_t L, int32_t z, i64 B,
                       double *p, double *r, double *scratch, double scale,
                       double *stamps)
 {
     LAYER_LOOP(double, uint64_t, INFINITY, core1_f64, core2_f64, scale)
 }
 
-/* One iteration over layers [l0, l1) in 8-bit fixed point on int16
+/* One iteration over layers [0, L) in 8-bit fixed point on int16
  * state, saturating to [lo, hi].  scratch holds (3 + max_degree) *
  * min(z * B, TILE) int16 values. */
 void ldpc_iterate_i16(const int32_t *layer_edge, const int32_t *edges,
-                      int32_t l0, int32_t l1, int32_t z, i64 B,
+                      int32_t L, int32_t z, i64 B,
                       int16_t *p, int16_t *r, int16_t *scratch,
                       int16_t lo, int16_t hi, double *stamps)
 {
@@ -227,7 +226,7 @@ void NAME(const int32_t *layer_edge, const int32_t *edges, int32_t L,      \
         for (i64 j = 0; j < zb; j++)                                        \
             par[j] = 0;                                                     \
         for (int32_t e = layer_edge[l]; e < layer_edge[l + 1]; e++) {       \
-            const int32_t *ed = edges + 3 * e;                              \
+            const int32_t *ed = edges + 2 * e;                              \
             const i64 head = (i64)(z - ed[1]) * B;                          \
             const T *restrict src = p + (i64)ed[0] * B;                     \
             for (i64 j = 0; j < head; j++)                                  \

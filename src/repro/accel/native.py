@@ -68,12 +68,11 @@ _VOID_P = ctypes.c_void_p
 _I32 = ctypes.c_int32
 _I64 = ctypes.c_int64
 _SIGNATURES = {
-    "ldpc_iterate_f64": (_VOID_P, _VOID_P, _I32, _I32, _I32, _I64,
-                         _VOID_P, _VOID_P, _VOID_P, ctypes.c_double,
+    "ldpc_iterate_f64": (_VOID_P, _VOID_P, _I32, _I32, _I64, _VOID_P,
+                         _VOID_P, _VOID_P, ctypes.c_double, _VOID_P),
+    "ldpc_iterate_i16": (_VOID_P, _VOID_P, _I32, _I32, _I64, _VOID_P,
+                         _VOID_P, _VOID_P, ctypes.c_int16, ctypes.c_int16,
                          _VOID_P),
-    "ldpc_iterate_i16": (_VOID_P, _VOID_P, _I32, _I32, _I32, _I64,
-                         _VOID_P, _VOID_P, _VOID_P, ctypes.c_int16,
-                         ctypes.c_int16, _VOID_P),
     "ldpc_syndrome_f64": (_VOID_P, _VOID_P, _I32, _I32, _I64, _VOID_P,
                           _VOID_P, _VOID_P),
     "ldpc_syndrome_i16": (_VOID_P, _VOID_P, _I32, _I32, _I64, _VOID_P,

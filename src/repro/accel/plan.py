@@ -3,8 +3,7 @@
 A :class:`CodePlan` is everything about a QC-LDPC code's *structure*
 that the layered min-sum hot loops would otherwise re-derive per layer
 per iteration: gather/scatter index arrays, circulant shift tables, and
-argmin comparison columns, and the grouping of consecutive layers into
-hazard-free sweeps.  It is the software analogue of the
+argmin comparison columns.  It is the software analogue of the
 finite-alphabet decoders' precomputed message-routing tables (Ghanaatian
 et al. 2017): build the routing once, then let every iteration be pure
 arithmetic over fixed views.
@@ -29,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +41,6 @@ __all__ = [
     "CodePlan",
     "CodePlanCache",
     "LayerPlan",
-    "SweepPlan",
     "column_adjacency",
     "default_plan_cache",
     "get_plan",
@@ -100,58 +98,6 @@ class LayerPlan(object):
 
 
 @dataclass(frozen=True)
-class SweepPlan(object):
-    """A maximal run of consecutive layers one kernel pass can update.
-
-    The layers share no block column and all have the same degree, so
-    updating them together reads and writes disjoint P rows — exactly
-    the values of updating them one after another, the case where the
-    paper's scoreboard lets core1 start layer ``l + 1`` without a
-    stall — and their edges stack without padding.
-
-    Attributes
-    ----------
-    layers:
-        The sweep's layer indices, consecutive and in natural order.
-    var_idx:
-        ``(degree, len(layers) * z)`` gather/scatter matrix: the
-        layers' :attr:`LayerPlan.var_idx` concatenated along the check
-        rows, so check row ``i * z + r`` is row ``r`` of ``layers[i]``.
-    """
-
-    layers: Tuple[int, ...]
-    var_idx: np.ndarray
-
-    @property
-    def degree(self) -> int:
-        """Check-node degree shared by every layer of the sweep."""
-        return int(self.var_idx.shape[0])
-
-
-def _sweeps(layers: Sequence[LayerPlan]) -> Tuple[SweepPlan, ...]:
-    """Group consecutive layers while they stay column-disjoint and of
-    one degree (a greedy pass, so every sweep is maximal)."""
-    runs: List[List[int]] = []
-    cols: Set[int] = set()
-    for l, lp in enumerate(layers):
-        block_cols = set(lp.block_cols.tolist())
-        if not runs or cols & block_cols or lp.degree != layers[l - 1].degree:
-            runs.append([])
-            cols = set()
-        runs[-1].append(l)
-        cols |= block_cols
-    return tuple(
-        SweepPlan(
-            layers=tuple(run),
-            var_idx=np.ascontiguousarray(
-                np.concatenate([layers[l].var_idx for l in run], axis=1)
-            ),
-        )
-        for run in runs
-    )
-
-
-@dataclass(frozen=True)
 class CodePlan(object):
     """Immutable precomputed index structure for one code.
 
@@ -163,19 +109,6 @@ class CodePlan(object):
         Code dimensions the kernels size their state from.
     layers:
         One :class:`LayerPlan` per block row, natural order.
-    sweeps:
-        The layers partitioned into :class:`SweepPlan` runs, natural
-        order: the row-layered batch kernel's pass list.  A code with no
-        fusable neighbours has one layer per sweep.
-    check_idx:
-        ``(max_degree, m)`` padded check-major gather index: column
-        ``c`` lists the variables of parity check ``c`` (layer ``c //
-        z``, row ``c % z``).  Checks of a layer narrower than
-        ``max_degree`` are padded with index ``n``, which points one row
-        past the variables: the syndrome gathers from an ``n + 1`` row
-        bit buffer whose last row is zero, so pad entries drop out of
-        the XOR and every check's parity is one gather and one reduce,
-        whatever the layer degrees.
     """
 
     key: str
@@ -184,38 +117,26 @@ class CodePlan(object):
     num_layers: int
     max_degree: int
     layers: Tuple[LayerPlan, ...]
-    sweeps: Tuple[SweepPlan, ...]
-    check_idx: np.ndarray
 
     @classmethod
     def build(cls, code: QCLDPCCode, key: Optional[str] = None) -> "CodePlan":
         """Derive a plan from ``code`` (normally via a cache, not directly)."""
-        layer_plans: List[LayerPlan] = []
-        check_idx = np.full(
-            (code.max_layer_degree, code.num_layers * code.z), code.n,
-            dtype=np.intp,
+        layer_plans = tuple(
+            LayerPlan(
+                block_cols=layer.block_cols,
+                shifts=layer.shifts,
+                var_idx=np.ascontiguousarray(layer.var_idx),
+                degree_col=np.arange(layer.degree, dtype=np.int64)[:, None],
+            )
+            for layer in code.layers
         )
-        for l, layer in enumerate(code.layers):
-            check_idx[: layer.degree, l * code.z : (l + 1) * code.z] = (
-                layer.var_idx
-            )
-            layer_plans.append(
-                LayerPlan(
-                    block_cols=layer.block_cols,
-                    shifts=layer.shifts,
-                    var_idx=np.ascontiguousarray(layer.var_idx),
-                    degree_col=np.arange(layer.degree, dtype=np.int64)[:, None],
-                )
-            )
         return cls(
             key=key if key is not None else plan_key(code),
             n=code.n,
             z=code.z,
             num_layers=code.num_layers,
             max_degree=code.max_layer_degree,
-            layers=tuple(layer_plans),
-            sweeps=_sweeps(layer_plans),
-            check_idx=check_idx,
+            layers=layer_plans,
         )
 
 

@@ -6,8 +6,7 @@ Two attribution surfaces feed this module:
   spans into a :class:`~repro.obs.trace.TraceRecorder` when one is
   attached, and :func:`layer_profile` folds them into per-layer wall
   time — the software mirror of the paper's cycles-per-layer accounting
-  (the batch kernel's ``batch.layer`` spans each cover one sweep of
-  ``layers`` fused layers, keyed by its first layer);
+  (the batch kernel's ``batch.layer`` spans fold the same way);
 * the **architecture simulators** already produce cycle-exact
   :class:`~repro.arch.scheduler_trace.ArchTrace` objects, and
   :func:`stage_profile` / :func:`arch_chrome_trace` turn them into the
@@ -38,18 +37,14 @@ def layer_profile(
 ) -> Dict[Any, Dict[str, float]]:
     """Fold ``decode.layer`` spans into per-layer wall-time totals.
 
-    Returns ``{layer_label: {"layers", "count", "total_s", "mean_s"}}``
-    keyed by the span's ``layer`` label; spans without one aggregate
-    under -1.  ``layers`` is the span's ``layers`` label (how many
-    layers one span covers; 1 when absent).
+    Returns ``{layer_label: {"count", "total_s", "mean_s"}}`` keyed by
+    the span's ``layer`` label; spans without one aggregate under -1.
     """
     agg: Dict[Any, Dict[str, float]] = {}
     for rec in recorder.by_name(span_name):
-        labels = rec.label_dict
+        layer = rec.label_dict.get("layer", -1)
         entry = agg.setdefault(
-            labels.get("layer", -1),
-            {"layers": labels.get("layers", 1), "count": 0,
-             "total_s": 0.0, "mean_s": 0.0},
+            layer, {"count": 0, "total_s": 0.0, "mean_s": 0.0}
         )
         entry["count"] += 1
         entry["total_s"] += rec.duration_s
@@ -69,13 +64,12 @@ def layer_profile_report(
         return f"{title}: (no decode.layer spans recorded)"
     total = sum(e["total_s"] for e in prof.values()) or 1.0
     rows = [
-        [layer, e["layers"], int(e["count"]), f"{e['total_s'] * 1e3:.3f}",
+        [layer, int(e["count"]), f"{e['total_s'] * 1e3:.3f}",
          f"{e['mean_s'] * 1e6:.1f}", f"{e['total_s'] / total:.1%}"]
         for layer, e in sorted(prof.items(), key=lambda kv: str(kv[0]))
     ]
     return render_table(
-        ["layer", "layers", "count", "total ms", "mean us", "share"], rows,
-        title=title,
+        ["layer", "count", "total ms", "mean us", "share"], rows, title=title
     )
 
 

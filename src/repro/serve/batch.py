@@ -7,26 +7,18 @@ paper's C loop nest (per layer, per block column: barrel shift, core1,
 then core2's write-back) compiled at first use by
 :mod:`repro.accel.native`; the syndrome is a second call.  Without a C
 compiler the same state is iterated by a handful of numpy passes per
-layer sweep instead, bit for bit the same.  Both are bit-exact with
+layer instead, bit for bit the same.  Both are bit-exact with
 :class:`~repro.decoder.layered.LayeredMinSumDecoder` in float and
-fixed-point modes; the golden vectors and the differential sweeps pin
+fixed-point modes; the golden vectors and the differential tests pin
 the equivalence.  How the passes stay value-identical to the per-frame
 update rule:
 
 * **frame-minor layout.**  P is ``(n, B)`` and R one contiguous
-  ``(rows, B)`` buffer whose per-sweep ``(degree, rows, B)`` blocks are
-  views, so the batch axis is innermost and every
+  ``(E * z, B)`` buffer, edges numbered layer by layer so that edge
+  ``e`` owns rows ``e * z .. (e + 1) * z``; each layer's ``(degree, z,
+  B)`` block is a view.  The batch axis is innermost, so every
   gather/scatter/reduction streams over contiguous frame lanes; a
   circulant's rotation is two contiguous runs (the barrel shifter).
-* **layer sweeps.**  A pass updates a whole sweep of the plan
-  (:attr:`~repro.accel.plan.CodePlan.sweeps`): a maximal run of
-  consecutive layers that share no block column and have one degree.
-  Disjoint columns mean disjoint P rows, so the fused pass reads and
-  writes exactly what the layers would one after another (the paper's
-  hazard-free pipelining of layer ``l + 1`` behind layer ``l``); equal
-  degree means the stacked edges need no padding or mask.  The code's
-  structure alone decides the fusion: NR extension rows fuse, while
-  every WiMAX and WiFi code keeps one layer per sweep.
 * **running two-min.**  ``min1``/``min2`` come from core1's comparator
   chain over the degree axis (``min2 = min(min2, max(min1, x))``, then
   ``min1 = min(min1, x)``), so ``min2`` is the exact second order
@@ -39,10 +31,9 @@ update rule:
   own sign with one ``np.copysign`` against Q; the fixed path folds the
   parity into the small per-check minima before the select.
 * **one-call syndrome.**  The parity check is one call (numpy: one
-  gather through the plan's padded check-major index, one XOR reduction
-  and one count), whatever the number of layers.
+  gather and one XOR reduction per layer, as the C loop does).
 * **preallocated scratch.**  Temporaries live in reusable buffers, one
-  set per batch width (numpy: per degree, check rows and width).
+  set per batch width (numpy: per degree and width).
 * **narrow fixed-point state.**  The fixed mode stores P and R as
   ``int16`` (every intermediate of the 8-bit datapath provably fits).
 
@@ -83,30 +74,19 @@ __all__ = ["BatchLayeredMinSumDecoder"]
 
 
 def _edge_tables(plan: CodePlan) -> Tuple[np.ndarray, np.ndarray]:
-    """Routing tables of ``kernel.c`` for the sweep-ordered R layout.
+    """Routing tables of ``kernel.c``.
 
     Returns ``layer_edge`` (``num_layers + 1`` offsets into the edge
-    list) and ``edges`` (``(E, 3)``: the block column's first variable,
-    the circulant shift, and the edge's first row in the R buffer,
-    where sweep ``s``'s ``(degree, k * z)`` block follows sweep
-    ``s - 1``'s and layer ``i`` of the sweep owns rows ``i * z ..`` of
-    each edge row).
+    list) and ``edges`` (``(E, 2)``: the block column's first variable
+    and the circulant shift).  Edges are numbered layer by layer, the
+    order of the R buffer, so edge ``e``'s messages are R rows ``e * z
+    .. (e + 1) * z``.
     """
-    z = plan.z
-    layer_edge = [0]
-    edges = []
-    row = 0
-    for sw in plan.sweeps:
-        rows = sw.var_idx.shape[1]
-        for i, l in enumerate(sw.layers):
-            lp = plan.layers[l]
-            for d, (col, shift) in enumerate(zip(lp.block_cols, lp.shifts)):
-                edges.append((int(col) * z, int(shift) % z,
-                              row + d * rows + i * z))
-            layer_edge.append(len(edges))
-        row += sw.var_idx.size
-    return (np.array(layer_edge, dtype=np.int32),
-            np.array(edges, dtype=np.int32).reshape(-1, 3))
+    layer_edge = np.cumsum([0] + [lp.degree for lp in plan.layers])
+    cols = np.concatenate([lp.block_cols for lp in plan.layers])
+    shifts = np.concatenate([lp.shifts for lp in plan.layers])
+    edges = np.stack([cols * plan.z, shifts % plan.z], axis=1)
+    return layer_edge.astype(np.int32), edges.astype(np.int32)
 
 
 class _LayerScratch(object):
@@ -140,25 +120,23 @@ class BatchLayeredMinSumDecoder(object):
         Bit-accurate 8-bit two's-complement arithmetic.
     fmt:
         Fixed-point message format (default: the paper's 8-bit format).
-    early_termination:
-        Retire frames as soon as their parity checks pass at an
-        iteration boundary (per-frame early exit, as in the paper).
     recorder:
         Optional :class:`~repro.obs.trace.TraceRecorder`; when enabled,
-        every sweep emits a ``batch.layer`` span (labelled ``layer``,
-        the sweep's first layer, ``layers``, how many layers it fused,
-        and ``batch``, the width iterated) and every full iteration a
-        ``batch.iteration`` span.  Tracing never touches the
-        working arrays, so batch results stay bit-exact with and
+        every layer emits a ``batch.layer`` span (labelled ``layer``,
+        ``batch``, the width iterated, and ``mode``) and every full
+        iteration a ``batch.iteration`` span.  Tracing never touches
+        the working arrays, so batch results stay bit-exact with and
         without it.
 
     Notes
     -----
     Kernel state is frame-minor: P is ``(n, B)`` and R one ``(degree,
-    k * z, B)`` array per sweep of ``k`` layers.  The batch driver and the
-    continuous-batching engine touch it only through the state
-    accessors (``prepare`` / ``load_slot`` / ``frame_bits`` /
-    ``compact`` / ``resize`` / ...).
+    z, B)`` view per layer into one ``(E * z, B)`` buffer.  The batch
+    driver and the continuous-batching engine touch it only through
+    the state accessors (``prepare`` / ``load_slot`` / ``frame_bits``
+    / ``compact`` / ``resize`` / ...).  :meth:`decode` retires each
+    frame at the first iteration boundary where its parity checks pass
+    (per-frame early exit, as in the paper).
     """
 
     def __init__(
@@ -168,7 +146,6 @@ class BatchLayeredMinSumDecoder(object):
         scaling_factor: float = SCALING_FACTOR,
         fixed: bool = False,
         fmt: FixedPointFormat = MESSAGE_8BIT,
-        early_termination: bool = True,
         recorder: "Optional[TraceRecorder]" = None,
     ) -> None:
         if max_iterations < 1:
@@ -182,7 +159,6 @@ class BatchLayeredMinSumDecoder(object):
         self.scaling_factor = scaling_factor
         self.fixed = fixed
         self.fmt = fmt
-        self.early_termination = early_termination
         self.recorder = recorder
         # Cached routing tables (gather indices) shared by every decoder
         # of this code structure.
@@ -194,12 +170,10 @@ class BatchLayeredMinSumDecoder(object):
         #: min identity (the column kernel masks an edge out with it):
         #: +inf for floats, int16 max for codes
         self._big = np.int16(np.iinfo(np.int16).max) if fixed else np.inf
-        self._scratch: Dict[Tuple[int, int, int], _LayerScratch] = {}
-        #: syndrome hard-decision buffers, ``(n + 1, A)`` per state width A
-        self._syndrome_bits: Dict[int, np.ndarray] = {}
-        #: R layout: one ``(degree, rows)`` block per sweep, stacked
-        #: frame-minor into one ``(rows, B)`` buffer
-        self._r_blocks = [sw.var_idx.shape for sw in self.plan.sweeps]
+        self._scratch: Dict[Tuple[int, int], _LayerScratch] = {}
+        #: R layout: one ``(degree, z)`` block per layer, stacked
+        #: frame-minor into one ``(E * z, B)`` buffer
+        self._r_blocks = [lp.var_idx.shape for lp in self.plan.layers]
         #: the compiled layer loop nest (None: the numpy path below)
         self._native = native.load()
         if self._native is not None:
@@ -209,10 +183,9 @@ class BatchLayeredMinSumDecoder(object):
         """Routing tables, entry points and constants of ``kernel.c``."""
         kernel = self._native
         self._layer_edge, self._edges = _edge_tables(self.plan)
-        self._tables = (self._layer_edge.ctypes.data, self._edges.ctypes.data)
-        self._sweep_layers = [
-            (sw.layers[0], sw.layers[-1] + 1) for sw in self.plan.sweeps
-        ]
+        #: leading arguments of every entry point: tables, layer count
+        self._tables = (self._layer_edge.ctypes.data, self._edges.ctypes.data,
+                        self.plan.num_layers)
         #: a traced iteration's clock readings, one per layer boundary
         self._stamps = np.zeros(self.plan.num_layers + 1)
         self._stamps_addr = self._stamps.ctypes.data
@@ -249,8 +222,8 @@ class BatchLayeredMinSumDecoder(object):
         return p
 
     def new_r_state(self, batch: int) -> List[np.ndarray]:
-        """Zeroed R messages: ``(degree, rows, batch)`` views, one per
-        block, into one contiguous ``(rows, batch)`` buffer."""
+        """Zeroed R messages: ``(degree, z, batch)`` views, one per
+        layer, into one contiguous ``(E * z, batch)`` buffer."""
         return self._r_views(
             np.zeros((self._r_rows, batch), dtype=self._dtype)
         )
@@ -283,11 +256,11 @@ class BatchLayeredMinSumDecoder(object):
         return buf
 
     def iterate_once(self, p: np.ndarray, r: List[np.ndarray]) -> None:
-        """Run one full iteration (all sweeps) in place on ``(n, A)`` state.
+        """Run one full iteration (all layers) in place on ``(n, A)`` state.
 
         One call into the compiled loop nest.  A traced run passes a
         stamp buffer the loop fills with the clock after every layer,
-        and every sweep becomes a ``batch.layer`` span from those
+        and every layer becomes a ``batch.layer`` span from those
         stamps, so the spans time the C loop itself, not the calls.
         """
         if self._native is None:
@@ -296,47 +269,43 @@ class BatchLayeredMinSumDecoder(object):
         args = self._bind(p, r)
         rec = self.recorder
         if rec is None or not rec.enabled:
-            self._iterate_fn(*self._tables, 0, self.plan.num_layers, *args,
-                             None)
+            self._iterate_fn(*self._tables, *args, None)
             return
         t0 = time.perf_counter()
-        self._iterate_fn(*self._tables, 0, self.plan.num_layers, *args,
-                         self._stamps_addr)
+        self._iterate_fn(*self._tables, *args, self._stamps_addr)
         stamps = self._stamps.tolist()
         rec.complete_spans("batch.layer", stamps,
-                           self._sweep_spans(p.shape[1]),
+                           self._layer_spans(p.shape[1]),
                            offset=t0 - stamps[0])
 
-    def _sweep_spans(self, batch: int) -> list:
-        """Per sweep: its first and end layer boundary (indices into the
+    def _layer_spans(self, batch: int) -> list:
+        """Per layer: its start and end boundary (indices into the
         stamps) and its ``batch.layer`` span labels."""
         spans = self._span_labels.get(batch)
         if spans is None:
             mode = "fixed" if self.fixed else "float"
             spans = [
-                (l0, l1, (("batch", batch), ("layer", l0),
-                          ("layers", l1 - l0), ("mode", mode)))
-                for l0, l1 in self._sweep_layers
+                (l, l + 1, (("batch", batch), ("layer", l), ("mode", mode)))
+                for l in range(self.plan.num_layers)
             ]
             self._span_labels[batch] = spans
         return spans
 
     def _iterate_numpy(self, p: np.ndarray, r: List[np.ndarray]) -> None:
-        """:meth:`iterate_once` without a compiler: a few numpy passes
-        per sweep on the same state."""
+        """:meth:`iterate_once` without a compiler: the C loop's plain
+        twin, a few numpy passes per layer on the same state."""
         rec = self.recorder
         tracing = rec is not None and rec.enabled
         batch = p.shape[1]
         mode = "fixed" if self.fixed else "float"
-        for sw, rs in zip(self.plan.sweeps, r):
+        for l, (lp, rl) in enumerate(zip(self.plan.layers, r)):
             if tracing:
                 layer_t0 = time.perf_counter()
-            idx = sw.var_idx
-            s = self._layer_scratch(*idx.shape, batch)
-            p[idx] = self._check_update(p, rs, idx, s)
+            s = self._layer_scratch(lp.degree, batch)
+            p[lp.var_idx] = self._check_update(p, rl, lp.var_idx, s)
             if tracing:
-                rec.complete("batch.layer", layer_t0, layer=sw.layers[0],
-                             layers=len(sw.layers), batch=batch, mode=mode)
+                rec.complete("batch.layer", layer_t0, layer=l, batch=batch,
+                             mode=mode)
 
     def _native_buffers(self, width: int) -> tuple:
         """Per state width: ``(scratch, scratch address, weights, weights
@@ -383,10 +352,8 @@ class BatchLayeredMinSumDecoder(object):
 
         ``frames`` optionally restricts the result to a subset of frames
         (an index array).  The compiled kernel counts every check's
-        parity in one call.  The numpy path gathers every check's hard
-        decisions at once through the plan's padded check-major index
-        (pad entries hit the bit buffer's zero last row), so its call
-        count does not grow with the number of layers either.
+        parity in one call; the numpy path takes one gather and one XOR
+        reduction per layer.
         """
         if self._native is None:
             weights = self._syndrome_numpy(p)
@@ -399,18 +366,17 @@ class BatchLayeredMinSumDecoder(object):
             p_addr = p.ctypes.data
         width = self._p_width(p)
         _, scratch_addr, weights, weights_addr = self._native_buffers(width)
-        self._syndrome_fn(*self._tables, self.plan.num_layers, self.plan.z,
-                          width, p_addr, scratch_addr, weights_addr)
+        self._syndrome_fn(*self._tables, self.plan.z, width, p_addr,
+                          scratch_addr, weights_addr)
         return weights[:width].copy() if frames is None else weights[frames]
 
     def _syndrome_numpy(self, p: np.ndarray) -> np.ndarray:
-        bits = self._syndrome_bits.get(p.shape[1])
-        if bits is None:
-            bits = np.zeros((self.code.n + 1, p.shape[1]), dtype=bool)
-            self._syndrome_bits[p.shape[1]] = bits
-        np.less(p, 0, out=bits[:-1])   # hard decision; last row stays 0
-        edges = np.take(bits, self.plan.check_idx, axis=0)
-        return np.count_nonzero(np.logical_xor.reduce(edges, axis=0), axis=0)
+        bits = p < 0   # hard decisions
+        weights = np.zeros(p.shape[1], dtype=np.int64)
+        for lp in self.plan.layers:
+            weights += np.logical_xor.reduce(bits[lp.var_idx], axis=0).sum(
+                axis=0)
+        return weights
 
     def finalize_llrs(self, p: np.ndarray) -> np.ndarray:
         """Frame-minor P state -> ``(A, n)`` a-posteriori LLRs."""
@@ -521,13 +487,7 @@ class BatchLayeredMinSumDecoder(object):
             for j, frame in enumerate(active):
                 out_syndromes[frame].append(int(weights[j]))
 
-            if self.early_termination:
-                done = weights == 0
-            else:
-                done = np.zeros(len(active), dtype=bool)
-            if it == self.max_iterations - 1:
-                done = np.ones(len(active), dtype=bool)
-
+            done = (weights == 0) | (it == self.max_iterations - 1)
             if done.any():
                 retired = active[done]
                 out_bits[retired] = self.frames_bits(p, done)
@@ -555,13 +515,11 @@ class BatchLayeredMinSumDecoder(object):
     # ------------------------------------------------------------------
     # the layer update
     # ------------------------------------------------------------------
-    def _layer_scratch(
-        self, degree: int, rows: int, batch: int
-    ) -> _LayerScratch:
-        key = (degree, rows, batch)
+    def _layer_scratch(self, degree: int, batch: int) -> _LayerScratch:
+        key = (degree, batch)
         scratch = self._scratch.get(key)
         if scratch is None:
-            scratch = _LayerScratch(degree, rows, batch, self._dtype)
+            scratch = _LayerScratch(degree, self.plan.z, batch, self._dtype)
             self._scratch[key] = scratch
         return scratch
 
@@ -617,7 +575,7 @@ class BatchLayeredMinSumDecoder(object):
     def _check_update(
         self, p: np.ndarray, rl: np.ndarray, idx: np.ndarray, s: _LayerScratch
     ) -> np.ndarray:
-        """One pass's check-node update on frame-minor state.
+        """One layer's check-node update on frame-minor state.
 
         Writes the outgoing ``R'`` of every edge into ``rl`` and returns
         ``P' = Q + R'`` (a view into ``s.q``) for the caller to scatter

@@ -4,11 +4,10 @@
 :class:`~repro.decoder.column_layered.ColumnLayeredMinSumDecoder`: the
 same vertical shuffled schedule (sweep block columns; per column,
 re-evaluate each incident layer and write back only that column's
-edges) on the row kernel's frame-minor state.  It subclasses the
-row-layered batch kernel and replaces only :meth:`iterate_once` and the
-R layout (one ``(degree, z, B)`` block per layer: a column visit touches
-one layer at a time, so the row kernel's sweep fusion does not apply),
-so the state primitives, the early-retirement batch driver, and the
+edges) on the row kernel's frame-minor state and R layout (one
+``(degree, z, B)`` block per layer).  It subclasses the row-layered
+batch kernel and replaces only :meth:`iterate_once`, so the state
+primitives, the early-retirement batch driver, and the
 continuous-batching engine integration all carry over unchanged —
 ``DecodeService(schedule="column")`` is just a different iteration
 under the same machinery.
@@ -44,18 +43,15 @@ class ColumnBatchLayeredMinSumDecoder(BatchLayeredMinSumDecoder):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.col_edges = column_adjacency(self.plan)
-        self.column_order = list(range(len(self.col_edges)))
-        # one (degree, z) R block per layer, not per sweep
-        self._r_blocks = [lp.var_idx.shape for lp in self.plan.layers]
 
     def iterate_once(self, p: np.ndarray, r: List[np.ndarray]) -> None:
         """One column-layered iteration in place on ``(n, A)`` state."""
         batch = p.shape[1]
-        for j in self.column_order:
-            for l, k in self.col_edges[j]:
+        for edges in self.col_edges:
+            for l, k in edges:
                 idx = self.plan.layers[l].var_idx
-                s = self._layer_scratch(*idx.shape, batch)
-                # column write-back: only block column j's edge k
+                s = self._layer_scratch(idx.shape[0], batch)
+                # column write-back: only this block column's edge k
                 p[idx[k]] = self._edge_update(p, r[l], idx, s, k)
 
     def _edge_update(

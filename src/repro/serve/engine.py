@@ -106,7 +106,6 @@ class ContinuousBatchingEngine(object):
             scaling_factor=scaling_factor,
             fixed=fixed,
             fmt=fmt,
-            early_termination=True,
             recorder=recorder,
         )
         # kernel state at the current iterated width (see step())

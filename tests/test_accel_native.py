@@ -5,8 +5,8 @@ user and falls back to the numpy kernel when that fails.  These tests
 pin the loader's contract — the cache key, racing cold builds, damaged
 cache entries, the flags, one warning on fallback — and that both
 kernels decode bit for bit alike, the compiled one in-process and the
-numpy fallback through the unchanged golden, differential and
-engine-width suites.
+numpy fallback through the unchanged golden, differential,
+engine-width, engine and batch-kernel suites.
 """
 
 from __future__ import annotations
@@ -218,17 +218,19 @@ def test_golden_differential_and_engine_width_suites_pass_on_numpy():
          "tests/test_golden_vectors.py", "tests/test_golden_zoo.py",
          "tests/test_differential_random.py",
          "tests/test_serve_engine_width.py",
-         "tests/test_decoder_column_layered.py"],
+         "tests/test_decoder_column_layered.py",
+         "tests/test_batch_kernel_props.py", "tests/test_serve_batch.py",
+         "tests/test_serve_engine.py"],
         cwd=str(ROOT), env=env, stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT, timeout=850,
     )
     assert out.returncode == 0, out.stdout.decode()[-4000:]
 
 
-def test_traced_iteration_has_one_span_per_sweep_and_the_same_values():
+def test_traced_iteration_has_one_span_per_layer_and_the_same_values():
     from repro.obs.trace import TraceRecorder
 
-    code = default_registry().get("nr-bg2-z16")  # fused NR sweeps
+    code = default_registry().get("nr-bg2-z16")  # mixed layer degrees
     llrs = np.random.default_rng(7).normal(1.0, 2.0, (4, code.n))
     recorder = TraceRecorder()
     traced = BatchLayeredMinSumDecoder(code, recorder=recorder)
@@ -241,13 +243,10 @@ def test_traced_iteration_has_one_span_per_sweep_and_the_same_values():
     assert p1.tobytes() == p2.tobytes()
     outer = recorder.by_name("outer")[0]
     spans = recorder.by_name("batch.layer")
-    assert len(spans) == len(traced.plan.sweeps)
+    assert len(spans) == code.num_layers
     labels = [dict(s.labels) for s in spans]
-    assert [l["layer"] for l in labels] == [
-        sw.layers[0] for sw in traced.plan.sweeps
-    ]
-    assert sum(l["layers"] for l in labels) == code.num_layers
-    assert all(l["batch"] == 4 and l["mode"] == "float" for l in labels)
+    assert labels == [{"batch": 4, "layer": l, "mode": "float"}
+                      for l in range(code.num_layers)]
     for prev, span in zip(spans, spans[1:]):
         assert prev.end_s <= span.start_s
     assert all(s.parent_id == outer.span_id for s in spans)

@@ -22,7 +22,6 @@ from repro.accel.plan import (
 )
 from repro.codes import random_qc_code, wimax_code
 from repro.codes.qc import QCLDPCCode
-from repro.codes.registry import default_registry
 from repro.decoder import LayeredMinSumDecoder
 from repro.obs import MetricsRegistry
 from repro.serve import BatchLayeredMinSumDecoder
@@ -73,53 +72,6 @@ class TestPlanContents:
         assert per_frame.plan is batch.plan
         assert per_frame.plan is get_plan(wimax_short)
         assert default_plan_cache().get(wimax_short) is per_frame.plan
-
-
-#: sweeps per registry code where the plan fuses layers; every other
-#: registry code (all WiMAX and WiFi) keeps one layer per sweep
-FUSED_SWEEPS = {
-    "nr-bg1-z16": 25, "nr-bg1-z32": 25,
-    "nr-bg2-z16": 28, "nr-bg2-z32": 28,
-}
-
-
-@pytest.mark.parametrize("code_id", default_registry().ids())
-class TestSweeps:
-    @pytest.fixture
-    def plan(self, code_id):
-        return get_plan(default_registry().get(code_id))
-
-    def test_sweeps_partition_the_layers_in_order(self, plan):
-        order = [l for sw in plan.sweeps for l in sw.layers]
-        assert order == list(range(plan.num_layers))
-
-    def test_each_sweep_is_hazard_free_and_of_one_degree(self, plan):
-        for sw in plan.sweeps:
-            cols = [set(plan.layers[l].block_cols.tolist()) for l in sw.layers]
-            assert sum(map(len, cols)) == len(set().union(*cols))
-            assert {plan.layers[l].degree for l in sw.layers} == {sw.degree}
-            np.testing.assert_array_equal(
-                sw.var_idx,
-                np.concatenate([plan.layers[l].var_idx for l in sw.layers],
-                               axis=1),
-            )
-            # disjoint columns: the fused scatter writes each P row once
-            assert len(np.unique(sw.var_idx)) == sw.var_idx.size
-
-    def test_each_sweep_is_maximal(self, plan):
-        for sw, nxt in zip(plan.sweeps, plan.sweeps[1:]):
-            head = plan.layers[nxt.layers[0]]
-            used = set()
-            for l in sw.layers:
-                used |= set(plan.layers[l].block_cols.tolist())
-            assert (
-                head.degree != sw.degree
-                or used & set(head.block_cols.tolist())
-            )
-
-    def test_sweep_counts(self, code_id, plan):
-        expected = FUSED_SWEEPS.get(code_id, plan.num_layers)
-        assert len(plan.sweeps) == expected
 
 
 class TestCacheBehaviour:

@@ -5,10 +5,10 @@
   statistics of every check's magnitudes, ties included.  Magnitudes
   are drawn from a tiny alphabet so ties at the minimum are the common
   case, not the corner case.
-* ``syndrome_weights`` gathers every check's hard decisions through the
-  plan's padded check-major index.  It must equal ``(H @ bits) % 2``
-  summed per frame, on a mixed-degree code (pad entries in play) and on
-  the paper's code, for the whole state and for ``frames=`` subsets.
+* ``syndrome_weights`` XORs every check's hard decisions layer by
+  layer.  It must equal ``(H @ bits) % 2`` summed per frame, on a
+  mixed-degree code and on the paper's code, for the whole state and
+  for ``frames=`` subsets.
 """
 
 from __future__ import annotations

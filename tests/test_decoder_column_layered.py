@@ -205,6 +205,28 @@ def test_column_converges_no_slower_on_average():
     )
 
 
+@pytest.mark.parametrize("code_id", default_registry().ids())
+def test_row_and_column_kernels_share_the_per_layer_r_layout(code_id):
+    """Both schedules hold R as one ``(degree, z, B)`` view per layer;
+    edge ``e`` (numbered layer by layer) owns rows ``e * z ..`` of the
+    one buffer."""
+    code = default_registry().get(code_id)
+    width = 3
+
+    def layout(r):
+        base = r[0].base.ctypes.data
+        return [(v.shape, v.ctypes.data - base) for v in r]
+
+    expected, edge = [], 0
+    for layer in code.layers:
+        expected.append(((layer.degree, code.z, width),
+                         edge * code.z * width * 8))   # float64 state
+        edge += layer.degree
+    row = BatchLayeredMinSumDecoder(code).new_r_state(width)
+    col = ColumnBatchLayeredMinSumDecoder(code).new_r_state(width)
+    assert layout(row) == layout(col) == expected
+
+
 # ----------------------------------------------------------------------
 # claim 3: serving surfaces
 # ----------------------------------------------------------------------

@@ -54,15 +54,6 @@ class TestLayerProfile(object):
         text = layer_profile_report(rec, span_name="batch.layer")
         assert "5" in text
 
-    def test_report_shows_fused_layer_counts(self):
-        rec = TraceRecorder()
-        rec.complete("batch.layer", time.perf_counter(), layer=4, layers=3)
-        rec.complete("batch.layer", time.perf_counter(), layer=7)
-        prof = layer_profile(rec, span_name="batch.layer")
-        assert prof[4]["layers"] == 3 and prof[7]["layers"] == 1
-        text = layer_profile_report(rec, span_name="batch.layer")
-        assert "layers" in text.splitlines()[1]
-
     def test_empty_report(self):
         assert "(no decode.layer spans" in layer_profile_report(TraceRecorder())
 

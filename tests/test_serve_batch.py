@@ -111,14 +111,6 @@ class TestBatchEdgeCases:
         with pytest.raises(DecodingError):
             BatchLayeredMinSumDecoder(wimax_short, scaling_factor=1.5)
 
-    def test_no_early_termination_runs_budget(self, wimax_short):
-        frames = traffic(wimax_short, 3, seed=5, ebno_range=(4.0, 5.0))
-        batch = BatchLayeredMinSumDecoder(
-            wimax_short, max_iterations=4, early_termination=False
-        ).decode(np.stack(frames))
-        assert (batch.iterations == 4).all()
-        assert batch.num_converged == 3  # still reports final parity state
-
 
 class TestDecodeMany:
     def test_matches_single_frame_api(self, wimax_short):

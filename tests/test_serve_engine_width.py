@@ -211,8 +211,8 @@ def test_step_span_reports_width():
 @pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
 @pytest.mark.parametrize("width", [1, 2, 4, 16])
 @pytest.mark.parametrize("code_id", ["nr-bg1-z16", "nr-bg2-z16"])
-def test_fused_sweeps_match_the_per_frame_decoder(code_id, width, fixed):
-    """NR plans fuse layers into sweeps; every width stays bit-exact."""
+def test_nr_layers_match_the_per_frame_decoder(code_id, width, fixed):
+    """NR codes mix layer degrees; every width stays bit-exact."""
     code, frames = _frames(code_id)
     engine = ContinuousBatchingEngine(
         code, batch_size=width, max_iterations=MAX_ITER, fixed=fixed
@@ -224,7 +224,7 @@ def test_fused_sweeps_match_the_per_frame_decoder(code_id, width, fixed):
 
 
 def test_step_spans_cover_every_layer_once():
-    """One ``batch.layer`` span per sweep; together they tile the layers."""
+    """One ``batch.layer`` span per layer, in order and nested."""
     code, frames = _frames("nr-bg2-z16")
     rec = TraceRecorder()
     engine = ContinuousBatchingEngine(
@@ -233,10 +233,12 @@ def test_step_spans_cover_every_layer_once():
     for frame in frames[:3]:
         engine.admit(DecodeJob(llrs=frame))
     engine.step()
+    step, = rec.by_name("engine.step")
     spans = rec.by_name("batch.layer")
-    assert len(spans) < code.num_layers   # NR extension rows fuse
-    covered = []
-    for span in spans:
-        first, count = span.label_dict["layer"], span.label_dict["layers"]
-        covered.extend(range(first, first + count))
-    assert covered == list(range(code.num_layers))
+    assert len(spans) == code.num_layers
+    assert [s.label_dict["layer"] for s in spans] == list(
+        range(code.num_layers))
+    for prev, span in zip(spans, spans[1:]):
+        assert prev.end_s <= span.start_s
+    assert all(step.start_s <= s.start_s <= s.end_s <= step.end_s
+               for s in spans)
