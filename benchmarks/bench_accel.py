@@ -1,4 +1,4 @@
-"""EXP-ACCEL — batch-kernel and shard-backend decode throughput.
+"""EXP-ACCEL — batch-kernel, engine and service decode throughput.
 
 Not a paper table: the software-acceleration counterpart of the paper's
 throughput scaling argument.  The hardware gains its throughput from a
@@ -6,7 +6,7 @@ z-way parallel datapath fed by precomputed message routing; the
 software gains its own from memoized
 :class:`~repro.accel.plan.CodePlan` routing tables, the fused
 frame-minor batch kernel, the continuous-batching engine, and the
-pluggable thread/process shard backends.  Five paths over the same
+thread-backed decode service.  Four paths over the same
 traffic on the paper's (2304, rate-1/2) case-study code at
 Eb/N0 = 2.5 dB, 8-bit fixed arithmetic (the paper's datapath):
 
@@ -14,18 +14,13 @@ Eb/N0 = 2.5 dB, 8-bit fixed arithmetic (the paper's datapath):
 * ``batch``        — the batch kernel on static batches;
 * ``engine``       — the bare continuous-batching engine (retired
   slots refilled mid-flight; no queue, no worker thread);
-* ``thread-pool``  — ``DecodeService`` (thread backend);
-* ``process-pool`` — ``DecodeService`` (worker-process backend).
+* ``thread-pool``  — ``DecodeService`` (queue plus worker thread).
 
 Every row is cross-checked bit-exact against the per-frame reference
 (``mismatches`` must be 0), so the speedups cannot come from a
 different answer.  The acceptance bar is >= 4x frames/s for the batch
 path over the per-frame loop (the fused layout measured 2.2x over the
-batch-major kernel it replaced, which itself ran at 4.1x).  The process
-row pays one
-child-process spawn plus per-frame IPC inside its measurement window —
-on a single-core host it documents the isolation overhead rather than
-a speedup (see docs/PERFORMANCE.md).
+batch-major kernel it replaced, which itself ran at 4.1x).
 """
 
 from benchmarks.conftest import publish

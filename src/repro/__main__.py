@@ -6,7 +6,7 @@ Commands:
 * ``demo`` — encode/transmit/decode one frame and print the outcome;
 * ``experiments [IDS...]`` — regenerate paper tables/figures;
 * ``accel-bench`` — frames/s and per-layer ns for every decode path
-  (per-frame, batch, engine, thread-pool, process-pool) with a
+  (per-frame, batch, engine, thread-pool) with a
   built-in bit-exactness cross-check (``--json`` emits the
   ``BENCH_accel.json`` document; see docs/PERFORMANCE.md);
 * ``faults-bench`` — sweep fault rate x injection site and report
@@ -15,8 +15,8 @@ Commands:
 * ``obs-report`` — run traced serve traffic and render the span
   summary, per-layer profile, and metrics (text/json/prometheus;
   ``--chrome-out`` dumps an ``about:tracing`` timeline; ``--backend
-  thread|process`` traces a full DecodeService instead of the bare
-  engine, adding SLO verdicts and merged worker-process spans;
+  thread`` traces a full DecodeService instead of the bare engine,
+  adding pool events and SLO verdicts;
   ``--endpoint HOST:PORT`` scrapes a *live* gateway's status endpoint
   instead of running local traffic, so the ``net_*`` series show up
   in the same json/prometheus formats);
@@ -405,23 +405,20 @@ def cmd_obs_report(args) -> int:
         )
         engine.run([DecodeJob(llrs=f) for f in traffic])
     else:
-        # full service: pool events, structured log, SLO verdicts, and
-        # (for the process backend) merged cross-process worker spans
+        # full service: pool events, structured log and SLO verdicts
         monitor = default_serve_slos()
         service = DecodeService(
             code,
             batch_size=args.batch,
             max_iterations=args.iterations,
             fixed=args.fixed,
-            backend=args.backend,
             recorder=recorder,
             log=log,
             slo=monitor,
         )
         metrics = service.metrics
         try:
-            # warm-up: one frame through the service (for the process
-            # backend this waits out the worker spawn), then zero the
+            # warm-up: one frame through the service, then zero the
             # serving metrics so the SLO window covers only the
             # measured traffic
             service.submit(traffic[0], timeout=None).result()
@@ -584,7 +581,6 @@ def cmd_net_serve(args) -> int:
         batch_size=args.batch,
         max_iterations=args.iterations,
         fixed=args.fixed,
-        backend=args.backend,
         queue_capacity=args.queue_capacity,
         recorder=recorder,
         log=log,
@@ -611,7 +607,7 @@ def cmd_net_serve(args) -> int:
     async def _run() -> None:
         host, port = await gateway.start()
         print(f"net-serve: listening on {host}:{port} "
-              f"(code {code.name}, backend {args.backend})", flush=True)
+              f"(code {code.name})", flush=True)
         obs = None
         if args.obs_port is not None:
             from repro.net.console import ObsEndpoint
@@ -667,7 +663,6 @@ def cmd_net_soak(args) -> int:
         length=args.length,
         iterations=args.iterations,
         fixed=args.fixed,
-        backend=args.backend,
         batch=args.batch,
         queue_capacity=args.queue_capacity,
         connections=args.connections,
@@ -1057,7 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ab.add_argument(
         "--modes", nargs="*", default=None,
-        help="subset of modes to run (default: all five)",
+        help="subset of modes to run (default: all four)",
     )
     ab.add_argument(
         "--json", action="store_true",
@@ -1109,12 +1104,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the trace as Chrome-trace JSON to this path",
     )
     ob.add_argument(
-        "--backend", choices=("engine", "thread", "process"),
+        "--backend", choices=("engine", "thread"),
         default="engine",
         help="decode surface to trace: bare continuous engine (default) "
-             "or a full DecodeService with the given worker backend "
-             "(adds pool events, SLO verdicts, and — for process — "
-             "merged worker-process spans)",
+             "or a full thread-backed DecodeService (adds pool events "
+             "and SLO verdicts)",
     )
     ob.add_argument(
         "--log-out", default="",
@@ -1169,7 +1163,6 @@ def build_parser() -> argparse.ArgumentParser:
     nsv.add_argument("--batch", type=int, default=16, help="decoder slots")
     nsv.add_argument("--iterations", type=int, default=10)
     nsv.add_argument("--fixed", action="store_true", help="8-bit datapath")
-    nsv.add_argument("--backend", choices=("thread", "process"), default="thread")
     nsv.add_argument("--queue-capacity", type=int, default=256)
     nsv.add_argument(
         "--tenant", action="append", default=[], metavar="NAME:RATE:BURST[:PRI]",
@@ -1211,7 +1204,6 @@ def build_parser() -> argparse.ArgumentParser:
     ns.add_argument("--iterations", type=int, default=10)
     ns.add_argument("--seed", type=int, default=0)
     ns.add_argument("--fixed", action="store_true", help="8-bit datapath")
-    ns.add_argument("--backend", choices=("thread", "process"), default="thread")
     ns.add_argument("--queue-capacity", type=int, default=16)
     ns.add_argument("--max-shards", type=int, default=3)
     ns.add_argument(

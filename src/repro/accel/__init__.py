@@ -1,9 +1,7 @@
-"""Acceleration layer: cached code-plans, the compiled kernel, process
-sharding.
+"""Acceleration layer: cached code-plans and the compiled kernel.
 
 Where the paper scales throughput by widening the hardware datapath
-(Fig 3's unroll sweep), this package scales the *software* datapath
-along three axes:
+(Fig 3's unroll sweep), this package scales the *software* datapath:
 
 * :mod:`repro.accel.plan` — :class:`CodePlan` / :class:`CodePlanCache`:
   per-code precomputed gather/scatter index arrays and shift tables,
@@ -17,12 +15,6 @@ along three axes:
   iteration.  It is built at first use with the system C compiler and
   cached per user; without a compiler the batch kernel runs the same
   loop as numpy passes, one layer at a time, bit for bit the same.
-* :mod:`repro.accel.procpool` — :class:`ProcessEngineProxy`: the
-  multiprocess shard backend of
-  :class:`~repro.serve.pool.DecodeService` (``backend="process"``): one
-  decode process per rate-shard fed through shared-memory LLR buffers,
-  with the same supervised-restart/backoff semantics as the threaded
-  pool.
 
 Quickstart::
 
@@ -30,13 +22,8 @@ Quickstart::
 
     plan = get_plan(code)                      # built once, cached
 
-    from repro.serve import DecodeService
-    service = DecodeService(code, backend="process")
-
 Benchmarks: ``python -m repro accel-bench`` (see ``docs/PERFORMANCE.md``).
 """
-
-from typing import TYPE_CHECKING
 
 from repro.accel.plan import (
     CodePlan,
@@ -48,40 +35,12 @@ from repro.accel.plan import (
     plan_key,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
-    from repro.accel.procpool import ProcessEngineProxy
-
 __all__ = [
     "CodePlan",
     "CodePlanCache",
     "LayerPlan",
-    "ProcessEngineProxy",
     "default_plan_cache",
     "get_plan",
     "instrument_default_cache",
     "plan_key",
 ]
-
-#: Lazily imported attributes (PEP 562).  ``repro.accel.procpool``
-#: imports the serving engine, which imports the per-frame decoder,
-#: which imports this package for its plan cache — resolving the proxy
-#: on first attribute access instead of at package import breaks the
-#: cycle.
-_LAZY_ATTRS = {
-    "ProcessEngineProxy": ("repro.accel.procpool",),
-}
-
-
-def __getattr__(name):
-    if name in _LAZY_ATTRS:
-        import importlib
-
-        module = importlib.import_module(_LAZY_ATTRS[name][0])
-        value = getattr(module, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_ATTRS))

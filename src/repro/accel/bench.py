@@ -4,7 +4,7 @@ Shared by ``python -m repro accel-bench`` and
 ``benchmarks/bench_accel.py`` so the CLI, the pytest benchmark, and the
 committed ``BENCH_accel.json`` artifact all measure exactly the same
 thing: the paper's (2304, rate-1/2) case-study code at Eb/N0 = 2.5 dB
-pushed through five software datapaths —
+pushed through four software datapaths —
 
 * ``per-frame``     — :class:`~repro.decoder.layered.LayeredMinSumDecoder`,
   one ``decode()`` per frame (the scalar baseline);
@@ -14,10 +14,8 @@ pushed through five software datapaths —
   :class:`~repro.serve.engine.ContinuousBatchingEngine` (retired slots
   refilled mid-flight; no queue, no worker thread), so the gap between
   ``batch`` and ``thread-pool`` splits into engine cost and pool cost;
-* ``thread-pool``   — :class:`~repro.serve.pool.DecodeService` with the
-  default in-process backend;
-* ``process-pool``  — the same service with ``backend="process"``
-  (engine behind a worker process, shared-memory LLR slots).
+* ``thread-pool``   — :class:`~repro.serve.pool.DecodeService`: the
+  engine behind a queue and a supervised worker thread.
 
 Every path decodes the identical frames, and the harness checks the
 bit-exactness contract as it goes: hard decisions, iteration counts,
@@ -54,7 +52,6 @@ DEFAULT_MODES = (
     "batch",
     "engine",
     "thread-pool",
-    "process-pool",
 )
 
 
@@ -194,7 +191,7 @@ def run_accel_bench(
         elapsed = time.perf_counter() - t0
         rows.append(row("engine", elapsed, *_outcomes(done)))
 
-    def run_service(backend: str):
+    if "thread-pool" in modes:
         from repro.serve.pool import DecodeService
         from repro.serve.shedding import NoShedPolicy
 
@@ -206,7 +203,6 @@ def run_accel_bench(
             batch_size=batch,
             max_iterations=iterations,
             fixed=fixed,
-            backend=backend,
             queue_capacity=max(frames, 1),
             shed_policy=NoShedPolicy(),
         )
@@ -217,12 +213,7 @@ def run_accel_bench(
             elapsed = time.perf_counter() - t0
         finally:
             service.close(wait=True)
-        return (elapsed, *_outcomes(done))
-
-    if "thread-pool" in modes:
-        rows.append(row("thread-pool", *run_service("thread")))
-    if "process-pool" in modes:
-        rows.append(row("process-pool", *run_service("process")))
+        rows.append(row("thread-pool", elapsed, *_outcomes(done)))
 
     t_batch = next(
         (r["time_s"] for r in rows if r["mode"] == "batch"), None

@@ -92,12 +92,6 @@ class DeadlineExceededError(ServeTimeoutError):
     """A job's deadline expired while it was still waiting in a queue."""
 
 
-class WorkerProcessError(ServeError):
-    """A decode worker process died or misbehaved (killed, crashed, or
-    returned a malformed result); the supervisor treats it like a worker
-    crash: in-flight futures fail fast and the process is respawned."""
-
-
 class NetProtocolError(ServeError):
     """A network frame violated the gateway protocol (bad magic, bad
     version, truncated or oversized payload, malformed body)."""

@@ -115,7 +115,6 @@ class SoakConfig(object):
     length: int = 576
     iterations: int = 10
     fixed: bool = False
-    backend: str = "thread"
     batch: int = 8
     queue_capacity: int = 16
     connections: int = 60
@@ -626,7 +625,6 @@ def run_net_soak(
         batch_size=cfg.batch,
         max_iterations=cfg.iterations,
         fixed=cfg.fixed,
-        backend=cfg.backend,
         queue_capacity=cfg.queue_capacity,
         recorder=recorder,
         log=log,

@@ -18,7 +18,7 @@ package gives every runtime subsystem one instrumentation spine:
   Chrome-trace export) for the cycle-accurate architecture models;
 * :class:`EventLog` — levelled, trace-correlated JSON-lines structured
   logging for runtime incidents (crashes, restarts, sheds, injected
-  faults, worker-process lifecycle), tailed by ``repro logs``;
+  faults, shard strike-outs), tailed by ``repro logs``;
 * :class:`SloMonitor` — declarative service-level objectives evaluated
   against a registry snapshot, surfaced in ``DecodeService.health()``
   and ``repro obs-report``;
@@ -91,8 +91,6 @@ from repro.obs.trace import (
     TraceContext,
     TraceRecorder,
     new_trace_id,
-    records_from_wire,
-    records_to_wire,
 )
 
 __all__ = [
@@ -128,8 +126,6 @@ __all__ = [
     "load_chrome_trace",
     "new_trace_id",
     "read_log",
-    "records_from_wire",
-    "records_to_wire",
     "request_waterfall",
     "stage_profile",
     "trace_ids",

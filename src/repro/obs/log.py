@@ -4,8 +4,8 @@ Where :class:`~repro.obs.trace.TraceRecorder` answers *how long did it
 take* and :class:`~repro.obs.metrics.MetricsRegistry` answers *how much
 of it happened*, :class:`EventLog` answers *what happened, when, and
 why* — every notable runtime incident (a shard crash, a restart, an
-expired deadline, a shed frame, an injected fault, a worker-process
-spawn) becomes one machine-parseable record instead of an ad-hoc
+expired deadline, a shed frame, an injected fault, a shard strike-out)
+becomes one machine-parseable record instead of an ad-hoc
 trace-event breadcrumb:
 
 * **levels** — ``debug`` / ``info`` / ``warning`` / ``error`` with a
@@ -23,11 +23,11 @@ trace-event breadcrumb:
   embedded use without any file at all.
 
 The pool (:mod:`repro.serve.pool`), the gateway and autoscaler
-(:mod:`repro.net`), the fault injectors (:mod:`repro.faults.injectors`),
-and the process shard backend (:mod:`repro.accel.procpool`) accept an
-``EventLog`` and publish their lifecycle into it — an incident is one
-:func:`emit` call, a trace event plus a levelled record; ``python -m
-repro logs FILE`` tails/filters/pretty-prints the result.
+(:mod:`repro.net`) and the fault injectors
+(:mod:`repro.faults.injectors`) accept an ``EventLog`` and publish
+their lifecycle into it — an incident is one :func:`emit` call, a
+trace event plus a levelled record; ``python -m repro logs FILE``
+tails/filters/pretty-prints the result.
 """
 
 from __future__ import annotations
@@ -226,8 +226,8 @@ class EventLog(object):
         return self.log("error", event, **fields)
 
     def append(self, record: LogRecord) -> None:
-        """Append a pre-built record (e.g. one shipped from a worker
-        process) to the ring and the file sink, bypassing the floor."""
+        """Append a pre-built record to the ring and the file sink,
+        bypassing the floor."""
         with self._lock:
             if len(self._buffer) == self.capacity:
                 self.dropped += 1

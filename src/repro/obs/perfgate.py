@@ -2,9 +2,8 @@
 
 The bench documents under version control (:data:`DEFAULT_BASELINES`)
 freeze the throughput story of the repo — the batch-kernel speedup,
-the engine and pool overhead, the process-pool scaling, the
-network-gateway overhead, and the per-code cost of the registry zoo
-under both schedules.
+the engine and thread-pool overhead, the network-gateway overhead,
+and the per-code cost of the registry zoo under both schedules.
 :func:`run_perf_gate` re-runs each baseline's bench with the baseline's
 own embedded configuration, compares per-mode throughput medians
 against the committed numbers, and fails when any mode regressed by

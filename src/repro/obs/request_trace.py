@@ -1,7 +1,7 @@
 """Per-request trace extraction: one request's story out of a big trace.
 
-A soak or chaos run leaves one merged Chrome trace holding thousands of
-spans across client, gateway, shard, and worker-process rows.  This
+A soak or chaos run leaves one Chrome trace holding thousands of
+spans across client, gateway, shard, and engine threads.  This
 module answers the on-call question — *what happened to request X?* —
 by slicing that document down to a single distributed trace id:
 
@@ -17,10 +17,9 @@ by slicing that document down to a single distributed trace id:
 * :func:`format_waterfall` renders it as an aligned text bar chart for
   ``repro trace-request``.
 
-Trace ids ride span *labels* (``args.trace``) rather than span ids
-because :meth:`TraceRecorder.merge` remaps span ids when folding
-worker-process records in — labels are the only join key that survives
-the merge.
+Trace ids ride span *labels* (``args.trace``) rather than span ids:
+the label is what the wire carries from hop to hop, so it is the one
+join key that holds across recorders.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.utils.tables import render_table
 
@@ -46,8 +46,6 @@ __all__ = [
     "NULL_SPAN",
     "NULL_TRACE",
     "new_trace_id",
-    "records_to_wire",
-    "records_from_wire",
 ]
 
 
@@ -107,11 +105,6 @@ class SpanRecord(NamedTuple):
         ``threading.get_ident()`` of the recording thread.
     labels:
         Sorted ``(key, value)`` pairs attached at record time.
-    process_id:
-        0 for records made by this recorder's own process; the worker's
-        OS pid for records absorbed from another process via
-        :meth:`TraceRecorder.merge` (Chrome traces render each pid as
-        its own process row).
     """
 
     name: str
@@ -123,7 +116,6 @@ class SpanRecord(NamedTuple):
     depth: int = 0
     thread_id: int = 0
     labels: Tuple[Tuple[str, Any], ...] = ()
-    process_id: int = 0
 
     @property
     def duration_s(self) -> float:
@@ -228,16 +220,6 @@ class _SpanRun(tuple):
                        span_id, parent_id, depth, thread_id, labels)
             for span_id, (i, j, labels) in zip(ids, spans)
         ]
-
-
-def _expand(entries: list) -> List[SpanRecord]:
-    out: List[SpanRecord] = []
-    for entry in entries:
-        if isinstance(entry, _SpanRun):
-            out.extend(entry.records())
-        else:
-            out.append(entry)
-    return out
 
 
 class TraceRecorder(object):
@@ -400,76 +382,6 @@ class TraceRecorder(object):
         return stack[-1].span_id if stack else None
 
     # ------------------------------------------------------------------
-    # cross-process merge
-    # ------------------------------------------------------------------
-    def wall_epoch(self) -> float:
-        """``time.time()`` instant corresponding to the recorder epoch.
-
-        Two recorders in different processes share the machine wall
-        clock even when their ``perf_counter`` epochs differ, so the
-        difference of their wall epochs is the clock offset that maps
-        one recorder's span times onto the other's timeline.
-        """
-        return time.time() - (time.perf_counter() - self.epoch)
-
-    def drain(self) -> List[SpanRecord]:
-        """Remove and return every retained record (oldest first).
-
-        Unlike :meth:`clear` the epoch is preserved, so records drained
-        in batches (a worker process flushing telemetry) stay on one
-        consistent time base.
-        """
-        with self._lock:
-            entries = list(self._buffer)
-            self._buffer.clear()
-            self._size = 0
-        return _expand(entries)
-
-    def merge(
-        self,
-        records: List[SpanRecord],
-        time_offset_s: float = 0.0,
-        extra_labels: Optional[Mapping[str, Any]] = None,
-        process_id: int = 0,
-    ) -> int:
-        """Absorb spans recorded by another recorder (usually another
-        process) into this buffer; returns the number absorbed.
-
-        ``time_offset_s`` shifts the records onto this recorder's time
-        base (use ``other_wall_epoch - self.wall_epoch()``); span ids
-        are remapped into this recorder's id space with parent links
-        preserved within the batch (a parent outside the batch becomes
-        a top-level span); ``extra_labels`` (e.g. ``shard=...``) are
-        appended to every record; ``process_id`` tags the records for
-        per-process Chrome-trace rows.  A disabled recorder absorbs
-        nothing.
-        """
-        if not self.enabled or not records:
-            return 0
-        extra = tuple(sorted((extra_labels or {}).items()))
-        # ids first: records arrive in completion order (children before
-        # parents), so parent links resolve only against a full map
-        id_map: Dict[int, int] = {
-            rec.span_id: next(self._ids) for rec in records
-        }
-        for rec in records:
-            self._append(
-                SpanRecord(
-                    name=rec.name,
-                    start_s=rec.start_s + time_offset_s,
-                    end_s=rec.end_s + time_offset_s,
-                    kind=rec.kind,
-                    span_id=id_map[rec.span_id],
-                    parent_id=id_map.get(rec.parent_id),
-                    depth=rec.depth,
-                    thread_id=rec.thread_id,
-                    labels=rec.labels + extra,
-                    process_id=process_id or rec.process_id,
-                )
-            )
-        return len(records)
-
-    # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def enable(self) -> None:
@@ -498,7 +410,13 @@ class TraceRecorder(object):
         """Snapshot of the retained records, oldest first."""
         with self._lock:
             entries = list(self._buffer)
-        return _expand(entries)
+        out: List[SpanRecord] = []
+        for entry in entries:
+            if isinstance(entry, _SpanRun):
+                out.extend(entry.records())
+            else:
+                out.append(entry)
+        return out
 
     def by_name(self, name: str) -> List[SpanRecord]:
         """Retained records with the given name."""
@@ -541,24 +459,18 @@ class TraceRecorder(object):
 
         Loads in ``about:tracing`` / Perfetto: spans become complete
         (``"ph": "X"``) events with microsecond timestamps, instant
-        events become ``"ph": "i"`` marks, one row per recording thread,
-        grouped into one process row per ``process_id`` (pid 1 is the
-        recording process; merged worker-process records keep their own
-        pid).
+        events become ``"ph": "i"`` marks, one row per recording thread
+        under the one ``main`` process row (pid 1).
         """
         events: List[Dict[str, Any]] = []
-        tids: Dict[Tuple[int, int], int] = {}
-        pids: Dict[int, Optional[str]] = {}
+        tids: Dict[int, int] = {}
         for rec in self.records():
-            pid = rec.process_id or 1
-            tid = tids.setdefault((pid, rec.thread_id), len(tids) + 1)
-            if pid not in pids:
-                pids[pid] = rec.label_dict.get("shard")
+            tid = tids.setdefault(rec.thread_id, len(tids) + 1)
             entry: Dict[str, Any] = {
                 "name": rec.name,
                 "cat": rec.name.split(".", 1)[0],
                 "ts": rec.start_s * 1e6,
-                "pid": pid,
+                "pid": 1,
                 "tid": tid,
                 "args": rec.label_dict,
             }
@@ -569,30 +481,24 @@ class TraceRecorder(object):
                 entry["ph"] = "X"
                 entry["dur"] = rec.duration_s * 1e6
             events.append(entry)
-        for (pid, thread_id), tid in tids.items():
+        for thread_id, tid in tids.items():
             events.append(
                 {
                     "name": "thread_name",
                     "ph": "M",
-                    "pid": pid,
+                    "pid": 1,
                     "tid": tid,
                     "args": {"name": f"thread-{thread_id}"},
                 }
             )
-        for pid, shard in pids.items():
-            if pid == 1:
-                name = "main"
-            elif shard:
-                name = f"worker-{shard} (pid {pid})"
-            else:
-                name = f"worker (pid {pid})"
+        if tids:
             events.append(
                 {
                     "name": "process_name",
                     "ph": "M",
-                    "pid": pid,
+                    "pid": 1,
                     "tid": 0,
-                    "args": {"name": name},
+                    "args": {"name": "main"},
                 }
             )
         return {"traceEvents": events, "displayTimeUnit": "ms"}
@@ -631,42 +537,3 @@ class TraceRecorder(object):
             self._size -= count
             self.dropped += count
 
-
-# ----------------------------------------------------------------------
-# wire format (for shipping spans across a process boundary)
-# ----------------------------------------------------------------------
-def records_to_wire(records: List[SpanRecord]) -> List[tuple]:
-    """Span records as plain picklable tuples (labels as item lists)."""
-    return [
-        (
-            rec.name,
-            rec.start_s,
-            rec.end_s,
-            rec.kind,
-            rec.span_id,
-            rec.parent_id,
-            rec.depth,
-            rec.thread_id,
-            list(rec.labels),
-        )
-        for rec in records
-    ]
-
-
-def records_from_wire(payload: List[tuple]) -> List[SpanRecord]:
-    """Inverse of :func:`records_to_wire`."""
-    return [
-        SpanRecord(
-            name=name,
-            start_s=start_s,
-            end_s=end_s,
-            kind=kind,
-            span_id=span_id,
-            parent_id=parent_id,
-            depth=depth,
-            thread_id=thread_id,
-            labels=tuple((k, v) for k, v in labels),
-        )
-        for (name, start_s, end_s, kind, span_id, parent_id, depth,
-             thread_id, labels) in payload
-    ]

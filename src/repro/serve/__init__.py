@@ -19,9 +19,7 @@ saturated across *frames*:
   backoff, every pending future fails fast with a typed error (nothing
   hangs), transient faults trigger bounded retries, per-job deadlines
   expire stale work, and a load-shedding policy trades iteration budget
-  for availability under overload — see :meth:`DecodeService.health`.
-  ``backend="process"`` isolates each shard's engine in a supervised
-  child process (:mod:`repro.accel.procpool`), bit-exact;
+  for availability under overload — see :meth:`DecodeService.health`;
 * :class:`ServeMetrics` / :class:`MetricsSnapshot` — counters and
   latency/occupancy statistics with a text report;
 * :class:`LoadShedPolicy` and friends — the overload-degradation knob.

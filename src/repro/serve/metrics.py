@@ -164,7 +164,7 @@ class ServeMetrics(object):
         self._started_at = time.monotonic()
 
     # ------------------------------------------------------------------
-    # derived recordings (called by engines / process proxies)
+    # derived recordings (called by engines)
     # ------------------------------------------------------------------
     def step_recorded(self, busy_slots: int, capacity: int) -> None:
         """One engine step over ``busy_slots`` of ``capacity`` slots."""
@@ -172,29 +172,6 @@ class ServeMetrics(object):
         self.slot_iterations.inc(busy_slots)
         if capacity > 0:
             self.occupancy.observe(busy_slots / capacity)
-
-    def absorb_worker_steps(
-        self, steps: int, slot_iterations: int, capacity: int
-    ) -> None:
-        """Fold a worker process's engine-step deltas into this registry.
-
-        A process-backed shard runs its engine in a child whose private
-        metrics cannot share this registry; the child periodically ships
-        ``(steps, slot_iterations)`` deltas and the parent calls this to
-        keep ``serve_engine_steps`` / ``serve_slot_iterations`` /
-        ``serve_occupancy_ratio`` coherent across backends.  Occupancy
-        is reconstructed as the mean ratio over the delta (per-step
-        detail is not shipped); the sample count is capped so a large
-        delta cannot stall the caller.
-        """
-        if steps <= 0:
-            return
-        self.engine_steps.inc(steps)
-        self.slot_iterations.inc(slot_iterations)
-        if capacity > 0:
-            ratio = min(1.0, slot_iterations / (steps * capacity))
-            for _ in range(min(steps, 256)):
-                self.occupancy.observe(ratio)
 
     def frame_retired(
         self,

@@ -36,17 +36,10 @@ Design points:
   group key (or by unique LLR length) land on the least-loaded healthy
   replica, so the SLO-driven autoscaler in :mod:`repro.net.autoscaler`
   can trade shards for latency without touching callers.
-* **Threads by default, processes on request.**  The hot loop is numpy
-  over large arrays, which releases the GIL; threads keep results
-  zero-copy and the service embeddable, and one engine per worker means
-  no shared mutable decode state.  ``backend="process"`` instead puts
-  each shard's engine behind a worker process
-  (:class:`~repro.accel.procpool.ProcessEngineProxy`, shared-memory LLR
-  slots), trading per-frame IPC latency for hard fault isolation and —
-  on multi-core hosts — true shard parallelism; supervision semantics
-  (fail-fast futures, capped-backoff restarts, strike-out) are
-  identical, with a killed worker process surfacing as
-  :class:`~repro.errors.WorkerProcessError`.
+* **Threads.**  The hot loop is one compiled kernel call per engine
+  step, which releases the GIL, so two shard threads decode on two
+  cores; threads keep results zero-copy and the service embeddable,
+  and one engine per worker means no shared mutable decode state.
 """
 
 from __future__ import annotations
@@ -195,16 +188,10 @@ class DecodeService(object):
         Slots per shard engine.
     max_iterations / fixed:
         Decoder configuration, shared by every shard.
-    backend:
-        ``"thread"`` (default) runs each shard's engine in-process on
-        the worker thread; ``"process"`` puts it behind a spawned worker
-        process (:class:`~repro.accel.procpool.ProcessEngineProxy`) with
-        shared-memory LLR slots — same bit-exact results and the same
-        supervision semantics, plus hard fault isolation.
     schedule:
         ``"row"`` (default, bit-exact with the per-frame row-layered
         decoder) or ``"column"`` — the column-layered schedule of
-        :mod:`repro.serve.column`, on either backend.
+        :mod:`repro.serve.column`.
     queue_capacity:
         Bound of each shard's admission queue (the backpressure knob).
     autostart:
@@ -233,18 +220,12 @@ class DecodeService(object):
         ``pool.enqueue`` / ``pool.dispatch`` / ``pool.expire`` /
         ``pool.shed`` / ``pool.crash`` / ``pool.restart`` /
         ``pool.shard_dead`` events and the engines their slot-level
-        spans/events, giving one timeline for the whole service.  With
-        ``backend="process"`` the recorder is handed to each shard
-        proxy, which merges the child's spans back in shard-labelled
-        and clock-offset-corrected, so the timeline stays coherent
-        across the process boundary.
+        spans/events, giving one timeline for the whole service.
     log:
         Optional :class:`~repro.obs.log.EventLog`: every pool lifecycle
         event is also written as a levelled structured record (crashes
         and strike-outs at ``error``, restarts/expiries/sheds at
-        ``warning``, enqueue/dispatch chatter at ``debug``), and
-        process-backend shards publish their spawn/shutdown/death
-        lifecycle plus child-shipped records into it.
+        ``warning``, enqueue/dispatch chatter at ``debug``).
     slo:
         Optional :class:`~repro.obs.slo.SloMonitor`; when given,
         :meth:`health` evaluates it against the service's metrics
@@ -257,7 +238,6 @@ class DecodeService(object):
         batch_size: int = 16,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         fixed: bool = False,
-        backend: str = "thread",
         schedule: str = "row",
         queue_capacity: int = 256,
         autostart: bool = True,
@@ -270,10 +250,6 @@ class DecodeService(object):
         log: "Optional[EventLog]" = None,
         slo: "Optional[SloMonitor]" = None,
     ) -> None:
-        if backend not in ("thread", "process"):
-            raise ServeError(
-                f"backend must be 'thread' or 'process', got {backend!r}"
-            )
         if schedule not in ("row", "column"):
             raise ServeError(
                 f"schedule must be 'row' or 'column', got {schedule!r}"
@@ -302,7 +278,6 @@ class DecodeService(object):
         self.recorder = recorder
         self.log = log
         self.slo = slo
-        self.backend = backend
         self.schedule = schedule
         self.max_iterations = max_iterations
         self.shed_policy = shed_policy if shed_policy is not None else StepShedPolicy()
@@ -325,11 +300,8 @@ class DecodeService(object):
             "serve_shards", "live shards per group", label_names=("group",)
         )
         for key, code in codes.items():
-            make_engine = self._engine_factory(
-                key, code, batch_size, max_iterations, fixed
-            )
-            self._shards[key] = _Shard(key, make_engine, queue_capacity,
-                                       group=key)
+            self._shards[key] = _Shard(key, self._engine_factory(code),
+                                       queue_capacity, group=key)
             self._length_index.setdefault(code.n, []).append(key)
             self._groups[key] = [key]
             self._group_codes[key] = code
@@ -341,39 +313,18 @@ class DecodeService(object):
             self.start()
 
     def _engine_factory(
-        self,
-        key: str,
-        code: QCLDPCCode,
-        batch_size: int,
-        max_iterations: int,
-        fixed: bool,
+        self, code: QCLDPCCode
     ) -> Callable[[], ContinuousBatchingEngine]:
-        if self.backend == "process":
-            def make() -> ContinuousBatchingEngine:
-                from repro.accel.procpool import ProcessEngineProxy
-
-                return ProcessEngineProxy(
-                    code,
-                    batch_size=batch_size,
-                    max_iterations=max_iterations,
-                    fixed=fixed,
-                    schedule=self.schedule,
-                    metrics=self.metrics,
-                    recorder=self.recorder,
-                    log=self.log,
-                    label=key,
-                )
-        else:
-            def make() -> ContinuousBatchingEngine:
-                return ContinuousBatchingEngine(
-                    code,
-                    batch_size=batch_size,
-                    max_iterations=max_iterations,
-                    fixed=fixed,
-                    schedule=self.schedule,
-                    metrics=self.metrics,
-                    recorder=self.recorder,
-                )
+        def make() -> ContinuousBatchingEngine:
+            return ContinuousBatchingEngine(
+                code,
+                batch_size=self.batch_size,
+                max_iterations=self.max_iterations,
+                fixed=self.fixed,
+                schedule=self.schedule,
+                metrics=self.metrics,
+                recorder=self.recorder,
+            )
 
         return make
 
@@ -417,22 +368,6 @@ class DecodeService(object):
         service.registry_ids = tuple(ids)
         return service
 
-    @staticmethod
-    def _close_engine(engine: object) -> None:
-        """Release engine-held resources, if the backend holds any.
-
-        Thread-backend engines are plain objects (nothing to do);
-        process-backend proxies own a child process and two queues that
-        must be torn down whenever an engine is discarded — on clean
-        worker exit, before a crash rebuild, and at shard strike-out.
-        """
-        shutdown = getattr(engine, "shutdown", None)
-        if shutdown is not None:
-            try:
-                shutdown()
-            except Exception:
-                pass
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -470,7 +405,6 @@ class DecodeService(object):
             # no worker will ever drain these; fail them explicitly
             for shard in self._shards.values():
                 self._fail_queue(shard, ServiceClosedError("service closed"))
-                self._close_engine(shard.engine)
             return
         if wait:
             for shard in self._shards.values():
@@ -533,10 +467,8 @@ class DecodeService(object):
                 )
             self._replica_seq[group] += 1
             key = f"{group}#{self._replica_seq[group]}"
-            make_engine = self._engine_factory(
-                key, code, self.batch_size, self.max_iterations, self.fixed
-            )
-            shard = _Shard(key, make_engine, self.queue_capacity, group=group)
+            shard = _Shard(key, self._engine_factory(code),
+                           self.queue_capacity, group=group)
             self._shards[key] = shard
             self._groups[group].append(key)
             self._length_index.setdefault(code.n, []).append(key)
@@ -594,7 +526,6 @@ class DecodeService(object):
             self._fail_queue(
                 shard, ShardDeadError(f"shard {shard.key!r} removed")
             )
-            self._close_engine(shard.engine)
         with self._lock:
             self._shards.pop(shard.key, None)
             members = self._groups.get(shard.group, [])
@@ -971,7 +902,6 @@ class DecodeService(object):
         while True:
             try:
                 self._worker_loop(shard)
-                self._close_engine(shard.engine)
                 return  # clean exit: service closed and shard drained
             except Exception as exc:  # worker crash
                 shard.strikes += 1
@@ -989,7 +919,6 @@ class DecodeService(object):
                     error.__cause__ = exc
                 self._fail_in_flight(shard, error)
                 self._fail_queue(shard, error)
-                self._close_engine(shard.engine)
                 shard.engine = shard.make_engine()
                 if shard.stopping.is_set():
                     # crashed while draining for removal: don't restart,
@@ -1000,7 +929,6 @@ class DecodeService(object):
                             f"shard {shard.key!r} crashed while draining"
                         ),
                     )
-                    self._close_engine(shard.engine)
                     return
                 if shard.strikes >= self.max_strikes:
                     shard.healthy = False
@@ -1014,7 +942,6 @@ class DecodeService(object):
                             f"{shard.strikes} consecutive crashes"
                         ),
                     )
-                    self._close_engine(shard.engine)
                     return
                 if self._closing.wait(backoff):
                     # closing: skip the rest of the backoff and make one
@@ -1082,10 +1009,9 @@ class DecodeService(object):
                         item[1].set_result(done)
                 if completed:
                     # forward progress (frames actually retired): clear
-                    # the consecutive-crash counter.  Empty steps don't
-                    # count — a process backend polls emptily while its
-                    # child computes (or is dead), and resetting there
-                    # would defeat the strike-out.
+                    # the consecutive-crash counter.  Steps that retire
+                    # nothing don't count, so a worker that keeps
+                    # crashing before any frame finishes strikes out.
                     shard.strikes = 0
             except TransientDecodeError as exc:
                 # recoverable corruption: rebuild the engine and retry
@@ -1096,7 +1022,6 @@ class DecodeService(object):
         shard.last_error = exc
         emit(self.recorder, self.log, "warning", "pool.transient",
              shard=shard.key, error=repr(exc))
-        self._close_engine(shard.engine)
         shard.engine = shard.make_engine()
         survivors: Dict[int, _Item] = {}
         for job_id, (job, future) in shard.futures.items():

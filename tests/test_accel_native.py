@@ -3,10 +3,12 @@
 ``repro.accel.native`` builds ``kernel.c`` at first use, caches it per
 user and falls back to the numpy kernel when that fails.  These tests
 pin the loader's contract — the cache key, racing cold builds, damaged
-cache entries, the flags, one warning on fallback — and that both
+cache entries, the flags, one warning on fallback — that both
 kernels decode bit for bit alike, the compiled one in-process and the
 numpy fallback through the unchanged golden, differential,
-engine-width, engine and batch-kernel suites.
+engine-width, engine and batch-kernel suites, and that the compiled
+loop refuses foreign state and writes only inside the state it is
+handed.
 """
 
 from __future__ import annotations
@@ -202,11 +204,7 @@ def test_compiled_and_numpy_kernels_agree_bit_for_bit(fixed):
 
 @pytest.mark.timeout(900)
 def test_golden_differential_and_engine_width_suites_pass_on_numpy():
-    """The unchanged suites, run with the loader reporting no compiler.
-
-    Process-backend tests are left out: their worker processes start
-    without the plugin and decode on the compiled kernel.
-    """
+    """The unchanged suites, run with the loader reporting no compiler."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT)]
@@ -214,7 +212,7 @@ def test_golden_differential_and_engine_width_suites_pass_on_numpy():
     )
     out = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "-p", "tests.numpy_kernel", "-k", "not process",
+         "-p", "tests.numpy_kernel",
          "tests/test_golden_vectors.py", "tests/test_golden_zoo.py",
          "tests/test_differential_random.py",
          "tests/test_serve_engine_width.py",
@@ -267,3 +265,38 @@ def test_state_that_is_not_the_kernel_layout_is_refused(fixed):
         dec.iterate_once(p, [x.copy() for x in r])  # not one buffer
     with pytest.raises(DecodingError):
         dec.iterate_once(p, dec.new_r_state(3))     # width mismatch
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
+def test_the_compiled_kernel_stays_inside_the_state_it_is_given(fixed):
+    """P sits in rows ``g .. g+n`` of a guard-filled ``(n + 2g, B)``
+    array; iterating and counting syndromes on every zoo code, widths
+    1/3/16, leaves the guard rows untouched and P bit for bit equal to
+    P decoded on its own."""
+    if native.load() is None:
+        pytest.skip(f"no compiled kernel: {native.fallback_reason()}")
+    registry = default_registry()
+    rng = np.random.default_rng(99)
+    guard_rows = 64
+    for code_id in registry.ids():
+        code = registry.get(code_id)
+        dec = BatchLayeredMinSumDecoder(code, fixed=fixed)
+        for width in (1, 3, 16):
+            llrs = rng.normal(1.0, 2.0, (width, code.n))
+            alone = dec.prepare(llrs)
+            big = np.empty((code.n + 2 * guard_rows, width), dtype=alone.dtype)
+            big.fill(0x5A5A if fixed else -1234.5)
+            guard = big.copy()
+            p = big[guard_rows : guard_rows + code.n]
+            assert p.flags.c_contiguous and p.base is big
+            p[:] = alone
+            r_alone, r = dec.new_r_state(width), dec.new_r_state(width)
+            for _ in range(3):
+                dec.iterate_once(alone, r_alone)
+                dec.iterate_once(p, r)
+                np.testing.assert_array_equal(
+                    dec.syndrome_weights(p), dec.syndrome_weights(alone)
+                )
+            assert p.tobytes() == alone.tobytes(), (code_id, width)
+            assert big[:guard_rows].tobytes() == guard[:guard_rows].tobytes()
+            assert big[-guard_rows:].tobytes() == guard[-guard_rows:].tobytes()

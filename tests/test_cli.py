@@ -293,35 +293,28 @@ class TestObsReport:
         assert "backend thread" in out
 
     @pytest.mark.obs
-    @pytest.mark.accel
-    def test_process_backend_chrome_trace_has_worker_row(
-        self, tmp_path, capsys
-    ):
+    def test_thread_backend_json_and_chrome_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.json"
         rc = main([
             "obs-report", "--length", "576", "--frames", "6", "--batch", "3",
-            "--backend", "process", "--format", "json",
+            "--backend", "thread", "--format", "json",
             "--chrome-out", str(trace),
         ])
         assert rc == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["slo"]["status"] in ("pass", "unknown")
-        # the warm-up frame (which waits out the worker spawn) is not
-        # part of the SLO window
+        # the warm-up frame is not part of the SLO window
         retired = obj["metrics"]["serve_frames_out"]["series"]
         assert [s["value"] for s in retired] == [6]
         assert "engine.step" in obj["spans"]
         doc = json.loads(trace.read_text())
-        rows = {
-            ev["pid"]: ev["args"]["name"]
+        rows = [
+            (ev["pid"], ev["args"]["name"])
             for ev in doc["traceEvents"]
             if ev.get("ph") == "M" and ev.get("name") == "process_name"
-        }
-        assert rows.get(1) == "main"
-        assert any(
-            name.startswith("worker-") for pid, name in rows.items()
-            if pid != 1
-        )
+        ]
+        assert rows == [(1, "main")]
+        assert {ev["pid"] for ev in doc["traceEvents"]} == {1}
 
     @pytest.mark.obs
     def test_log_out_writes_jsonl(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ the paper's case-study code at 2.5 dB, in both arithmetic modes.  Any
 change to the decoder arithmetic — quantization, scaling, layer order,
 syndrome checks — shows up here as a digest mismatch, and every decode
 surface (per-frame class, batch kernel as a batch and one frame at a
-time, one-call API, process-backend service) must reproduce the same
+time, one-call API, decode service) must reproduce the same
 bytes.
 
 If an *intentional* algorithm change lands, regenerate the fixture with
@@ -92,8 +92,7 @@ class TestGoldenVectors(object):
         )
 
     @pytest.mark.serve
-    @pytest.mark.accel
-    def test_process_service(self, golden, traffic, mode):
+    def test_service(self, golden, traffic, mode):
         from repro.serve.pool import DecodeService
 
         code, llrs = traffic
@@ -102,7 +101,6 @@ class TestGoldenVectors(object):
             batch_size=4,
             max_iterations=golden["max_iterations"],
             fixed=mode == "fixed",
-            backend="process",
         )
         try:
             futures = [service.submit(f, timeout=None) for f in llrs]

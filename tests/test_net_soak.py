@@ -29,6 +29,7 @@ RETIRED_KEYS = {
     "shrink_after": soak.SHRINK_AFTER,
     "slo_crash_rate": soak.SLO_CRASH_RATE,
     "dedup_ttl_s": DedupWindow().ttl_s,
+    "backend": "thread",  # the one shard backend
 }
 
 pytestmark = [pytest.mark.net, pytest.mark.timeout(300)]

@@ -115,8 +115,7 @@ class TestRingBuffer(object):
         assert all(p.depth == 1 for p in parts)
         assert parts[0].start_s == pytest.approx(t0 + 0.5 - rec.epoch)
         assert parts[0].end_s - parts[0].start_s == pytest.approx(0.5)
-        assert [r.name for r in rec.drain()] == ["part"] * 3 + ["outer"]
-        assert len(rec) == 0
+        assert [r.name for r in rec.records()] == ["part"] * 3 + ["outer"]
         TraceRecorder(enabled=False).complete_spans("part", clock,
                                                     [(0, 1, ())])
 
