@@ -9,7 +9,7 @@ in-flight decode:
 
 * a retry arriving *after* the original finished is answered from the
   cached result (``hits``), re-framed under the retry's own job id;
-* a retry arriving *while* the original is still decoding awaits the
+* a retry arriving *while* the original is still decoding waits on the
   same future (``joined``) — one decode, two result frames;
 * failures are never cached: the future resolves to ``None`` and every
   waiter falls through to a fresh decode, because "retry after error"
@@ -69,13 +69,22 @@ class DedupWindow(object):
             self._entries.popitem(last=False)
 
     def lookup(self, key: Hashable) -> Optional[Any]:
-        """The cached value or in-flight future for ``key``, else None."""
+        """The cached value or in-flight future for ``key``, else None.
+
+        A future resolves to the finished value, or to None when the
+        original attempt failed — the caller should then decode fresh.
+        """
         self._purge()
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
-        return entry[1]
+        value = entry[1]
+        if isinstance(value, asyncio.Future):
+            self.joined += 1
+        else:
+            self.hits += 1
+        return value
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/replace ``key`` (restarts its TTL)."""
@@ -86,18 +95,6 @@ class DedupWindow(object):
     def discard(self, key: Hashable) -> None:
         """Drop ``key`` if present (used when a decode fails)."""
         self._entries.pop(key, None)
-
-    async def resolve(self, value: Any) -> Optional[Any]:
-        """Await an in-flight entry if it is a future; pass results through.
-
-        Returns None when the original attempt failed (its future
-        resolves to None) — the caller should decode fresh.
-        """
-        if isinstance(value, asyncio.Future):
-            self.joined += 1
-            return await asyncio.shield(value)
-        self.hits += 1
-        return value
 
     def to_dict(self) -> dict:
         """Counter snapshot for reports."""

@@ -6,13 +6,20 @@ asyncio: many concurrent connections multiplex decode requests onto the
 heterogeneous shard pool of a
 :class:`~repro.serve.pool.DecodeService`.
 
-Per connection, frames are read off the stream and each REQUEST becomes
-an independent task, so results *stream back in completion order*, not
-request order (the job id in every frame is the correlation key).  The
-bridge from asyncio to the thread-world service is
-``asyncio.wrap_future`` over the ``concurrent.futures.Future`` that
-``DecodeService.submit`` returns — the event loop never blocks on a
-decode.
+One task per connection reads frames off the stream; a REQUEST costs no
+task and no asyncio future of its own.  The reader runs dedup lookup,
+queue probe, admission and ``DecodeService.submit`` inline and hangs
+one done-callback on the ``concurrent.futures.Future`` that ``submit``
+returns.  On the worker thread that callback only appends the request
+to one gateway-wide completion list; the first completion after a
+drain wakes the loop with one ``call_soon_threadsafe``, and the loop
+then encodes every finished result and writes each connection's
+frames with one ``write`` per loop turn.  Results therefore *stream
+back in completion order*, not request order (the job id in every
+frame is the correlation key), and the event loop never blocks on a
+decode.  Result writes never await ``drain()``; the connection's
+reader does, before it reads the next frame, so a client that stops
+reading stops being read instead of growing the gateway's buffers.
 
 Admission runs before submission: the
 :class:`~repro.net.admission.AdmissionController` meters the tenant's
@@ -49,8 +56,10 @@ requests finish streaming their results (bounded by
 from __future__ import annotations
 
 import asyncio
+import functools
+import threading
 import time
-from typing import TYPE_CHECKING, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.errors import (
     FrameCorruptionError,
@@ -83,7 +92,10 @@ from repro.net.protocol import (
 from repro.obs.log import EventLog, emit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import Future
+
     from repro.obs.trace import TraceRecorder
+    from repro.serve.jobs import CompletedJob
     from repro.serve.pool import DecodeService
 
 __all__ = ["DecodeGateway"]
@@ -96,25 +108,75 @@ _REJECT_REASONS = {
     ServiceClosedError: "drain",
 }
 
+#: Errors a write or drain on a torn connection raises.
+_TORN = (ConnectionError, RuntimeError, OSError)
+
+
+def _wake(waiter: "Optional[asyncio.Future]") -> None:
+    if waiter is not None and not waiter.done():
+        waiter.set_result(None)
+
 
 class _ConnState(object):
-    """Per-connection liveness state."""
+    """Per-connection liveness and in-flight state."""
 
-    __slots__ = ("writer", "lock", "peer",
-                 "last_rx", "missed_pings", "ping_seq", "closed")
+    __slots__ = ("writer", "peer", "last_rx", "missed_pings", "ping_seq",
+                 "closed", "task", "heartbeat", "inflight", "idle")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
-        self.lock = asyncio.Lock()
         self.peer = str(writer.get_extra_info("peername"))
         self.last_rx = time.monotonic()
         self.missed_pings = 0
         self.ping_seq = 0
         self.closed = False
+        self.task: "Optional[asyncio.Task]" = asyncio.current_task()
+        self.heartbeat: "Optional[asyncio.Task]" = None
+        #: requests read off this connection and not yet answered
+        self.inflight = 0
+        #: resolved when ``inflight`` falls to 0 while the reader waits
+        self.idle: "Optional[asyncio.Future]" = None
 
     def saw_frame(self) -> None:
         self.last_rx = time.monotonic()
         self.missed_pings = 0
+
+
+class _Pending(object):
+    """One request between its arrival and its reply frame.
+
+    Never holds the service future it waits on: the future's
+    done-callback holds this object, and a reference back would make a
+    cycle that keeps every finished job alive until the cyclic GC runs.
+    """
+
+    __slots__ = ("req", "conn", "tenant", "code_label", "t0", "t0_pc",
+                 "trace_id", "serve_span", "remote_parent", "reply_trace",
+                 "dedup_key", "owner", "admission_s", "t_submit")
+
+    def __init__(self, req: Request, conn: _ConnState,
+                 rec: "Optional[TraceRecorder]") -> None:
+        self.t0 = time.monotonic()
+        self.t0_pc = time.perf_counter()
+        self.req = req
+        self.conn = conn
+        self.tenant = req.tenant or "anonymous"
+        self.code_label = req.code_id or "default"
+        self.trace_id = req.trace.trace_id if req.trace is not None else 0
+        tracing = rec is not None and rec.enabled and bool(self.trace_id)
+        #: nonzero exactly when the gateway records this request's spans
+        self.serve_span = rec.allocate_span_id() if tracing else 0
+        self.remote_parent = req.trace.span_id if tracing else 0
+        # echo the trace id (plus our span) so the client can join the
+        # reply to its own tree even without a shared recorder
+        self.reply_trace = (
+            TraceContext(self.trace_id, self.serve_span)
+            if self.trace_id else None
+        )
+        self.dedup_key: Optional[Tuple[str, str]] = None
+        self.owner: "Optional[asyncio.Future]" = None
+        self.admission_s = 0.0
+        self.t_submit = 0.0
 
 
 class DecodeGateway(object):
@@ -179,12 +241,18 @@ class DecodeGateway(object):
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_misses = heartbeat_misses
         self._server: Optional[asyncio.AbstractServer] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._draining = False
         self._closed = False
-        self._writers: Set[asyncio.StreamWriter] = set()
-        self._inflight: Set["asyncio.Task"] = set()
-        self._conn_tasks: Set["asyncio.Task"] = set()
-        self._heartbeats: Set["asyncio.Task"] = set()
+        self._conns: Set[_ConnState] = set()
+        #: requests read and not yet answered, over every connection
+        self._inflight = 0
+        #: resolved when ``_inflight`` falls to 0 while :meth:`close` waits
+        self._drained: "Optional[asyncio.Future]" = None
+        # finished service futures waiting for the loop; appended by
+        # worker threads, swapped out whole by _complete
+        self._done: "List[Tuple[_Pending, Future]]" = []
+        self._done_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -193,6 +261,7 @@ class DecodeGateway(object):
         """Bind and start accepting; returns the bound ``(host, port)``."""
         if self._server is not None:
             return self.address
+        self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._handle_conn, self.host, self.port
         )
@@ -222,33 +291,32 @@ class DecodeGateway(object):
 
         With ``drain=True`` (default) in-flight requests finish and
         stream their results first (bounded by ``drain_timeout_s``);
-        with ``drain=False`` they are cancelled and their clients see
+        with ``drain=False`` they are dropped and their clients see
         the connection drop.  Idempotent.
         """
         if self._closed:
             return
         self._draining = True
         emit(self.recorder, self.log, "info", "net.drain",
-             inflight=len(self._inflight), drain=drain)
+             inflight=self._inflight, drain=drain)
         if self._server is not None:
             self._server.close()
+        for conn in list(self._conns):
+            if conn.heartbeat is not None:
+                conn.heartbeat.cancel()
+        if drain and self._inflight:
+            self._drained = asyncio.get_running_loop().create_future()
+            await asyncio.wait([self._drained], timeout=self.drain_timeout_s)
+        conn_tasks = []
+        for conn in list(self._conns):
+            conn.writer.close()  # results still decoding are dropped
+            _wake(conn.idle)
+            if conn.task is not None:
+                conn_tasks.append(conn.task)
+        if conn_tasks:
+            await asyncio.wait(conn_tasks, timeout=self.drain_timeout_s)
+        if self._server is not None:
             await self._server.wait_closed()
-        for task in list(self._heartbeats):
-            task.cancel()
-        if drain:
-            if self._inflight:
-                await asyncio.wait(
-                    list(self._inflight), timeout=self.drain_timeout_s
-                )
-        else:
-            for task in list(self._inflight):
-                task.cancel()
-        for writer in list(self._writers):
-            writer.close()
-        if self._conn_tasks:
-            await asyncio.wait(
-                list(self._conn_tasks), timeout=self.drain_timeout_s
-            )
         self._closed = True
         emit(self.recorder, self.log, "info", "net.closed")
 
@@ -265,26 +333,25 @@ class DecodeGateway(object):
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._writers.add(writer)
+        conn = _ConnState(writer)
+        self._conns.add(conn)
         self.metrics.connections.inc()
         self.metrics.connections_total.inc()
-        conn = _ConnState(writer)
         emit(self.recorder, self.log, "debug", "net.conn_open", peer=conn.peer)
-        conn_tasks: Set["asyncio.Task"] = set()
-        heartbeat_task: Optional["asyncio.Task"] = None
         if self.heartbeat_interval_s:
-            heartbeat_task = asyncio.ensure_future(self._heartbeat(conn))
-            self._heartbeats.add(heartbeat_task)
-            heartbeat_task.add_done_callback(self._heartbeats.discard)
+            conn.heartbeat = asyncio.ensure_future(self._heartbeat(conn))
         try:
             while True:
                 try:
+                    # replies are written without awaiting; a client
+                    # that stops reading stalls this reader instead
+                    await writer.drain()
+                except _TORN:
+                    break
+                try:
                     payload = await read_raw(reader, self.max_frame_bytes)
                 except NetProtocolError as exc:
-                    await self._conn_fatal(conn, exc)
+                    self._conn_fatal(conn, exc)
                     break
                 if payload is None:
                     break  # client closed cleanly
@@ -292,48 +359,41 @@ class DecodeGateway(object):
                 try:
                     frame = decode_frame(payload)
                 except NetProtocolError as exc:
-                    await self._conn_fatal(conn, exc)
+                    self._conn_fatal(conn, exc)
                     break
                 conn.saw_frame()
+                if isinstance(frame, Request):
+                    self._request(frame, conn)
+                    continue
                 if isinstance(frame, Hello):
                     # decode_frame already checked the version
                     self.metrics.hello.inc(version=str(VERSION))
                     emit(self.recorder, self.log, "debug", "net.hello",
                          peer=conn.peer, version=VERSION)
-                    await self._send_quiet(conn, encode_hello(frame.job_id))
+                    self._send_quiet(conn, encode_hello(frame.job_id))
                     continue
                 if isinstance(frame, Ping):
-                    await self._send_quiet(conn, encode_pong(frame.job_id))
+                    self._send_quiet(conn, encode_pong(frame.job_id))
                     continue
                 if isinstance(frame, Pong):
                     continue  # liveness bookkeeping happened in saw_frame
-                if not isinstance(frame, Request):
-                    exc = NetProtocolError(
-                        f"clients may not send {type(frame).__name__} frames"
-                    )
-                    emit(self.recorder, self.log, "warning",
-                         "net.protocol_error", peer=conn.peer, error=str(exc))
-                    await self._send_quiet(
-                        conn, encode_error(frame.job_id, exc)
-                    )
-                    break
-                req_task = asyncio.ensure_future(
-                    self._serve_request(frame, conn)
+                exc = NetProtocolError(
+                    f"clients may not send {type(frame).__name__} frames"
                 )
-                conn_tasks.add(req_task)
-                self._inflight.add(req_task)
-                req_task.add_done_callback(conn_tasks.discard)
-                req_task.add_done_callback(self._inflight.discard)
+                emit(self.recorder, self.log, "warning",
+                     "net.protocol_error", peer=conn.peer, error=str(exc))
+                self._send_quiet(conn, encode_error(frame.job_id, exc))
+                break
         finally:
             conn.closed = True
-            if heartbeat_task is not None:
-                heartbeat_task.cancel()
-                self._heartbeats.discard(heartbeat_task)
-            if conn_tasks:
+            if conn.heartbeat is not None:
+                conn.heartbeat.cancel()
+            if conn.inflight and not writer.is_closing():
                 # let this connection's tail of results flush before the
                 # socket goes away (drain-on-close already bounded these)
-                await asyncio.gather(*conn_tasks, return_exceptions=True)
-            self._writers.discard(writer)
+                conn.idle = asyncio.get_running_loop().create_future()
+                await conn.idle
+            self._conns.discard(conn)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -342,34 +402,27 @@ class DecodeGateway(object):
             self.metrics.connections.dec()
             emit(self.recorder, self.log, "debug", "net.conn_close",
                  peer=conn.peer)
-            if task is not None:
-                self._conn_tasks.discard(task)
 
     async def _heartbeat(self, conn: _ConnState) -> None:
         """PING an idle peer on a cadence; close it after missed pongs."""
         interval = float(self.heartbeat_interval_s or 0.0)
-        try:
-            while not conn.closed:
-                await asyncio.sleep(interval)
-                if conn.closed:
-                    return
-                if time.monotonic() - conn.last_rx <= interval:
-                    continue  # traffic is liveness; no ping needed
-                if conn.missed_pings >= self.heartbeat_misses:
-                    self.metrics.dead_peers.inc()
-                    emit(self.recorder, self.log, "warning", "net.dead_peer",
-                         peer=conn.peer, missed=conn.missed_pings)
-                    conn.writer.close()
-                    return
-                conn.missed_pings += 1
-                conn.ping_seq += 1
-                await self._send_quiet(conn, encode_ping(conn.ping_seq))
-        except asyncio.CancelledError:
-            raise
+        while not conn.closed:
+            await asyncio.sleep(interval)
+            if conn.closed:
+                return
+            if time.monotonic() - conn.last_rx <= interval:
+                continue  # traffic is liveness; no ping needed
+            if conn.missed_pings >= self.heartbeat_misses:
+                self.metrics.dead_peers.inc()
+                emit(self.recorder, self.log, "warning", "net.dead_peer",
+                     peer=conn.peer, missed=conn.missed_pings)
+                conn.writer.close()
+                return
+            conn.missed_pings += 1
+            conn.ping_seq += 1
+            self._send_quiet(conn, encode_ping(conn.ping_seq))
 
-    async def _conn_fatal(
-        self, conn: _ConnState, exc: NetProtocolError
-    ) -> None:
+    def _conn_fatal(self, conn: _ConnState, exc: NetProtocolError) -> None:
         """Report a connection-scoped protocol failure (ERROR, job 0)."""
         if isinstance(exc, FrameCorruptionError):
             self.metrics.crc_corrupt.inc()
@@ -378,94 +431,112 @@ class DecodeGateway(object):
         else:
             emit(self.recorder, self.log, "warning", "net.protocol_error",
                  peer=conn.peer, error=str(exc))
-        await self._send_quiet(conn, encode_error(0, exc))
+        self._send_quiet(conn, encode_error(0, exc))
 
-    async def _serve_request(self, req: Request, conn: _ConnState) -> None:
-        """Admit, submit, await, and stream back one request.
+    # ------------------------------------------------------------------
+    # the request path
+    #
+    # A request carrying a trace context (a tracing client) is adopted:
+    # one ``gateway.request`` span parented under the client's wire
+    # span, with ``gateway.dedup`` / ``gateway.queue_probe`` /
+    # ``gateway.admission`` / ``gateway.submit`` / ``gateway.respond``
+    # children, the waterfall split recorded as span attributes, and the
+    # same context threaded into ``DecodeService.submit`` so the pool's
+    # queue-wait/decode spans join the tree.  Spans use explicit parent
+    # ids because every request interleaves on one event-loop thread.
+    # ------------------------------------------------------------------
+    def _child(self, p: _Pending, name: str, start_pc: float,
+               **labels: object) -> None:
+        if p.serve_span:
+            self.recorder.complete(name, start_pc, parent_id=p.serve_span,
+                                   trace=p.trace_id, **labels)
 
-        When the request carries a trace context (a tracing client),
-        the gateway *adopts* it:
-        one ``gateway.request`` span parented under the client's wire
-        span, with ``gateway.dedup`` / ``gateway.queue_probe`` /
-        ``gateway.admission`` / ``gateway.submit`` / ``gateway.respond``
-        children, the waterfall split recorded as span attributes, and
-        the same context threaded into ``DecodeService.submit`` so the
-        pool's queue-wait/decode spans join the tree.  Spans use
-        explicit parent ids rather than the thread-local stack because
-        every request interleaves on one event-loop thread.
-        """
-        t0 = time.monotonic()
-        t0_pc = time.perf_counter()
-        tenant = req.tenant or "anonymous"
-        code_key = req.code_id or None
-        code_label = req.code_id or "default"
-        rec = self.recorder
-        req_trace_id = req.trace.trace_id if req.trace is not None else 0
-        tracing = rec is not None and rec.enabled and bool(req_trace_id)
-        serve_span = rec.allocate_span_id() if tracing else 0
-        remote_parent = req.trace.span_id if tracing else 0
-        # echo the trace id (plus our span) so the client can join the
-        # reply to its own tree even without a shared recorder
-        reply_trace = (
-            TraceContext(req_trace_id, serve_span) if req_trace_id else None
+    def _root_span(self, p: _Pending, outcome: str,
+                   **extra: object) -> None:
+        """Record ``gateway.request``; callers check ``p.serve_span``."""
+        self.recorder.complete(
+            "gateway.request", p.t0_pc, span_id=p.serve_span,
+            parent_id=p.remote_parent or None, trace=p.trace_id,
+            tenant=p.tenant, code_id=p.code_label, job=p.req.job_id,
+            outcome=outcome, **extra
         )
 
-        def child(name: str, start_pc: float, **labels: object) -> None:
-            if tracing:
-                rec.complete(
-                    name, start_pc, parent_id=serve_span,
-                    trace=req_trace_id, **labels
-                )
+    def _settle(self, p: _Pending) -> None:
+        """Release the request's in-flight slot."""
+        conn = p.conn
+        conn.inflight -= 1
+        if not conn.inflight:
+            _wake(conn.idle)
+        self._inflight -= 1
+        if not self._inflight:
+            _wake(self._drained)
 
-        def finish(outcome: str, **extra: object) -> None:
-            if tracing:
-                rec.complete(
-                    "gateway.request", t0_pc, span_id=serve_span,
-                    parent_id=remote_parent or None, trace=req_trace_id,
-                    tenant=tenant, code_id=code_label, job=req.job_id,
-                    outcome=outcome, **extra
-                )
+    def _request(self, req: Request, conn: _ConnState) -> None:
+        """Take one REQUEST off the reader: replay, join or submit it."""
+        p = _Pending(req, conn, self.recorder)
+        conn.inflight += 1
+        self._inflight += 1
+        self.metrics.requests.inc(tenant=p.tenant)
+        emit(self.recorder, self.log, "debug", "net.request",
+             tenant=p.tenant, job=req.job_id, priority=req.priority)
+        if not req.idempotency_key:
+            self._submit(p, 0.0)
+            return
+        p.dedup_key = (p.tenant, req.idempotency_key)
+        t_dedup = time.perf_counter()
+        entry = self.dedup.lookup(p.dedup_key)
+        if entry is None:
+            self._submit(p, t_dedup)
+        elif isinstance(entry, asyncio.Future):
+            entry.add_done_callback(
+                functools.partial(self._joined, p, t_dedup)
+            )
+        else:
+            self._replay(p, t_dedup, "cached", entry)
 
+    def _joined(self, p: _Pending, t_dedup: float,
+                owner: "asyncio.Future") -> None:
+        value = owner.result()
+        if value is None:
+            # the original attempt failed: decode fresh
+            self._submit(p, t_dedup)
+        else:
+            self._replay(p, t_dedup, "joined", value)
+
+    def _replay(self, p: _Pending, t_dedup: float, outcome: str,
+                value: Tuple[bool, int, object]) -> None:
+        """Answer from the dedup window under the retry's own job id."""
+        self._child(p, "gateway.dedup", t_dedup, outcome=outcome)
+        converged, iterations, bits = value
+        t_respond = time.perf_counter()
+        self._send_quiet(
+            p.conn,
+            encode_result(p.req.job_id, converged, iterations, bits,
+                          trace=p.reply_trace),
+        )
+        self._child(p, "gateway.respond", t_respond)
+        total_s = time.monotonic() - p.t0
         metrics = self.metrics
-        metrics.requests.inc(tenant=tenant)
-        emit(self.recorder, self.log, "debug", "net.request", tenant=tenant,
-             job=req.job_id, priority=req.priority)
-        dedup_key = None
-        owner: "Optional[asyncio.Future]" = None
-        if req.idempotency_key:
-            dedup_key = (tenant, req.idempotency_key)
-            t_dedup = time.perf_counter()
-            entry = self.dedup.lookup(dedup_key)
-            if entry is not None:
-                outcome = (
-                    "joined" if isinstance(entry, asyncio.Future) else "cached"
-                )
-                value = await self.dedup.resolve(entry)
-                if value is not None:
-                    child("gateway.dedup", t_dedup, outcome=outcome)
-                    converged, iterations, bits = value
-                    t_respond = time.perf_counter()
-                    await self._send_quiet(
-                        conn,
-                        encode_result(req.job_id, converged, iterations,
-                                      bits, trace=reply_trace),
-                    )
-                    child("gateway.respond", t_respond)
-                    total_s = time.monotonic() - t0
-                    metrics.dedup_hits.inc(outcome=outcome)
-                    metrics.results.inc(tenant=tenant)
-                    metrics.latency.observe(total_s, tenant=tenant)
-                    metrics.phases.observe(total_s, tenant=tenant,
-                                           code_id=code_label, phase="total")
-                    emit(self.recorder, self.log, "debug", "net.dedup",
-                         tenant=tenant, job=req.job_id, outcome=outcome)
-                    finish("dedup", dedup=outcome, total_s=round(total_s, 6))
-                    return
-                # the original attempt failed: fall through and decode
-            child("gateway.dedup", t_dedup, outcome="miss")
-            owner = asyncio.get_running_loop().create_future()
-            self.dedup.put(dedup_key, owner)
-        admission_s = queue_wait_s = decode_s = 0.0
+        metrics.dedup_hits.inc(outcome=outcome)
+        metrics.results.inc(tenant=p.tenant)
+        metrics.latency.observe(total_s, tenant=p.tenant)
+        metrics.phases.observe(total_s, tenant=p.tenant,
+                               code_id=p.code_label, phase="total")
+        emit(self.recorder, self.log, "debug", "net.dedup",
+             tenant=p.tenant, job=p.req.job_id, outcome=outcome)
+        if p.serve_span:
+            self._root_span(p, "dedup", dedup=outcome,
+                            total_s=round(total_s, 6))
+        self._settle(p)
+
+    def _submit(self, p: _Pending, t_dedup: float) -> None:
+        """Admit and submit; the reply comes from :meth:`_complete`."""
+        req = p.req
+        if p.dedup_key is not None:
+            self._child(p, "gateway.dedup", t_dedup, outcome="miss")
+            p.owner = self._loop.create_future()
+            self.dedup.put(p.dedup_key, p.owner)
+        code_key = req.code_id or None
         try:
             if self._draining:
                 raise GatewayClosedError(
@@ -473,97 +544,136 @@ class DecodeGateway(object):
                 )
             t_probe = time.perf_counter()
             fill = self.service.queue_fill(code_key)
-            child("gateway.queue_probe", t_probe, fill=round(fill, 4))
+            self._child(p, "gateway.queue_probe", t_probe,
+                        fill=round(fill, 4))
             t_admit = time.perf_counter()
-            decision = self.admission.admit(tenant, fill, req.priority)
-            admission_s = time.perf_counter() - t_probe
-            child("gateway.admission", t_admit,
-                  shed=decision.shed, budget=decision.iteration_budget)
-            t_submit = time.perf_counter()
+            decision = self.admission.admit(p.tenant, fill, req.priority)
+            p.admission_s = time.perf_counter() - t_probe
+            self._child(p, "gateway.admission", t_admit,
+                        shed=decision.shed, budget=decision.iteration_budget)
+            p.t_submit = time.perf_counter()
             future = self.service.submit(
                 req.llrs(),
                 code_key=code_key,
                 timeout=0.0,
                 iteration_budget=decision.iteration_budget,
-                trace=(
-                    TraceContext(req_trace_id, serve_span)
-                    if tracing else None
-                ),
+                trace=p.reply_trace if p.serve_span else None,
             )
-            # counted once submitted: a refused request is rejected,
-            # not shed
-            if decision.shed:
-                metrics.shed.inc(tenant=tenant)
-            done = await asyncio.wrap_future(future)
-            child("gateway.submit", t_submit, job=req.job_id)
-            job = done.job
-            if job.dispatched_at is not None:
-                queue_wait_s = max(0.0, job.dispatched_at - job.enqueued_at)
-                decode_s = max(0.0, done.completed_at - job.dispatched_at)
-            result = done.result
-            value = (
-                bool(result.converged), int(result.iterations), result.bits
-            )
-            if dedup_key is not None:
-                self.dedup.put(dedup_key, value)
-            if owner is not None and not owner.done():
-                owner.set_result(value)
-        except asyncio.CancelledError:
-            raise
         except Exception as exc:
-            if dedup_key is not None:
-                self.dedup.discard(dedup_key)
-            await self._reply_error(req, tenant, conn, exc,
-                                    trace=reply_trace)
-            metrics.phases.observe(time.monotonic() - t0, tenant=tenant,
-                                   code_id=code_label, phase="total")
-            finish("error", error=type(exc).__name__)
+            self._failed(p, exc)
             return
-        finally:
-            # failures are never cached: joiners of a future that never
-            # produced a value decode fresh when they see None
-            if owner is not None and not owner.done():
-                owner.set_result(None)
-        t_respond = time.perf_counter()
-        await self._send_quiet(
-            conn,
-            encode_result(req.job_id, value[0], value[1], value[2],
-                          trace=reply_trace),
-        )
-        respond_s = time.perf_counter() - t_respond
-        child("gateway.respond", t_respond)
-        total_s = time.monotonic() - t0
+        # counted once submitted: a refused request is rejected, not shed
+        if decision.shed:
+            self.metrics.shed.inc(tenant=p.tenant)
+        future.add_done_callback(functools.partial(self._retired, p))
+
+    def _retired(self, p: _Pending, future: "Future") -> None:
+        """Done-callback, on the worker thread: hand the job to the loop.
+
+        Only the first completion after :meth:`_complete` took the list
+        wakes the loop; the rest ride along in the same turn.
+        """
+        with self._done_lock:
+            self._done.append((p, future))
+            if len(self._done) > 1:
+                return
+        try:
+            self._loop.call_soon_threadsafe(self._complete)
+        except RuntimeError:
+            pass  # the loop is gone: nobody is left to answer
+
+    def _complete(self) -> None:
+        """Answer every finished job: one write per connection."""
+        with self._done_lock:
+            done_list, self._done = self._done, []
+        out: Dict[_ConnState, List[tuple]] = {}
+        for p, future in done_list:
+            if p.conn.writer.is_closing():
+                # dropped by close(drain=False) or a torn connection
+                self._forget(p)
+                if p.serve_span:
+                    self._root_span(p, "dropped")
+                self._settle(p)
+                continue
+            try:
+                done = future.result()
+                result = done.result
+                value = (bool(result.converged), int(result.iterations),
+                         result.bits)
+                t_respond = time.perf_counter()
+                frame = encode_result(p.req.job_id, *value,
+                                      trace=p.reply_trace)
+            except Exception as exc:
+                self._failed(p, exc)
+                continue
+            if p.dedup_key is not None:
+                self.dedup.put(p.dedup_key, value)
+                p.owner.set_result(value)
+            out.setdefault(p.conn, []).append(
+                (p, done, value, t_respond, frame)
+            )
+        written = []
+        for conn, answered in out.items():
+            self._send_quiet(conn, b"".join([entry[4] for entry in answered]))
+            written.append((answered, time.perf_counter()))
+        # account only once every connection has its frames
+        for answered, t_written in written:
+            for p, done, value, t_respond, _frame in answered:
+                self._answered(p, done, value, t_respond,
+                               t_written - t_respond)
+
+    def _answered(self, p: _Pending, done: "CompletedJob",
+                  value: Tuple[bool, int, object], t_respond: float,
+                  respond_s: float) -> None:
+        """Account one result frame handed to the transport."""
+        if p.serve_span:
+            self._child(p, "gateway.submit", p.t_submit, job=p.req.job_id)
+            self._child(p, "gateway.respond", t_respond)
+        total_s = time.monotonic() - p.t0
+        job = done.job
+        queue_wait_s = decode_s = 0.0
+        if job.dispatched_at is not None:
+            queue_wait_s = max(0.0, job.dispatched_at - job.enqueued_at)
+            decode_s = max(0.0, done.completed_at - job.dispatched_at)
+        tenant = p.tenant
+        metrics = self.metrics
         metrics.results.inc(tenant=tenant)
         metrics.latency.observe(total_s, tenant=tenant)
         # phase="total" is observed for every request; the split phases
         # only for requests that decoded, so per-phase p99s are not
         # diluted by fail-fast rejections
         for phase, seconds in (
-            ("total", total_s), ("admission", admission_s),
+            ("total", total_s), ("admission", p.admission_s),
             ("queue_wait", queue_wait_s), ("decode", decode_s),
             ("respond", respond_s),
         ):
             metrics.phases.observe(seconds, tenant=tenant,
-                                   code_id=code_label, phase=phase)
+                                   code_id=p.code_label, phase=phase)
         emit(self.recorder, self.log, "debug", "net.result", tenant=tenant,
-             job=req.job_id, converged=value[0], iterations=value[1])
-        finish(
-            "ok", converged=value[0], iterations=value[1],
-            admission_s=round(admission_s, 6),
-            queue_wait_s=round(queue_wait_s, 6),
-            decode_s=round(decode_s, 6),
-            respond_s=round(respond_s, 6),
-            total_s=round(total_s, 6),
-        )
+             job=p.req.job_id, converged=value[0], iterations=value[1])
+        if p.serve_span:
+            self._root_span(
+                p, "ok", converged=value[0], iterations=value[1],
+                admission_s=round(p.admission_s, 6),
+                queue_wait_s=round(queue_wait_s, 6),
+                decode_s=round(decode_s, 6),
+                respond_s=round(respond_s, 6),
+                total_s=round(total_s, 6),
+            )
+        self._settle(p)
 
-    async def _reply_error(
-        self,
-        req: Request,
-        tenant: str,
-        conn: _ConnState,
-        exc: BaseException,
-        trace: Optional[TraceContext] = None,
-    ) -> None:
+    def _forget(self, p: _Pending) -> None:
+        """Failures are never cached: joiners of an owner that never
+        produced a value see None and decode fresh."""
+        if p.dedup_key is not None:
+            self.dedup.discard(p.dedup_key)
+        if p.owner is not None:
+            p.owner.set_result(None)
+
+    def _failed(self, p: _Pending, exc: BaseException) -> None:
+        """Reply with the typed error."""
+        self._forget(p)
+        req, tenant = p.req, p.tenant
         reason = _REJECT_REASONS.get(type(exc))
         if reason is not None:
             self.metrics.rejected.inc(tenant=tenant, reason=reason)
@@ -574,19 +684,25 @@ class DecodeGateway(object):
             emit(self.recorder, self.log, "warning", "net.error",
                  tenant=tenant, job=req.job_id, kind=type(exc).__name__,
                  error=str(exc))
-        if not isinstance(exc, ServeError):
-            exc = ServeError(f"{type(exc).__name__}: {exc}")
-        await self._send_quiet(
-            conn,
-            encode_error(req.job_id, exc, trace=trace),
+        wire_exc = exc if isinstance(exc, ServeError) else ServeError(
+            f"{type(exc).__name__}: {exc}"
         )
+        self._send_quiet(
+            p.conn, encode_error(req.job_id, wire_exc, trace=p.reply_trace)
+        )
+        self.metrics.phases.observe(time.monotonic() - p.t0, tenant=tenant,
+                                    code_id=p.code_label, phase="total")
+        if p.serve_span:
+            self._root_span(p, "error", error=type(exc).__name__)
+        self._settle(p)
 
-    async def _send_quiet(self, conn: _ConnState, data: bytes) -> None:
-        """Write one frame; a torn connection is the client's problem."""
+    def _send_quiet(self, conn: _ConnState, data: bytes) -> None:
+        """Write frames; a torn connection is the client's problem."""
+        writer = conn.writer
+        if writer.is_closing():
+            return
         try:
-            async with conn.lock:
-                conn.writer.write(data)
-                await conn.writer.drain()
-            self.metrics.bytes_out.inc(len(data))
-        except (ConnectionError, RuntimeError, OSError):
-            pass
+            writer.write(data)
+        except _TORN:
+            return
+        self.metrics.bytes_out.inc(len(data))

@@ -70,16 +70,17 @@ class _Instrument(object):
         self.name = name
         self.help = help
         self.label_names = tuple(label_names)
+        self._label_set = frozenset(self.label_names)
         self._lock = lock
         self._series: Dict[_LabelKey, Any] = {}
 
     def _key(self, labels: Mapping[str, Any]) -> _LabelKey:
-        if set(labels) != set(self.label_names):
+        if labels.keys() != self._label_set:
             raise MetricsError(
                 f"{self.name}: expected labels {self.label_names}, "
                 f"got {tuple(sorted(labels))}"
             )
-        return tuple(labels[k] for k in self.label_names)
+        return tuple(map(labels.__getitem__, self.label_names))
 
     def series(self) -> List[Tuple[_LabelKey, Any]]:
         """All (label-values, state) pairs, in creation order."""

@@ -9,6 +9,9 @@ and drain refuses new work while finishing old work.
 """
 
 import asyncio
+import gc
+import socket
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from repro.net import (
     pack_llrs,
     unpack_llrs,
 )
+from repro.net.protocol import encode_hello, encode_request
 from repro.serve.pool import DecodeService
 
 pytestmark = [pytest.mark.net, pytest.mark.timeout(120)]
@@ -77,6 +81,36 @@ def open_admission(**tenants):
             default_policy=TenantPolicy(rate=1e9, burst=1e9),
         )
     return AdmissionController(tenants, max_iterations=MAX_ITER)
+
+
+async def _until(predicate, timeout_s: float = 30.0) -> None:
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout_s
+    while not predicate():
+        assert loop.time() < deadline, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+def _gateway_tasks():
+    """Pending tasks running a DecodeGateway coroutine."""
+    return [
+        task for task in asyncio.all_tasks()
+        if task.get_coro().__qualname__.startswith("DecodeGateway.")
+    ]
+
+
+async def _send_until_stalled(sock, data: bytes, stall_s: float = 1.0):
+    """Push ``data`` down a non-blocking socket until the peer stops
+    taking bytes for ``stall_s``; returns how many bytes went out."""
+    loop = asyncio.get_running_loop()
+    sent, progress = 0, loop.time()
+    while sent < len(data) and loop.time() - progress < stall_s:
+        try:
+            sent += sock.send(data[sent:sent + 65536])
+            progress = loop.time()
+        except BlockingIOError:
+            await asyncio.sleep(0.01)
+    return sent
 
 
 class TestRoundtrip:
@@ -271,6 +305,78 @@ class TestDrain:
 
         asyncio.run(run())
 
+    def test_close_streams_a_request_still_decoding(self, code, traffic):
+        # the worker starts only after close() began waiting, so the
+        # result is produced mid-drain and must still reach the client
+        svc = DecodeService(code, batch_size=4, max_iterations=MAX_ITER,
+                            queue_capacity=64, autostart=False)
+
+        async def run():
+            gateway = DecodeGateway(svc, open_admission())
+            host, port = await gateway.start()
+            client = await AsyncDecodeClient.connect(host, port,
+                                                     tenant="acme")
+            try:
+                pending = asyncio.ensure_future(
+                    client.decode(traffic[0], timeout=60)
+                )
+                await _until(
+                    lambda: gateway.metrics.requests.value(tenant="acme")
+                )
+                closing = asyncio.ensure_future(gateway.close(drain=True))
+                await asyncio.sleep(0.05)
+                assert gateway.draining and not closing.done()
+                svc.start()
+                result = await pending
+                await closing
+                return result, _gateway_tasks()
+            finally:
+                await client.close()
+
+        try:
+            result, leftover = asyncio.run(run())
+        finally:
+            svc.close()
+        reference = decode_many(code, traffic[0][None, :],
+                                max_iterations=MAX_ITER)
+        np.testing.assert_array_equal(result.bits, reference.bits[0])
+        assert leftover == []
+
+    def test_close_without_drain_drops_the_request(self, code, traffic):
+        svc = DecodeService(code, batch_size=4, max_iterations=MAX_ITER,
+                            queue_capacity=64, autostart=False)
+
+        async def run():
+            gateway = DecodeGateway(svc, open_admission())
+            host, port = await gateway.start()
+            client = await AsyncDecodeClient.connect(host, port,
+                                                     tenant="acme")
+            try:
+                pending = asyncio.ensure_future(
+                    client.decode(traffic[0], timeout=60)
+                )
+                await _until(
+                    lambda: gateway.metrics.requests.value(tenant="acme")
+                )
+                await gateway.close(drain=False)
+                leftover = _gateway_tasks()
+                with pytest.raises(GatewayClosedError):
+                    await pending
+                # the dropped job still decodes; its late completion
+                # must find the connection gone without raising
+                svc.start()
+                await _until(lambda: not gateway._inflight)
+                return leftover, gateway.metrics
+            finally:
+                await client.close()
+
+        try:
+            leftover, metrics = asyncio.run(run())
+        finally:
+            svc.close()
+        assert leftover == []
+        assert metrics.results.value(tenant="acme") == 0
+
     def test_close_is_idempotent(self, service):
         async def run():
             gateway = DecodeGateway(service, open_admission())
@@ -281,6 +387,112 @@ class TestDrain:
 
         asyncio.run(run())
 
+
+class TestRequestPath:
+    def test_served_requests_leave_no_cyclic_garbage(self, service,
+                                                     traffic):
+        # a done-callback holding its own future would keep every
+        # finished job alive until the cyclic GC ran
+        served = 64
+
+        async def run():
+            async with DecodeGateway(service, open_admission()) as gateway:
+                host, port = gateway.address
+                async with await AsyncDecodeClient.connect(host, port) as c:
+                    await c.decode(traffic[0])  # warm every lazy path
+                    gc.collect()
+                    gc.disable()
+                    try:
+                        for i in range(served):
+                            await c.decode(traffic[i % len(traffic)])
+                        return gc.collect()
+                    finally:
+                        gc.enable()
+
+        assert asyncio.run(run()) < served
+
+    def test_racing_completions_answer_every_request_once(self, code,
+                                                          traffic):
+        # three shard workers on two cores complete jobs concurrently
+        # with the loop taking the completion list; a lost update there
+        # leaves a request unanswered (its client times out)
+        svc = DecodeService({"a": code, "b": code, "c": code},
+                            batch_size=4, max_iterations=MAX_ITER,
+                            queue_capacity=256)
+        n = 600
+
+        async def run():
+            async with DecodeGateway(svc, open_admission()) as gateway:
+                host, port = gateway.address
+                clients = [await AsyncDecodeClient.connect(host, port)
+                           for _ in range(3)]
+                try:
+                    results = await asyncio.gather(*(
+                        clients[i % 3].decode(
+                            traffic[i % len(traffic)], code_id="abc"[i % 3],
+                            timeout=30,
+                        ) for i in range(n)
+                    ))
+                finally:
+                    for client in clients:
+                        await client.close()
+                return results, gateway._inflight
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results, inflight = asyncio.run(run())
+        finally:
+            sys.setswitchinterval(interval)
+            svc.close()
+        reference = decode_many(code, np.stack(traffic),
+                                max_iterations=MAX_ITER)
+        for i, result in enumerate(results):
+            np.testing.assert_array_equal(result.bits,
+                                          reference.bits[i % len(traffic)])
+        assert inflight == 0
+
+    def test_a_client_that_never_reads_stops_being_read(self, service,
+                                                        traffic):
+        # small kernel buffers on both ends, so the gateway's own write
+        # buffer is what fills once the client stops reading
+        i8, scale = pack_llrs(traffic[0])
+        requests = b"".join(
+            encode_request(job, "stuck", "", GOLD, llrs_i8=i8, scale=scale)
+            for job in range(1, 3001)
+        )
+
+        async def run():
+            async with DecodeGateway(service, open_admission()) as gateway:
+                host, port = gateway.address
+                for sock in gateway._server.sockets:
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                stuck = socket.socket()
+                stuck.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                stuck.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                stuck.connect((host, port))
+                stuck.setblocking(False)
+                try:
+                    stuck.send(encode_hello())
+                    sent = await _send_until_stalled(stuck, requests)
+                    read = gateway.metrics.requests.value(tenant="stuck")
+                    await asyncio.sleep(0.3)
+                    still = gateway.metrics.requests.value(tenant="stuck")
+                    written = gateway.metrics.bytes_out.value()
+                    async with await AsyncDecodeClient.connect(
+                        host, port, tenant="other"
+                    ) as other:
+                        result = await other.decode(traffic[1], timeout=60)
+                finally:
+                    stuck.close()
+            return sent, read, still, written, result
+
+        sent, read, still, written, result = asyncio.run(run())
+        assert sent < len(requests)  # the gateway stopped reading
+        assert still == read < 3000
+        assert written > 64 * 1024  # past the transport's high-water mark
+        assert result.converged
 
 class TestMetrics:
     def test_request_and_byte_accounting(self, service, traffic):
