@@ -10,8 +10,16 @@
  *
  * State (all C-contiguous, frames innermost):
  *   p   (n, B)       a-posteriori LLRs, variable v of frame b at v*B + b
- *   r   (E*z, B)     check messages, edges numbered layer by layer:
- *                    edge e owns rows e*z .. (e+1)*z
+ *   r   (E*z + 1, B) check messages, edges numbered layer by layer:
+ *                    edge e owns rows e*z .. (e+1)*z; the last row is
+ *                    the per-frame keep mask (the fresh-lane row)
+ *
+ * The fresh-lane row is the software form of a hardware decoder's
+ * first-iteration flag: a frame loaded into lane b has row entry 0
+ * instead of a zeroed R column.  Core1 reads R as r & keep, so a fresh
+ * lane sees R = +0.0 (int16 0), bit for bit what a zeroed column gives;
+ * core2 then writes every message row, and the loop sets every entry
+ * of the row to all-ones after the iteration.
  *
  * Routing tables, built once per code structure by repro.serve.batch:
  *   layer_edge[l] .. layer_edge[l+1]   the edges of layer l
@@ -55,17 +63,19 @@ static double seconds(void)
     return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
 }
 
-/* Core1 over n lanes of one edge: Q = P - R into q, then the running
- * two-min of |Q| (m1, m2) and the sign parity (par, as a sign-bit mask).
- * The caller passes the barrel-shifted P run. */
+/* Core1 over n lanes of one edge: Q = P - (R & keep) into q, then the
+ * running two-min of |Q| (m1, m2) and the sign parity (par, as a
+ * sign-bit mask).  The caller passes the barrel-shifted P run and the
+ * keep mask of the run's lanes. */
 static inline void core1_f64(const double *restrict p, const double *restrict r,
+                             const uint64_t *restrict keep,
                              double *restrict q, double *restrict m1,
                              double *restrict m2, uint64_t *restrict par, i64 n,
                              double scale)
 {
-    (void)scale;  /* core2's argument: both cores share one call shape */
+    (void)scale;  /* core2's argument: both cores share their trailing ones */
     for (i64 j = 0; j < n; j++) {
-        const double x = p[j] - r[j], a = fabs(x);
+        const double x = p[j] - u2d(d2u(r[j]) & keep[j]), a = fabs(x);
         const double loser = m1[j] < a ? a : m1[j];
         q[j] = x;
         m2[j] = loser < m2[j] ? loser : m2[j];
@@ -95,13 +105,14 @@ static inline void core2_f64(double *restrict p, double *restrict r,
 
 /* Core1 in 8-bit fixed point on int16 lanes: Q saturates to [lo, hi]. */
 static inline void core1_i16(const int16_t *restrict p,
-                             const int16_t *restrict r, int16_t *restrict q,
+                             const int16_t *restrict r,
+                             const int16_t *restrict keep, int16_t *restrict q,
                              int16_t *restrict m1, int16_t *restrict m2,
                              int16_t *restrict par, i64 n,
                              int16_t lo, int16_t hi)
 {
     for (i64 j = 0; j < n; j++) {
-        const int16_t x = sat((int16_t)(p[j] - r[j]), lo, hi);
+        const int16_t x = sat((int16_t)(p[j] - (r[j] & keep[j])), lo, hi);
         const int16_t a = (int16_t)(x < 0 ? -x : x);
         const int16_t loser = m1[j] < a ? a : m1[j];
         q[j] = x;
@@ -131,20 +142,40 @@ static inline void core2_i16(int16_t *restrict p, int16_t *restrict r,
     }
 }
 
+/* Lanes per tile of the layer loop: TILE_BYTES of lane values rounded
+ * down to a multiple of B (64 float lanes, 256 int16 lanes), grown to B
+ * when B is larger, and at most the z * B lanes of an edge.  A tile of
+ * a degree-d layer keeps its P and R runs, Q, minima, parity and keep
+ * mask near L1: 256 float lanes of a degree-7 layer need about 48 KB,
+ * a whole 48 KB L1d.  A tile is a whole number of rows, so each run of it
+ * starts at frame 0 and the keep mask repeats every B lanes.
+ * repro.serve.batch sizes the scratch with the same rule. */
+#define TILE_BYTES 512
+
+static inline i64 tile_lanes(i64 zb, i64 B, i64 size)
+{
+    const i64 per = TILE_BYTES / size;
+    const i64 lanes = B >= per ? B : B > 0 ? per - per % B : per;
+    return zb < lanes ? zb : lanes;
+}
+
 /* The layer loop nest.  Per layer: core1 over every edge (block
  * column), then core2 over every edge.  Lanes j = row * B + frame run
- * in tiles of up to TILE, so that a tile's Q, minima and parity stay in
- * L1 at any batch width.  In each tile an edge's barrel shift is two
- * contiguous runs: lanes j < head read P lane zb - head + j of the block
- * column, the rest read lane j - head.  CORE1/CORE2 are the per-type
- * cores above; BIG is the two-min identity; the variadic arguments
- * are the cores' trailing arguments. */
-#define TILE 256
-
+ * in tiles of tile_lanes.  In each tile an edge's barrel shift is two
+ * contiguous runs: lanes j < head read P lane zb - head + j of the
+ * block column, the rest read lane j - head.  CORE1/CORE2 are the
+ * per-type cores above; BIG is the two-min identity; the variadic
+ * arguments are the cores' trailing arguments.  Scratch holds, in
+ * tiles: m1, m2, par, the keep mask spread over the tile, then one Q
+ * run per edge of the layer. */
 #define LAYER_LOOP(T, PAR_T, BIG, CORE1, CORE2, ...)                         \
-    const i64 zb = (i64)z * B, tile = zb < TILE ? zb : TILE;                 \
-    T *m1 = scratch, *m2 = scratch + tile, *q = scratch + 3 * tile;          \
+    const i64 zb = (i64)z * B, tile = tile_lanes(zb, B, sizeof(T));          \
+    T *m1 = scratch, *m2 = scratch + tile, *q = scratch + 4 * tile;          \
     PAR_T *par = (PAR_T *)(scratch + 2 * tile);                              \
+    PAR_T *keep = (PAR_T *)(scratch + 3 * tile);                             \
+    PAR_T *fresh = (PAR_T *)(r + (i64)layer_edge[L] * zb);                   \
+    for (i64 j = 0; j < tile; j++)                                           \
+        keep[j] = fresh[j % B];                                              \
     if (stamps)                                                              \
         stamps[0] = seconds();                                               \
     for (int32_t l = 0; l < L; l++) {                                        \
@@ -162,12 +193,13 @@ static inline void core2_i16(int16_t *restrict p, int16_t *restrict r,
                 const T *src = p + (i64)ed[0] * B, *rd = r + (e0 + d) * zb;  \
                 T *qd = q + d * tile;                                        \
                 if (mid > t0)                                                \
-                    CORE1(src + zb - head + t0, rd + t0, qd, m1, m2, par,    \
-                          mid - t0, __VA_ARGS__);                            \
+                    CORE1(src + zb - head + t0, rd + t0, keep, qd, m1, m2,   \
+                          par, mid - t0, __VA_ARGS__);                       \
                 if (t1 > mid)                                                \
-                    CORE1(src + mid - head, rd + mid, qd + (mid - t0),       \
-                          m1 + (mid - t0), m2 + (mid - t0),                  \
-                          par + (mid - t0), t1 - mid, __VA_ARGS__);          \
+                    CORE1(src + mid - head, rd + mid, keep + (mid - t0),     \
+                          qd + (mid - t0), m1 + (mid - t0),                  \
+                          m2 + (mid - t0), par + (mid - t0), t1 - mid,       \
+                          __VA_ARGS__);                                      \
             }                                                                \
             if (deg == 1)                                                    \
                 memcpy(m2, m1, (size_t)(t1 - t0) * sizeof(T));               \
@@ -188,10 +220,12 @@ static inline void core2_i16(int16_t *restrict p, int16_t *restrict r,
         }                                                                    \
         if (stamps)                                                          \
             stamps[l + 1] = seconds();                                       \
-    }
+    }                                                                        \
+    for (i64 b = 0; b < B; b++)                                              \
+        fresh[b] = (PAR_T)~(PAR_T)0;
 
 /* One iteration over layers [0, L) in float64.  scratch holds
- * (3 + max_degree) * min(z * B, TILE) doubles. */
+ * (4 + max_degree) * tile_lanes(z * B, B, 8) doubles. */
 void ldpc_iterate_f64(const int32_t *layer_edge, const int32_t *edges,
                       int32_t L, int32_t z, i64 B,
                       double *p, double *r, double *scratch, double scale,
@@ -201,8 +235,8 @@ void ldpc_iterate_f64(const int32_t *layer_edge, const int32_t *edges,
 }
 
 /* One iteration over layers [0, L) in 8-bit fixed point on int16
- * state, saturating to [lo, hi].  scratch holds (3 + max_degree) *
- * min(z * B, TILE) int16 values. */
+ * state, saturating to [lo, hi].  scratch holds (4 + max_degree) *
+ * tile_lanes(z * B, B, 2) int16 values. */
 void ldpc_iterate_i16(const int32_t *layer_edge, const int32_t *edges,
                       int32_t L, int32_t z, i64 B,
                       int16_t *p, int16_t *r, int16_t *scratch,

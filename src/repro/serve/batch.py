@@ -14,11 +14,18 @@ the equivalence.  How the passes stay value-identical to the per-frame
 update rule:
 
 * **frame-minor layout.**  P is ``(n, B)`` and R one contiguous
-  ``(E * z, B)`` buffer, edges numbered layer by layer so that edge
+  ``(E * z + 1, B)`` buffer, edges numbered layer by layer so that edge
   ``e`` owns rows ``e * z .. (e + 1) * z``; each layer's ``(degree, z,
   B)`` block is a view.  The batch axis is innermost, so every
   gather/scatter/reduction streams over contiguous frame lanes; a
   circulant's rotation is two contiguous runs (the barrel shifter).
+* **fresh-lane row.**  R's last row is a per-frame keep mask, the
+  software form of a hardware decoder's first-iteration flag: loading a
+  frame clears its entry instead of zeroing its R column.  The C loop
+  reads R as ``R & keep``, so a fresh frame sees ``R = 0`` bit for bit;
+  the numpy passes zero the fresh frames' R columns once at the start
+  of their iteration.  Either way every entry is all-ones afterwards,
+  and the row moves with the state through ``compact`` and ``resize``.
 * **running two-min.**  ``min1``/``min2`` come from core1's comparator
   chain over the degree axis (``min2 = min(min2, max(min1, x))``, then
   ``min1 = min(min1, x)``), so ``min2`` is the exact second order
@@ -33,7 +40,8 @@ update rule:
 * **one-call syndrome.**  The parity check is one call (numpy: one
   gather and one XOR reduction per layer, as the C loop does).
 * **preallocated scratch.**  Temporaries live in reusable buffers, one
-  set per batch width (numpy: per degree and width).
+  set per batch width (numpy: per degree and width); the C loop's is a
+  few L1-sized tiles, not a copy of the layer.
 * **narrow fixed-point state.**  The fixed mode stores P and R as
   ``int16`` (every intermediate of the 8-bit datapath provably fits).
 
@@ -71,6 +79,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import TraceRecorder
 
 __all__ = ["BatchLayeredMinSumDecoder"]
+
+#: Bytes of lane values per tile of ``kernel.c``'s layer loop (its
+#: ``TILE_BYTES``); :meth:`BatchLayeredMinSumDecoder._tile_lanes` sizes
+#: the loop's scratch with the same rule.
+_TILE_BYTES = 512
 
 
 def _edge_tables(plan: CodePlan) -> Tuple[np.ndarray, np.ndarray]:
@@ -131,10 +144,11 @@ class BatchLayeredMinSumDecoder(object):
     Notes
     -----
     Kernel state is frame-minor: P is ``(n, B)`` and R one ``(degree,
-    z, B)`` view per layer into one ``(E * z, B)`` buffer.  The batch
-    driver and the continuous-batching engine touch it only through
-    the state accessors (``prepare`` / ``load_slot`` / ``frame_bits``
-    / ``compact`` / ``resize`` / ...).  :meth:`decode` retires each
+    z, B)`` view per layer into one ``(E * z + 1, B)`` buffer whose last
+    row marks fresh frames.  The batch driver and the
+    continuous-batching engine touch it only through the state
+    accessors (``prepare`` / ``load_slot`` / ``frame_llrs`` /
+    ``compact`` / ``resize`` / ...).  :meth:`decode` retires each
     frame at the first iteration boundary where its parity checks pass
     (per-frame early exit, as in the paper).
     """
@@ -164,6 +178,8 @@ class BatchLayeredMinSumDecoder(object):
         # of this code structure.
         self.plan = get_plan(code)
         self._dtype = np.int16 if fixed else np.float64
+        #: the fresh-lane row's integer view: 0 fresh, -1 (all ones) kept
+        self._mask_dtype = np.int16 if fixed else np.int64
         #: fixed-mode saturation bounds, as int16 scalars for np.clip
         self._lo = np.int16(fmt.min_code)
         self._hi = np.int16(fmt.max_code)
@@ -172,7 +188,8 @@ class BatchLayeredMinSumDecoder(object):
         self._big = np.int16(np.iinfo(np.int16).max) if fixed else np.inf
         self._scratch: Dict[Tuple[int, int], _LayerScratch] = {}
         #: R layout: one ``(degree, z)`` block per layer, stacked
-        #: frame-minor into one ``(E * z, B)`` buffer
+        #: frame-minor into one ``(E * z + 1, B)`` buffer after which
+        #: comes the fresh-lane row
         self._r_blocks = [lp.var_idx.shape for lp in self.plan.layers]
         #: the compiled layer loop nest (None: the numpy path below)
         self._native = native.load()
@@ -223,14 +240,16 @@ class BatchLayeredMinSumDecoder(object):
 
     def new_r_state(self, batch: int) -> List[np.ndarray]:
         """Zeroed R messages: ``(degree, z, batch)`` views, one per
-        layer, into one contiguous ``(E * z, batch)`` buffer."""
+        layer, into one contiguous ``(E * z + 1, batch)`` buffer whose
+        last row, the fresh-lane row, marks every frame fresh."""
         return self._r_views(
             np.zeros((self._r_rows, batch), dtype=self._dtype)
         )
 
     @property
     def _r_rows(self) -> int:
-        return sum(degree * rows for degree, rows in self._r_blocks)
+        """Rows of the R buffer: the message rows and the fresh row."""
+        return sum(degree * rows for degree, rows in self._r_blocks) + 1
 
     def _r_views(self, buf: np.ndarray) -> List[np.ndarray]:
         views, row = [], 0
@@ -254,6 +273,16 @@ class BatchLayeredMinSumDecoder(object):
                 "R state must come from new_r_state, compact or resize"
             )
         return buf
+
+    def _clear_fresh(self, p: np.ndarray, r: List[np.ndarray]) -> None:
+        """The numpy paths' first step of an iteration: zero the R
+        columns of fresh frames, then mark every frame kept."""
+        buf = self._r_buffer(r, p.shape[1])
+        keep = buf[-1].view(self._mask_dtype)
+        fresh = np.flatnonzero(keep == 0)
+        if fresh.size:
+            buf[:-1, fresh] = 0
+            keep[:] = -1
 
     def iterate_once(self, p: np.ndarray, r: List[np.ndarray]) -> None:
         """Run one full iteration (all layers) in place on ``(n, A)`` state.
@@ -294,6 +323,7 @@ class BatchLayeredMinSumDecoder(object):
     def _iterate_numpy(self, p: np.ndarray, r: List[np.ndarray]) -> None:
         """:meth:`iterate_once` without a compiler: the C loop's plain
         twin, a few numpy passes per layer on the same state."""
+        self._clear_fresh(p, r)
         rec = self.recorder
         tracing = rec is not None and rec.enabled
         batch = p.shape[1]
@@ -307,13 +337,23 @@ class BatchLayeredMinSumDecoder(object):
                 rec.complete("batch.layer", layer_t0, layer=l, batch=batch,
                              mode=mode)
 
+    def _tile_lanes(self, width: int) -> int:
+        """Lanes per tile of the C loop at batch width ``width``:
+        ``_TILE_BYTES`` of lane values rounded down to a multiple of the
+        width, at least the width and at most ``z * width``."""
+        per = _TILE_BYTES // np.dtype(self._dtype).itemsize
+        lanes = width if width >= per or width == 0 else per - per % width
+        return min(self.plan.z * width, lanes)
+
     def _native_buffers(self, width: int) -> tuple:
         """Per state width: ``(scratch, scratch address, weights, weights
-        address)`` — the C loop's ``(3 + max_degree) * z * A`` scratch
-        and the syndrome's ``A``-entry output, kept alive here."""
+        address)`` — the C loop's ``(4 + max_degree)`` tiles of scratch,
+        which the syndrome reuses as ``z * A`` parities, and the
+        syndrome's ``A``-entry output, kept alive here."""
         bufs = self._native_bufs.get(width)
         if bufs is None:
-            size = (3 + self.plan.max_degree) * self.plan.z * width
+            size = max((4 + self.plan.max_degree) * self._tile_lanes(width),
+                       self.plan.z * width)
             scratch = np.empty(max(size, 1), dtype=self._dtype)
             weights = np.empty(max(width, 1), dtype=np.int64)
             bufs = (scratch, scratch.ctypes.data, weights, weights.ctypes.data)
@@ -394,13 +434,13 @@ class BatchLayeredMinSumDecoder(object):
     def load_slot(
         self, p: np.ndarray, r: List[np.ndarray], slot: int, llrs: np.ndarray
     ) -> None:
-        """Overwrite slot ``slot`` with a fresh frame's initial state."""
-        p[:, slot] = self.prepare(llrs[None, :])[:, 0]
-        self._r_buffer(r, p.shape[1])[:, slot] = 0
+        """Overwrite slot ``slot`` with a fresh frame's initial state.
 
-    def frame_bits(self, p: np.ndarray, frame: int) -> np.ndarray:
-        """Hard-decision bits of one frame of P state."""
-        return hard_decision(p[:, frame])
+        Writes P's column and marks the frame fresh in R's last row; the
+        next iteration reads the slot's stale R messages as zero.
+        """
+        p[:, slot] = self.prepare(llrs[None, :])[:, 0]
+        self._r_buffer(r, p.shape[1])[-1, slot] = 0
 
     def frame_llrs(self, p: np.ndarray, frame: int) -> np.ndarray:
         """Finalized a-posteriori LLRs of one frame of P state.
@@ -436,8 +476,9 @@ class BatchLayeredMinSumDecoder(object):
     ) -> Tuple[np.ndarray, List[np.ndarray]]:
         """Contiguous copy of the state at batch width ``width``.
 
-        The first ``min(width, current)`` frames carry over; frames
-        beyond the old width start from zeroed P and R.
+        The first ``min(width, current)`` frames carry over, fresh-lane
+        entries included; frames beyond the old width start from zeroed
+        P and R.
         """
         keep = min(width, p.shape[1])
         new_p = np.zeros((p.shape[0], width), dtype=p.dtype)

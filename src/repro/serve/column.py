@@ -46,6 +46,7 @@ class ColumnBatchLayeredMinSumDecoder(BatchLayeredMinSumDecoder):
 
     def iterate_once(self, p: np.ndarray, r: List[np.ndarray]) -> None:
         """One column-layered iteration in place on ``(n, A)`` state."""
+        self._clear_fresh(p, r)
         batch = p.shape[1]
         for edges in self.col_edges:
             for l, k in edges:

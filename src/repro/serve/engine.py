@@ -35,6 +35,7 @@ from repro.errors import DecodingError, EngineFullError
 from repro.serve.batch import BatchLayeredMinSumDecoder
 from repro.serve.jobs import CompletedJob, DecodeJob
 from repro.serve.metrics import ServeMetrics
+from repro.utils.bitops import hard_decision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import TraceRecorder
@@ -228,11 +229,14 @@ class ContinuousBatchingEngine(object):
             if not converged and self._iters[slot] < self._budgets[slot]:
                 continue
             job = self._jobs[slot]
+            # one strided gather per frame: the bits are the signs of
+            # the contiguous LLR copy (dequantizing keeps every sign)
+            llrs = self.kernel.frame_llrs(p, slot)
             result = DecodeResult(
-                bits=self.kernel.frame_bits(p, slot),
+                bits=hard_decision(llrs),
                 converged=converged,
                 iterations=int(self._iters[slot]),
-                llrs=self.kernel.frame_llrs(p, slot),
+                llrs=llrs,
                 syndrome_weight=weight,
                 iteration_syndromes=list(self._syndromes[slot]),
             )

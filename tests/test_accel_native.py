@@ -177,8 +177,10 @@ def test_truncated_cache_entry_that_cannot_be_rebuilt_falls_back(
 
 @pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
 def test_compiled_and_numpy_kernels_agree_bit_for_bit(fixed):
-    """Every zoo code, widths 1/3/16, ten iterations: P, R and the
-    syndrome weights are byte-identical on both paths."""
+    """Every zoo code, widths 1/3/5/16/100, ten iterations: P, the whole
+    R buffer (fresh-lane row included) and the syndrome weights are
+    byte-identical on both paths.  Width 5 does not divide the 64-lane
+    float tile and width 100 is above it."""
     registry = default_registry()
     rng = np.random.default_rng(2024)
     for code_id in registry.ids():
@@ -186,7 +188,7 @@ def test_compiled_and_numpy_kernels_agree_bit_for_bit(fixed):
         compiled = BatchLayeredMinSumDecoder(code, fixed=fixed)
         numpy_path = BatchLayeredMinSumDecoder(code, fixed=fixed)
         numpy_path._native = None
-        for width in (1, 3, 16):
+        for width in (1, 3, 5, 16, 100):
             llrs = rng.normal(1.0, 2.0, (width, code.n))
             states = []
             for dec in (compiled, numpy_path):
@@ -198,8 +200,62 @@ def test_compiled_and_numpy_kernels_agree_bit_for_bit(fixed):
                     weights.append(dec.syndrome_weights(p))
                 (_, p1, r1), (_, p2, r2) = states
                 assert p1.tobytes() == p2.tobytes(), (code_id, width)
-                assert [x.tobytes() for x in r1] == [x.tobytes() for x in r2]
+                assert r1[0].base.tobytes() == r2[0].base.tobytes(), (
+                    code_id, width)
                 np.testing.assert_array_equal(*weights)
+
+
+def _decoder(code, fixed: bool, path: str) -> BatchLayeredMinSumDecoder:
+    dec = BatchLayeredMinSumDecoder(code, fixed=fixed)
+    if path == "numpy":
+        dec._native = None
+    elif dec._native is None:
+        pytest.skip(f"no compiled kernel: {native.fallback_reason()}")
+    return dec
+
+
+@pytest.mark.parametrize("stage", ["width", "resize", "compact"])
+@pytest.mark.parametrize("path", ["compiled", "numpy"])
+@pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
+def test_a_slot_reloaded_over_stale_state_decodes_like_a_fresh_one(
+        fixed, path, stage):
+    """``load_slot`` leaves a retired frame's R messages in place and
+    only marks the slot fresh.  The reloaded frame must decode byte for
+    byte as it does in a state of its own, and the other frames as if
+    nothing was loaded: at the current width, in a state that
+    ``resize`` grew, and in one that ``compact`` narrowed."""
+    rng = np.random.default_rng(11)
+    for code_id in ("wimax-r12-576", "nr-bg2-z16"):   # uniform, mixed degrees
+        code = default_registry().get(code_id)
+        dec = _decoder(code, fixed, path)
+        p = dec.prepare(rng.normal(1.0, 2.0, (4, code.n)))
+        r = dec.new_r_state(4)
+        for _ in range(3):                  # stale messages in every slot
+            dec.iterate_once(p, r)
+        if stage == "resize":
+            p, r = dec.resize(p, r, 6)
+        elif stage == "compact":
+            p, r = dec.compact(p, r, np.array([True, False, True, True]))
+        slot = 1                            # a slot that held a frame
+        buf = r[0].base
+        assert np.any(buf[:-1, slot] != 0)
+        others = [b for b in range(p.shape[1]) if b != slot]
+        p_rest, r_rest = dec.compact(
+            p, r, np.arange(p.shape[1]) != slot)
+
+        llrs = rng.normal(1.0, 2.0, code.n)
+        dec.load_slot(p, r, slot, llrs)
+        alone = dec.prepare(llrs[None, :])
+        r_alone = dec.new_r_state(1)
+        for _ in range(4):
+            dec.iterate_once(p, r)
+            dec.iterate_once(alone, r_alone)
+            dec.iterate_once(p_rest, r_rest)
+        buf = r[0].base
+        assert p[:, slot].tobytes() == alone[:, 0].tobytes(), code_id
+        assert buf[:, slot].tobytes() == r_alone[0].base[:, 0].tobytes()
+        assert p[:, others].tobytes() == p_rest.tobytes(), code_id
+        assert buf[:, others].tobytes() == r_rest[0].base.tobytes()
 
 
 @pytest.mark.timeout(900)
@@ -269,34 +325,52 @@ def test_state_that_is_not_the_kernel_layout_is_refused(fixed):
 
 @pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
 def test_the_compiled_kernel_stays_inside_the_state_it_is_given(fixed):
-    """P sits in rows ``g .. g+n`` of a guard-filled ``(n + 2g, B)``
-    array; iterating and counting syndromes on every zoo code, widths
-    1/3/16, leaves the guard rows untouched and P bit for bit equal to
-    P decoded on its own."""
+    """P, R (fresh-lane row included) and the loop's scratch each sit
+    in rows ``g ..`` of a guard-filled array with ``g`` guard rows on
+    either side; iterating and counting syndromes on every zoo code,
+    widths 1/3/5/16/100, leaves the guard rows untouched and P and R
+    bit for bit equal to the state decoded on its own.  ``_r_buffer``
+    refuses a foreign R buffer, so the guarded state goes straight to
+    the entry point, which finds the fresh row at ``layer_edge[L] * z *
+    B``."""
     if native.load() is None:
         pytest.skip(f"no compiled kernel: {native.fallback_reason()}")
     registry = default_registry()
     rng = np.random.default_rng(99)
     guard_rows = 64
+
+    def guarded(rows, width, dtype):
+        big = np.empty((rows + 2 * guard_rows, width), dtype=dtype)
+        big.fill(0x5A5A if fixed else -1234.5)
+        inner = big[guard_rows : guard_rows + rows]
+        assert inner.flags.c_contiguous and inner.base is big
+        return big, big.copy(), inner
+
     for code_id in registry.ids():
         code = registry.get(code_id)
         dec = BatchLayeredMinSumDecoder(code, fixed=fixed)
-        for width in (1, 3, 16):
+        for width in (1, 3, 5, 16, 100):
             llrs = rng.normal(1.0, 2.0, (width, code.n))
-            alone = dec.prepare(llrs)
-            big = np.empty((code.n + 2 * guard_rows, width), dtype=alone.dtype)
-            big.fill(0x5A5A if fixed else -1234.5)
-            guard = big.copy()
-            p = big[guard_rows : guard_rows + code.n]
-            assert p.flags.c_contiguous and p.base is big
+            alone, r_alone = dec.prepare(llrs), dec.new_r_state(width)
+            r_buf = r_alone[0].base
+            scratch_size = dec._native_buffers(width)[0].size
+            arrays = [guarded(code.n, width, alone.dtype),
+                      guarded(r_buf.shape[0], width, alone.dtype),
+                      guarded(scratch_size, 1, alone.dtype)]
+            (_, _, p), (_, _, r), (_, _, scratch) = arrays
             p[:] = alone
-            r_alone, r = dec.new_r_state(width), dec.new_r_state(width)
+            r[:] = r_buf
             for _ in range(3):
                 dec.iterate_once(alone, r_alone)
-                dec.iterate_once(p, r)
+                dec._iterate_fn(*dec._tables, code.z, width, p.ctypes.data,
+                                r.ctypes.data, scratch.ctypes.data,
+                                *dec._consts, None)
                 np.testing.assert_array_equal(
                     dec.syndrome_weights(p), dec.syndrome_weights(alone)
                 )
             assert p.tobytes() == alone.tobytes(), (code_id, width)
-            assert big[:guard_rows].tobytes() == guard[:guard_rows].tobytes()
-            assert big[-guard_rows:].tobytes() == guard[-guard_rows:].tobytes()
+            assert r.tobytes() == r_buf.tobytes(), (code_id, width)
+            for big, guard, _ in arrays:
+                assert big[:guard_rows].tobytes() == guard[:guard_rows].tobytes()
+                assert (big[-guard_rows:].tobytes()
+                        == guard[-guard_rows:].tobytes())

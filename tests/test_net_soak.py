@@ -132,10 +132,11 @@ def test_acceptance_500_connection_soak():
     """The ISSUE.md acceptance run (scaled phases keep it CI-sized)."""
     cfg = SoakConfig(
         connections=500,
-        # the peak must back up one shard's queue past the scale-up
-        # fill; at 3 frames per connection the compiled kernel drains
-        # it too fast to do so reliably, and at 6 the gateway's batched
-        # completion path does too under asyncio debug mode (-X dev)
+        # the scale-up needs one shard's queue backed up past the
+        # scale-up fill: the mid-peak crash holds its shard down for a
+        # second, so the peak does so at any decode or client speed
+        # (autoscaler looks came up to 0.42 s apart under -X dev)
+        crash_hold_s=1.0,
         peak_frames_per_conn=8,
         phases=(("night", 0.25, 1.5), ("peak", 1.0, 5.0),
                 ("evening", 0.1, 2.0)),
