@@ -148,8 +148,7 @@ static inline void core2_i16(int16_t *restrict p, int16_t *restrict r,
  * a degree-d layer keeps its P and R runs, Q, minima, parity and keep
  * mask near L1: 256 float lanes of a degree-7 layer need about 48 KB,
  * a whole 48 KB L1d.  A tile is a whole number of rows, so each run of it
- * starts at frame 0 and the keep mask repeats every B lanes.
- * repro.serve.batch sizes the scratch with the same rule. */
+ * starts at frame 0 and the keep mask repeats every B lanes. */
 #define TILE_BYTES 512
 
 static inline i64 tile_lanes(i64 zb, i64 B, i64 size)
@@ -224,8 +223,9 @@ static inline i64 tile_lanes(i64 zb, i64 B, i64 size)
     for (i64 b = 0; b < B; b++)                                              \
         fresh[b] = (PAR_T)~(PAR_T)0;
 
-/* One iteration over layers [0, L) in float64.  scratch holds
- * (4 + max_degree) * tile_lanes(z * B, B, 8) doubles. */
+/* One iteration over layers [0, L) in float64.  scratch holds at least
+ * (4 + max_degree) * tile_lanes(z * B, B, 8) doubles; (4 + max_degree) *
+ * z * B always suffices. */
 void ldpc_iterate_f64(const int32_t *layer_edge, const int32_t *edges,
                       int32_t L, int32_t z, i64 B,
                       double *p, double *r, double *scratch, double scale,
@@ -235,8 +235,8 @@ void ldpc_iterate_f64(const int32_t *layer_edge, const int32_t *edges,
 }
 
 /* One iteration over layers [0, L) in 8-bit fixed point on int16
- * state, saturating to [lo, hi].  scratch holds (4 + max_degree) *
- * tile_lanes(z * B, B, 2) int16 values. */
+ * state, saturating to [lo, hi].  scratch holds at least (4 +
+ * max_degree) * tile_lanes(z * B, B, 2) int16 values. */
 void ldpc_iterate_i16(const int32_t *layer_edge, const int32_t *edges,
                       int32_t L, int32_t z, i64 B,
                       int16_t *p, int16_t *r, int16_t *scratch,

@@ -128,11 +128,6 @@ class SoakConfig(object):
     ebno_db: float = 4.0
     seed: int = 0
     inject_crash: bool = True
-    #: Seconds the injected crash holds its shard down (the service's
-    #: restart backoff).  While it is held, peak traffic backs its queue
-    #: up whatever the decode and client speed, so a hold of several
-    #: autoscaler intervals makes the pool grow into the peak.
-    crash_hold_s: float = 0.1
     max_shards: int = 3
     shrink_wait_s: float = 10.0
     request_timeout_s: float = 60.0
@@ -631,7 +626,6 @@ def run_net_soak(
         max_iterations=cfg.iterations,
         fixed=cfg.fixed,
         queue_capacity=cfg.queue_capacity,
-        restart_backoff_s=cfg.crash_hold_s,
         recorder=recorder,
         log=log,
         slo=monitor,

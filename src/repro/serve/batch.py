@@ -80,12 +80,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["BatchLayeredMinSumDecoder"]
 
-#: Bytes of lane values per tile of ``kernel.c``'s layer loop (its
-#: ``TILE_BYTES``); :meth:`BatchLayeredMinSumDecoder._tile_lanes` sizes
-#: the loop's scratch with the same rule.
-_TILE_BYTES = 512
-
-
 def _edge_tables(plan: CodePlan) -> Tuple[np.ndarray, np.ndarray]:
     """Routing tables of ``kernel.c``.
 
@@ -337,23 +331,17 @@ class BatchLayeredMinSumDecoder(object):
                 rec.complete("batch.layer", layer_t0, layer=l, batch=batch,
                              mode=mode)
 
-    def _tile_lanes(self, width: int) -> int:
-        """Lanes per tile of the C loop at batch width ``width``:
-        ``_TILE_BYTES`` of lane values rounded down to a multiple of the
-        width, at least the width and at most ``z * width``."""
-        per = _TILE_BYTES // np.dtype(self._dtype).itemsize
-        lanes = width if width >= per or width == 0 else per - per % width
-        return min(self.plan.z * width, lanes)
-
     def _native_buffers(self, width: int) -> tuple:
         """Per state width: ``(scratch, scratch address, weights, weights
         address)`` — the C loop's ``(4 + max_degree)`` tiles of scratch,
         which the syndrome reuses as ``z * A`` parities, and the
-        syndrome's ``A``-entry output, kept alive here."""
+        syndrome's ``A``-entry output, kept alive here.  The scratch is
+        sized for ``z * width``-lane tiles, the largest ``kernel.c``
+        picks, so its tile rule lives there alone; the loop touches
+        only the first few of its own, smaller tiles."""
         bufs = self._native_bufs.get(width)
         if bufs is None:
-            size = max((4 + self.plan.max_degree) * self._tile_lanes(width),
-                       self.plan.z * width)
+            size = (4 + self.plan.max_degree) * self.plan.z * width
             scratch = np.empty(max(size, 1), dtype=self._dtype)
             weights = np.empty(max(width, 1), dtype=np.int64)
             bufs = (scratch, scratch.ctypes.data, weights, weights.ctypes.data)

@@ -8,6 +8,7 @@ SLO passing and zero decoded-payload mismatches against
 ``decode_many`` on the same wire-canonical LLRs.
 """
 
+import functools
 import json
 import os
 
@@ -16,6 +17,7 @@ import pytest
 from repro.net import SoakConfig, run_net_soak, soak
 from repro.net.dedup import DedupWindow
 from repro.net.soak import DEFAULT_TENANTS, _assign_tenants, _crash_at
+from repro.serve.pool import DecodeService
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -128,15 +130,18 @@ class TestSmallSoak:
 
 
 @pytest.mark.timeout(280)
-def test_acceptance_500_connection_soak():
+def test_acceptance_500_connection_soak(monkeypatch):
     """The ISSUE.md acceptance run (scaled phases keep it CI-sized)."""
+    # the scale-up needs one shard's queue backed up past the scale-up
+    # fill: a one-second restart backoff holds the crashed shard down
+    # mid-peak, so the peak does so at any decode or client speed
+    # (autoscaler looks came up to 0.42 s apart under -X dev)
+    monkeypatch.setattr(
+        soak, "DecodeService",
+        functools.partial(DecodeService, restart_backoff_s=1.0),
+    )
     cfg = SoakConfig(
         connections=500,
-        # the scale-up needs one shard's queue backed up past the
-        # scale-up fill: the mid-peak crash holds its shard down for a
-        # second, so the peak does so at any decode or client speed
-        # (autoscaler looks came up to 0.42 s apart under -X dev)
-        crash_hold_s=1.0,
         peak_frames_per_conn=8,
         phases=(("night", 0.25, 1.5), ("peak", 1.0, 5.0),
                 ("evening", 0.1, 2.0)),
