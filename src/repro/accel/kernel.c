@@ -30,6 +30,11 @@
  * A traced run passes stamps, L + 1 doubles: the monotonic clock in
  * seconds at the start and after each layer (NULL when untraced).
  *
+ * ldpc_step_* run a continuous-batching engine's whole step in one call:
+ * iterate, count each lane's unsatisfied checks, and retire the lanes
+ * that converged or spent their budget, until a lane retires or the
+ * engine's doorbell rings (see STEP below).
+ *
  * Both arithmetics are bit-exact with the numpy kernel of
  * repro.serve.batch: the float path must be built without FMA
  * contraction (-ffp-contract=off) and without -ffast-math.  Write-back
@@ -276,3 +281,98 @@ void NAME(const int32_t *layer_edge, const int32_t *edges, int32_t L,      \
 
 SYNDROME(ldpc_syndrome_f64, double, uint64_t)
 SYNDROME(ldpc_syndrome_i16, int16_t, uint16_t)
+
+/* The engine step.  Per-lane state, owned by the caller, lanes [0, B):
+ *   iters[b]    iterations the frame in lane b has run
+ *   budgets[b]  its iteration budget, 0 for a free lane; a retiring lane
+ *               gets 0
+ *   trail       (B', max_iter) unsatisfied-check counts, B' >= B: lane
+ *               b's iteration i at b * max_iter + i
+ *   retired     out: the count n, then the n lanes that retired, in
+ *               lane order
+ *   weights     B counts of scratch
+ *   doorbell    NULL, or a flag another thread sets when it queues work:
+ *               read between iterations, it ends the call early
+ * Every busy lane needs 0 <= iters[b] < max_iter.  One call iterates all
+ * lanes, counts, appends and retires, and repeats until at least one
+ * lane retired or the doorbell is set; a lane retires by its budget or
+ * by max_iter, so a call runs at most max_iter iterations.  Returns the
+ * iterations run, 0 with no busy lane, -1 (nothing run) on a lane that
+ * breaks the bound.  Traced, stamps holds max_iter * L + 1 doubles: the
+ * clock at the start and after every layer of every iteration, a
+ * layer's end being the next one's start; each iteration's last layer
+ * ends after its parity check. */
+static i64 lanes_busy(i64 B, const int64_t *iters, const int64_t *budgets,
+                      int32_t max_iter, int64_t *retired)
+{
+    i64 busy = 0;
+    retired[0] = 0;
+    for (i64 b = 0; b < B; b++) {
+        if (budgets[b] <= 0)
+            continue;
+        if (iters[b] < 0 || iters[b] >= max_iter)
+            return -1;
+        busy++;
+    }
+    return busy;
+}
+
+/* One iteration's lane bookkeeping: append each busy lane's count to its
+ * trail and retire it on a zero count or a spent budget.  Returns the
+ * number of lanes retired. */
+static i64 lanes_retire(i64 B, const int64_t *weights, int64_t *iters,
+                        int64_t *budgets, int64_t *trail, int32_t max_iter,
+                        int64_t *retired)
+{
+    i64 n = 0;
+    for (i64 b = 0; b < B; b++) {
+        if (budgets[b] <= 0)
+            continue;
+        const int64_t it = iters[b]++;
+        trail[b * max_iter + it] = weights[b];
+        if (weights[b] == 0 || it + 1 >= budgets[b] || it + 1 >= max_iter) {
+            budgets[b] = 0;
+            retired[++n] = b;
+        }
+    }
+    retired[0] = n;
+    return n;
+}
+
+#define STEP(ITERATE, SYNDROME, ...)                                         \
+    const i64 busy = lanes_busy(B, iters, budgets, max_iter, retired);       \
+    if (busy <= 0)                                                           \
+        return busy;                                                         \
+    i64 k = 0;                                                               \
+    do {                                                                     \
+        ITERATE(layer_edge, edges, L, z, B, p, r, scratch, __VA_ARGS__,      \
+                stamps ? stamps + k * L : NULL);                             \
+        SYNDROME(layer_edge, edges, L, z, B, p, scratch, weights);           \
+        k++;                                                                 \
+    } while (!lanes_retire(B, weights, iters, budgets, trail, max_iter,      \
+                           retired)                                          \
+             && !(doorbell && *doorbell));                                   \
+    if (stamps)                                                              \
+        stamps[k * L] = seconds();                                           \
+    return k;
+
+i64 ldpc_step_f64(const int32_t *layer_edge, const int32_t *edges,
+                  int32_t L, int32_t z, i64 B,
+                  double *p, double *r, double *scratch, double scale,
+                  double *stamps, int64_t *weights, int64_t *iters,
+                  int64_t *budgets, int64_t *trail, int32_t max_iter,
+                  int64_t *retired, const volatile int32_t *doorbell)
+{
+    STEP(ldpc_iterate_f64, ldpc_syndrome_f64, scale)
+}
+
+i64 ldpc_step_i16(const int32_t *layer_edge, const int32_t *edges,
+                  int32_t L, int32_t z, i64 B,
+                  int16_t *p, int16_t *r, int16_t *scratch,
+                  int16_t lo, int16_t hi,
+                  double *stamps, int64_t *weights, int64_t *iters,
+                  int64_t *budgets, int64_t *trail, int32_t max_iter,
+                  int64_t *retired, const volatile int32_t *doorbell)
+{
+    STEP(ldpc_iterate_i16, ldpc_syndrome_i16, lo, hi)
+}

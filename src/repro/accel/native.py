@@ -1,8 +1,9 @@
 """Build and load the compiled layer loop nest (``kernel.c``).
 
-The batch kernel (:mod:`repro.serve.batch`) runs each iteration as one
-foreign call into ``kernel.c`` when this module can provide it, and on
-its numpy code path otherwise.  There is nothing to configure: the
+The batch kernel (:mod:`repro.serve.batch`) runs each iteration, and
+each continuous-batching engine step, as one foreign call into
+``kernel.c`` when this module can provide it, and on its numpy code
+path otherwise.  There is nothing to configure: the
 library is built at first use with the system C compiler and cached per
 user, and any failure to build or load it falls back to numpy with one
 ``RuntimeWarning`` naming the reason.
@@ -77,7 +78,16 @@ _SIGNATURES = {
                           _VOID_P, _VOID_P),
     "ldpc_syndrome_i16": (_VOID_P, _VOID_P, _I32, _I32, _I64, _VOID_P,
                           _VOID_P, _VOID_P),
+    "ldpc_step_f64": (_VOID_P, _VOID_P, _I32, _I32, _I64, _VOID_P, _VOID_P,
+                      _VOID_P, ctypes.c_double, _VOID_P, _VOID_P, _VOID_P,
+                      _VOID_P, _VOID_P, _I32, _VOID_P, _VOID_P),
+    "ldpc_step_i16": (_VOID_P, _VOID_P, _I32, _I32, _I64, _VOID_P, _VOID_P,
+                      _VOID_P, ctypes.c_int16, ctypes.c_int16, _VOID_P,
+                      _VOID_P, _VOID_P, _VOID_P, _VOID_P, _I32, _VOID_P,
+                      _VOID_P),
 }
+#: entry points that return a count (the rest return nothing)
+_RESTYPES = {"ldpc_step_f64": _I64, "ldpc_step_i16": _I64}
 
 
 class NativeKernel(object):
@@ -97,11 +107,13 @@ class NativeKernel(object):
         for name, argtypes in _SIGNATURES.items():
             fn = getattr(lib, name)
             fn.argtypes = argtypes
-            fn.restype = None
+            fn.restype = _RESTYPES.get(name)
         self.iterate_f64 = lib.ldpc_iterate_f64
         self.iterate_i16 = lib.ldpc_iterate_i16
         self.syndrome_f64 = lib.ldpc_syndrome_f64
         self.syndrome_i16 = lib.ldpc_syndrome_i16
+        self.step_f64 = lib.ldpc_step_f64
+        self.step_i16 = lib.ldpc_step_i16
 
     def info(self) -> Dict[str, Any]:
         """Provenance: compiler version, flags and source hash."""

@@ -204,18 +204,20 @@ class Histogram(_Instrument):
             self._series[key] = state
         return state
 
-    def observe(self, value: float, **labels: Any) -> None:
-        """Record one sample into the labelled series' buckets/reservoir."""
+    def observe(self, value: float, count: int = 1, **labels: Any) -> None:
+        """Record ``count`` samples of ``value`` into the labelled
+        series' buckets/reservoir, as ``count`` single calls would."""
         value = float(value)
         key = self._key(labels)
         with self._lock:
             state = self._state(key)
             i = bisect_left(self.buckets, value)
             if i < len(state.bucket_counts):
-                state.bucket_counts[i] += 1
-            state.count += 1
-            state.total += value
-            state.reservoir.observe(value)
+                state.bucket_counts[i] += count
+            state.count += count
+            for _ in range(count):
+                state.total += value   # the float sum of single calls
+            state.reservoir.observe(value, count)
 
     # -- queries -------------------------------------------------------
     def count(self, **labels: Any) -> int:

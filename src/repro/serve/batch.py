@@ -5,9 +5,13 @@ way the paper's z-way parallel datapath does, with frames as extra
 lanes.  One iteration is one call into ``repro/accel/kernel.c``, the
 paper's C loop nest (per layer, per block column: barrel shift, core1,
 then core2's write-back) compiled at first use by
-:mod:`repro.accel.native`; the syndrome is a second call.  Without a C
-compiler the same state is iterated by a handful of numpy passes per
-layer instead, bit for bit the same.  Both are bit-exact with
+:mod:`repro.accel.native`; the syndrome is a second call.  A
+continuous-batching engine step is one call in all: ``ldpc_step_*``
+iterates, counts each lane's unsatisfied checks and retires lanes,
+iteration after iteration, until a lane retires or the engine's doorbell
+rings (:class:`Lanes`).  Without a C compiler the same state is iterated
+by a handful of numpy passes per layer instead, and the step is a Python
+loop over them, bit for bit the same.  Both are bit-exact with
 :class:`~repro.decoder.layered.LayeredMinSumDecoder` in float and
 fixed-point modes; the golden vectors and the differential tests pin
 the equivalence.  How the passes stay value-identical to the per-frame
@@ -54,7 +58,7 @@ and removed, and the working arrays are compacted (into fresh
 contiguous frame-minor copies) so later iterations spend no work on
 finished frames.  The continuous-batching engine
 (:mod:`repro.serve.engine`) builds on the same primitives exposed here —
-:meth:`iterate_once`, :meth:`syndrome_weights` and the slot accessors —
+:meth:`iterate_once` with its :class:`Lanes` and the slot accessors —
 to refill freed slots with new frames instead of shrinking the batch.
 """
 
@@ -78,7 +82,8 @@ from repro.utils.bitops import hard_decision
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import TraceRecorder
 
-__all__ = ["BatchLayeredMinSumDecoder"]
+__all__ = ["BatchLayeredMinSumDecoder", "Lanes"]
+
 
 def _edge_tables(plan: CodePlan) -> Tuple[np.ndarray, np.ndarray]:
     """Routing tables of ``kernel.c``.
@@ -94,6 +99,46 @@ def _edge_tables(plan: CodePlan) -> Tuple[np.ndarray, np.ndarray]:
     shifts = np.concatenate([lp.shifts for lp in plan.layers])
     edges = np.stack([cols * plan.z, shifts % plan.z], axis=1)
     return layer_edge.astype(np.int32), edges.astype(np.int32)
+
+
+class Lanes(object):
+    """Per-lane state of an engine step, in arrays ``kernel.c`` reads
+    and writes in place.
+
+    ``iters`` counts the iterations the frame in each lane has run,
+    ``budgets`` holds its iteration budget (0 marks a free lane, and a
+    step sets it to 0 when the lane retires), ``trail`` holds each
+    lane's unsatisfied-check count per iteration and ``retired`` the
+    compiled step's output: the count ``n``, then ``n`` lanes.  ``doorbell`` is a
+    one-element flag another thread sets after queueing work; a step
+    told to listen reads it between iterations and returns early.
+    """
+
+    def __init__(self, capacity: int, max_iterations: int) -> None:
+        self.capacity = capacity
+        self.max_iterations = max_iterations
+        self.iters = np.zeros(capacity, dtype=np.int64)
+        self.budgets = np.zeros(capacity, dtype=np.int64)
+        self.trail = np.zeros((capacity, max_iterations), dtype=np.int64)
+        self.retired = np.zeros(capacity + 1, dtype=np.int64)
+        self.doorbell = np.zeros(1, dtype=np.int32)
+        head = (self.iters.ctypes.data, self.budgets.ctypes.data,
+                self.trail.ctypes.data, max_iterations,
+                self.retired.ctypes.data)
+        #: trailing ``ldpc_step_*`` arguments, deaf and listening
+        self.args = (head + (None,), head + (self.doorbell.ctypes.data,))
+
+    def check(self, width: int) -> None:
+        """Refuse a state wider than these lanes."""
+        if width > self.capacity:
+            raise DecodingError(
+                f"state of {width} frames exceeds {self.capacity} lanes")
+
+    def spent(self) -> DecodingError:
+        """The error for a busy lane with no iteration left."""
+        return DecodingError(
+            "a busy lane has no iteration left: iters must stay below "
+            f"max_iterations={self.max_iterations}")
 
 
 class _LayerScratch(object):
@@ -129,9 +174,10 @@ class BatchLayeredMinSumDecoder(object):
         Fixed-point message format (default: the paper's 8-bit format).
     recorder:
         Optional :class:`~repro.obs.trace.TraceRecorder`; when enabled,
-        every layer emits a ``batch.layer`` span (labelled ``layer``,
-        ``batch``, the width iterated, and ``mode``) and every full
-        iteration a ``batch.iteration`` span.  Tracing never touches
+        every layer of every iteration emits a ``batch.layer`` span
+        (labelled ``layer``, ``batch``, the width iterated, and
+        ``mode``) and every full iteration of :meth:`decode` a
+        ``batch.iteration`` span.  Tracing never touches
         the working arrays, so batch results stay bit-exact with and
         without it.
 
@@ -187,6 +233,10 @@ class BatchLayeredMinSumDecoder(object):
         self._r_blocks = [lp.var_idx.shape for lp in self.plan.layers]
         #: the compiled layer loop nest (None: the numpy path below)
         self._native = native.load()
+        #: the compiled engine step (None: a Python loop over iterations)
+        self._step_fn = None
+        #: (first R view, width, buffer) of the last R state checked
+        self._r_checked: Optional[tuple] = None
         if self._native is not None:
             self._bind_native()
 
@@ -197,17 +247,20 @@ class BatchLayeredMinSumDecoder(object):
         #: leading arguments of every entry point: tables, layer count
         self._tables = (self._layer_edge.ctypes.data, self._edges.ctypes.data,
                         self.plan.num_layers)
-        #: a traced iteration's clock readings, one per layer boundary
-        self._stamps = np.zeros(self.plan.num_layers + 1)
+        #: a traced step's clock readings, one per layer boundary of up
+        #: to max_iterations iterations
+        self._stamps = np.zeros(self.max_iterations * self.plan.num_layers + 1)
         self._stamps_addr = self._stamps.ctypes.data
         self._span_labels: Dict[int, list] = {}
         if self.fixed:
             self._iterate_fn = kernel.iterate_i16
             self._syndrome_fn = kernel.syndrome_i16
+            self._step_fn = kernel.step_i16
             self._consts: tuple = (int(self._lo), int(self._hi))
         else:
             self._iterate_fn = kernel.iterate_f64
             self._syndrome_fn = kernel.syndrome_f64
+            self._step_fn = kernel.step_f64
             self._consts = (float(self.scaling_factor),)
         self._native_bufs: Dict[int, tuple] = {}
         #: (P, first R view, call arguments) of the last state iterated
@@ -254,8 +307,13 @@ class BatchLayeredMinSumDecoder(object):
         return views
 
     def _r_buffer(self, r: List[np.ndarray], width: int) -> np.ndarray:
-        """The one buffer behind the R views of ``r``."""
-        buf = r[0].base if r else None
+        """The one buffer behind the R views of ``r``, checked once per
+        state (the state of the last call is remembered)."""
+        first = r[0] if r else None
+        checked = self._r_checked
+        if checked is not None and checked[0] is first and checked[1] == width:
+            return checked[2]
+        buf = None if first is None else first.base
         if (
             buf is None
             or buf.shape != (self._r_rows, width)
@@ -266,6 +324,7 @@ class BatchLayeredMinSumDecoder(object):
             raise DecodingError(
                 "R state must come from new_r_state, compact or resize"
             )
+        self._r_checked = (first, width, buf)
         return buf
 
     def _clear_fresh(self, p: np.ndarray, r: List[np.ndarray]) -> None:
@@ -278,14 +337,40 @@ class BatchLayeredMinSumDecoder(object):
             buf[:-1, fresh] = 0
             keep[:] = -1
 
-    def iterate_once(self, p: np.ndarray, r: List[np.ndarray]) -> None:
+    def new_lanes(self, capacity: int) -> Lanes:
+        """Free lane state for an engine of ``capacity`` slots."""
+        return Lanes(capacity, self.max_iterations)
+
+    def iterate_once(
+        self,
+        p: np.ndarray,
+        r: List[np.ndarray],
+        lanes: Optional[Lanes] = None,
+        listen: bool = False,
+    ) -> Optional[Tuple[int, List[int]]]:
         """Run one full iteration (all layers) in place on ``(n, A)`` state.
 
-        One call into the compiled loop nest.  A traced run passes a
-        stamp buffer the loop fills with the clock after every layer,
-        and every layer becomes a ``batch.layer`` span from those
+        With ``lanes``, run one engine step instead: iterate the whole
+        state, append each busy lane's unsatisfied-check count to its
+        trail, advance its iteration count and retire it once it
+        converged or spent its budget, over and over until a lane
+        retires, or until ``lanes.doorbell`` is set if ``listen``.
+        Returns the iterations run and the retired lanes, in order.
+
+        Compiled, either is one call into ``kernel.c``.  A traced run
+        passes a stamp buffer the loop fills with the clock after every
+        layer, and every layer becomes a ``batch.layer`` span from those
         stamps, so the spans time the C loop itself, not the calls.
         """
+        if lanes is None:
+            self._iterate(p, r)
+            return None
+        if self._native is None or self._step_fn is None:
+            return self._step_loop(p, r, lanes, listen)
+        return self._step_native(p, r, lanes, listen)
+
+    def _iterate(self, p: np.ndarray, r: List[np.ndarray]) -> None:
+        """One iteration: the compiled loop nest, or its numpy twin."""
         if self._native is None:
             self._iterate_numpy(p, r)
             return
@@ -296,26 +381,80 @@ class BatchLayeredMinSumDecoder(object):
             return
         t0 = time.perf_counter()
         self._iterate_fn(*self._tables, *args, self._stamps_addr)
-        stamps = self._stamps.tolist()
+        self._layer_trace(rec, t0, args[1], 1)
+
+    def _step_native(self, p: np.ndarray, r: List[np.ndarray], lanes: Lanes,
+                     listen: bool) -> Tuple[int, List[int]]:
+        args = self._bind(p, r)
+        width = args[1]
+        lanes.check(width)
+        weights = self._native_buffers(width)[3]
+        rec = self.recorder
+        tracing = rec is not None and rec.enabled
+        t0 = time.perf_counter()
+        k = self._step_fn(*self._tables, *args,
+                          self._stamps_addr if tracing else None, weights,
+                          *lanes.args[listen])
+        if k < 0:
+            raise lanes.spent()
+        if tracing and k:
+            self._layer_trace(rec, t0, width, k)
+        retired = lanes.retired
+        return k, retired[1 : retired[0] + 1].tolist()
+
+    def _step_loop(self, p: np.ndarray, r: List[np.ndarray], lanes: Lanes,
+                   listen: bool) -> Tuple[int, List[int]]:
+        """The engine step as a Python loop over single iterations and
+        :meth:`syndrome_weights`, bit for bit ``ldpc_step_*``."""
+        width = self.batch_of(p)
+        lanes.check(width)
+        iters, budgets = lanes.iters, lanes.budgets
+        busy = np.flatnonzero(budgets[:width] > 0)
+        if busy.size == 0:
+            return 0, []
+        if np.any((iters[busy] < 0) | (iters[busy] >= lanes.max_iterations)):
+            raise lanes.spent()
+        limit = np.minimum(budgets[busy], lanes.max_iterations)
+        k = 0
+        while True:
+            self._iterate(p, r)
+            weights = self.syndrome_weights(p, frames=busy)
+            k += 1
+            it = iters[busy]
+            lanes.trail[busy, it] = weights
+            iters[busy] = it + 1
+            retired = busy[(weights == 0) | (it + 1 >= limit)]
+            if retired.size or (listen and lanes.doorbell[0]):
+                budgets[retired] = 0
+                return k, retired.tolist()
+
+    def _layer_trace(self, rec: "TraceRecorder", t0: float, batch: int,
+                     iterations: int) -> None:
+        """``batch.layer`` spans of ``iterations`` traced iterations from
+        the stamps the C loop wrote."""
+        stamps = self._stamps[: iterations * self.plan.num_layers + 1].tolist()
         rec.complete_spans("batch.layer", stamps,
-                           self._layer_spans(p.shape[1]),
+                           self._layer_spans(batch, iterations),
                            offset=t0 - stamps[0])
 
-    def _layer_spans(self, batch: int) -> list:
-        """Per layer: its start and end boundary (indices into the
-        stamps) and its ``batch.layer`` span labels."""
+    def _layer_spans(self, batch: int, iterations: int) -> list:
+        """Per layer of ``iterations`` iterations: its start and end
+        boundary (indices into the stamps) and its ``batch.layer`` span
+        labels."""
         spans = self._span_labels.get(batch)
         if spans is None:
             mode = "fixed" if self.fixed else "float"
+            L = self.plan.num_layers
             spans = [
-                (l, l + 1, (("batch", batch), ("layer", l), ("mode", mode)))
-                for l in range(self.plan.num_layers)
+                (i, i + 1,
+                 (("batch", batch), ("layer", i % L), ("mode", mode)))
+                for i in range(self.max_iterations * L)
             ]
             self._span_labels[batch] = spans
-        return spans
+        return spans[: iterations * self.plan.num_layers]
 
     def _iterate_numpy(self, p: np.ndarray, r: List[np.ndarray]) -> None:
-        """:meth:`iterate_once` without a compiler: the C loop's plain
+        """One iteration without a compiler: the C loop's plain
         twin, a few numpy passes per layer on the same state."""
         self._clear_fresh(p, r)
         rec = self.recorder

@@ -6,9 +6,10 @@ same vertical shuffled schedule (sweep block columns; per column,
 re-evaluate each incident layer and write back only that column's
 edges) on the row kernel's frame-minor state and R layout (one
 ``(degree, z, B)`` block per layer).  It subclasses the row-layered
-batch kernel and replaces only :meth:`iterate_once`, so the state
+batch kernel and replaces only the single iteration, so the state
 primitives, the early-retirement batch driver, and the
-continuous-batching engine integration all carry over unchanged —
+continuous-batching engine integration (its step a Python loop over
+these iterations) all carry over unchanged —
 ``DecodeService(schedule="column")`` is just a different iteration
 under the same machinery.
 
@@ -43,8 +44,9 @@ class ColumnBatchLayeredMinSumDecoder(BatchLayeredMinSumDecoder):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.col_edges = column_adjacency(self.plan)
+        self._step_fn = None   # kernel.c runs the row schedule only
 
-    def iterate_once(self, p: np.ndarray, r: List[np.ndarray]) -> None:
+    def _iterate(self, p: np.ndarray, r: List[np.ndarray]) -> None:
         """One column-layered iteration in place on ``(n, A)`` state."""
         self._clear_fresh(p, r)
         batch = p.shape[1]

@@ -1,17 +1,29 @@
 """Continuous-batching engine: slot reuse across frames.
 
 The LLM-inference continuous-batching pattern applied to LDPC decoding:
-an engine owns ``batch_size`` decoder slots; every :meth:`step` runs one
-full layered iteration over the *occupied* slots only, retires frames
-whose parity checks pass (or whose iteration budget is spent), and the
-freed slots are immediately available to :meth:`admit` new frames — so
-a saturated engine never idles a slot waiting for the slowest frame of
-a fixed batch, exactly the way the paper's two-layer pipelined
+an engine owns ``batch_size`` decoder slots; every :meth:`step` runs
+full layered iterations over the *occupied* slots, retires frames whose
+parity checks pass (or whose iteration budget is spent), and the freed
+slots are immediately available to :meth:`admit` new frames — so a
+saturated engine never idles a slot waiting for the slowest frame of a
+fixed batch, exactly the way the paper's two-layer pipelined
 architecture keeps core1/core2 busy across layers via its scoreboard.
 Admission fills the lowest free slot, and a step iterates a contiguous
 state only as wide as the highest occupied slot (rounded up to a power
 of two): slots above it are not stepped at all — the software form of
 the paper's clock gating of idle blocks.
+
+A step is one call into the batch kernel (one foreign call when
+compiled), which keeps each slot's iteration count, budget and syndrome
+trail in the kernel's :class:`~repro.serve.batch.Lanes` and iterates
+until a frame retires — as the paper's datapath runs a frame's
+iterations and parity check with no host round trip.  Python then runs
+once per retired frame.  A step with a free slot also ends after the
+iteration during which :attr:`ContinuousBatchingEngine.doorbell` was
+set: :meth:`DecodeService.submit <repro.serve.pool.DecodeService.submit>`
+sets it after queueing a frame, like the hardware's input-FIFO flag,
+and the shard worker clears it before each read of its queue, so a
+queued frame waits at most one iteration for a free slot.
 
 Frames in the same engine share one code (and hence one LLR length);
 mixed-rate traffic is sharded across engines by the worker pool in
@@ -22,7 +34,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,10 +78,17 @@ class ContinuousBatchingEngine(object):
     recorder:
         Optional :class:`~repro.obs.trace.TraceRecorder`; when enabled
         the engine emits ``engine.admit`` / ``engine.retire`` events per
-        slot fill/free and an ``engine.step`` span per layered
-        iteration (labelled ``busy`` / ``capacity`` / ``width``), and
+        slot fill/free and an ``engine.step`` span per step (labelled
+        ``busy`` / ``capacity`` / ``width`` / ``iterations``), and
         forwards the recorder to the batch kernel for
         ``batch.layer`` attribution.
+
+    Attributes
+    ----------
+    doorbell:
+        One-element ``int32`` array: set it to non-zero after queueing
+        work for this engine, and a step with a free slot returns after
+        its current iteration.  The engine never clears it.
     """
 
     def __init__(
@@ -113,11 +132,12 @@ class ContinuousBatchingEngine(object):
         self._width = 0
         self._p = self.kernel.prepare(np.zeros((0, code.n)))
         self._r = self.kernel.new_r_state(0)
-        self._occupied = np.zeros(batch_size, dtype=bool)
-        self._iters = np.zeros(batch_size, dtype=np.int64)
-        self._budgets = np.full(batch_size, max_iterations, dtype=np.int64)
-        self._jobs: List[Optional[DecodeJob]] = [None] * batch_size
-        self._syndromes: List[List[int]] = [[] for _ in range(batch_size)]
+        # per-slot iteration count, budget (0: free) and syndrome trail,
+        # kept by the kernel's step
+        self._lanes = self.kernel.new_lanes(batch_size)
+        self.doorbell = self._lanes.doorbell
+        # per occupied slot: its job and iteration budget
+        self._jobs: List[Optional[Tuple[DecodeJob, int]]] = [None] * batch_size
         # frames admitted above the current width, loaded by the next
         # step's re-layout (at most one re-layout per step)
         self._pending: Dict[int, np.ndarray] = {}
@@ -128,7 +148,7 @@ class ContinuousBatchingEngine(object):
     @property
     def in_flight(self) -> int:
         """Frames currently occupying a slot."""
-        return int(np.count_nonzero(self._occupied))
+        return int(np.count_nonzero(self._lanes.budgets))
 
     @property
     def free_slots(self) -> int:
@@ -145,7 +165,8 @@ class ContinuousBatchingEngine(object):
         DecodingError
             If the job's LLR vector has the wrong length.
         """
-        free = np.flatnonzero(~self._occupied)
+        lanes = self._lanes
+        free = np.flatnonzero(lanes.budgets == 0)
         if free.size == 0:
             raise EngineFullError(
                 f"all {self.batch_size} slots occupied; step() before admitting"
@@ -160,15 +181,14 @@ class ContinuousBatchingEngine(object):
             self.kernel.load_slot(self._p, self._r, slot, llrs)
         else:
             self._pending[slot] = llrs
-        self._occupied[slot] = True
-        self._iters[slot] = 0
         # per-job budget (load shedding lowers it); clamp to [1, engine max]
         budget = job.iteration_budget
         if budget is None:
             budget = self.max_iterations
-        self._budgets[slot] = min(max(1, int(budget)), self.max_iterations)
-        self._jobs[slot] = job
-        self._syndromes[slot] = []
+        budget = min(max(1, int(budget)), self.max_iterations)
+        lanes.iters[slot] = 0
+        lanes.budgets[slot] = budget
+        self._jobs[slot] = (job, budget)
         self.metrics.frames_in.inc()
         if self.recorder is not None:
             self.recorder.event("engine.admit", slot=slot, job=job.job_id)
@@ -188,14 +208,17 @@ class ContinuousBatchingEngine(object):
     # stepping
     # ------------------------------------------------------------------
     def step(self) -> List[CompletedJob]:
-        """Run one layered iteration over the occupied slots.
+        """Iterate the occupied slots until a frame retires.
 
-        Retires (and returns) every frame whose parity checks pass or
-        whose iteration budget is exhausted; the freed slots can be
-        refilled before the next step.
+        One kernel call runs layered iterations until at least one frame
+        passes its parity checks or spends its iteration budget, or,
+        with a slot free, until :attr:`doorbell` is set.  Retires (and
+        returns) every such frame; the freed slots can be refilled
+        before the next step.
         """
-        act = np.flatnonzero(self._occupied)
-        if act.size == 0:
+        lanes = self._lanes
+        busy = np.flatnonzero(lanes.budgets)
+        if busy.size == 0:
             return []
         rec = self.recorder
         tracing = rec is not None and rec.enabled
@@ -206,54 +229,48 @@ class ContinuousBatchingEngine(object):
         # keeps few scratch shapes and re-lays out state only when the
         # width changes).  Free slots below it decode stale state
         # (cheap, harmless); the hot path never gathers/scatters R.
-        self._set_width(self._width_for(int(act[-1]) + 1))
+        self._set_width(self._width_for(int(busy[-1]) + 1))
         for slot, llrs in self._pending.items():
             self.kernel.load_slot(self._p, self._r, slot, llrs)
         self._pending.clear()
-        self.kernel.iterate_once(self._p, self._r)
-        p = self._p
-
-        self._iters[act] += 1
-        weights = self.kernel.syndrome_weights(p, frames=act)
-        self.metrics.step_recorded(int(act.size), self.batch_size)
+        # a full engine has no slot to offer: it ignores the doorbell
+        iterations, retired = self.kernel.iterate_once(
+            self._p, self._r, lanes, busy.size < self.batch_size)
+        self.metrics.step_recorded(busy.size, self.batch_size, iterations)
         if tracing:
-            rec.complete("engine.step", step_t0, busy=int(act.size),
-                         capacity=self.batch_size, width=self._width)
+            rec.complete("engine.step", step_t0, busy=int(busy.size),
+                         capacity=self.batch_size, width=self._width,
+                         iterations=iterations)
 
         completed: List[CompletedJob] = []
-        for j, slot in enumerate(act):
-            slot = int(slot)
-            weight = int(weights[j])
-            self._syndromes[slot].append(weight)
-            converged = weight == 0
-            if not converged and self._iters[slot] < self._budgets[slot]:
-                continue
-            job = self._jobs[slot]
+        for slot in retired:
+            job, budget = self._jobs[slot]
+            self._jobs[slot] = None
+            used = int(lanes.iters[slot])
+            trail = lanes.trail[slot, :used].tolist()
+            converged = trail[-1] == 0
             # one strided gather per frame: the bits are the signs of
             # the contiguous LLR copy (dequantizing keeps every sign)
-            llrs = self.kernel.frame_llrs(p, slot)
-            result = DecodeResult(
+            llrs = self.kernel.frame_llrs(self._p, slot)
+            done = CompletedJob(job=job, result=DecodeResult(
                 bits=hard_decision(llrs),
                 converged=converged,
-                iterations=int(self._iters[slot]),
+                iterations=used,
                 llrs=llrs,
-                syndrome_weight=weight,
-                iteration_syndromes=list(self._syndromes[slot]),
-            )
-            done = CompletedJob(job=job, result=result)
+                syndrome_weight=trail[-1],
+                iteration_syndromes=trail,
+            ))
             self.metrics.frame_retired(
                 converged=converged,
-                iterations=result.iterations,
-                max_iterations=int(self._budgets[slot]),
+                iterations=used,
+                max_iterations=budget,
                 latency_s=done.latency_s,
             )
-            self._occupied[slot] = False
-            self._jobs[slot] = None
             completed.append(done)
             if self.recorder is not None:
                 self.recorder.event(
                     "engine.retire", slot=slot, job=done.job_id,
-                    converged=converged, iterations=result.iterations,
+                    converged=converged, iterations=used,
                 )
         return completed
 

@@ -61,15 +61,15 @@ class MetricsSnapshot(object):
         Shard worker loops that died with an unexpected exception / that
         were restarted by the supervisor after backoff.
     engine_steps:
-        Decode iterations executed across all engines (each step runs
-        one full layered iteration over the occupied slots).
+        Layered iterations executed across all engines, each over the
+        occupied slots (one engine step runs one or more).
     slot_iterations:
         Frame-iterations executed (sum of occupied slots over steps).
     iterations_saved:
         Frame-iterations avoided by early retirement of converged
         frames, relative to running every frame to its budget.
     mean_occupancy:
-        Mean fraction of slots busy per engine step (0..1).
+        Mean fraction of slots busy per layered iteration (0..1).
     p50_latency_s / p99_latency_s / mean_latency_s:
         Submit-to-retire latency percentiles over the recent window.
     elapsed_s:
@@ -143,7 +143,7 @@ class ServeMetrics(object):
         self.iterations_saved = reg.counter(
             "serve_iterations_saved", "frame-iterations avoided by early retire")
         self.occupancy = reg.histogram(
-            "serve_occupancy_ratio", "busy slot fraction per engine step",
+            "serve_occupancy_ratio", "busy slot fraction per iteration",
             buckets=_OCCUPANCY_BUCKETS)
         self.latency = reg.histogram(
             "serve_latency_seconds", "submit-to-retire latency",
@@ -166,12 +166,15 @@ class ServeMetrics(object):
     # ------------------------------------------------------------------
     # derived recordings (called by engines)
     # ------------------------------------------------------------------
-    def step_recorded(self, busy_slots: int, capacity: int) -> None:
-        """One engine step over ``busy_slots`` of ``capacity`` slots."""
-        self.engine_steps.inc()
-        self.slot_iterations.inc(busy_slots)
+    def step_recorded(self, busy_slots: int, capacity: int,
+                      iterations: int) -> None:
+        """An engine step of ``iterations`` layered iterations, each over
+        ``busy_slots`` of ``capacity`` slots: the same values as that
+        many one-iteration records, one update per instrument."""
+        self.engine_steps.inc(iterations)
+        self.slot_iterations.inc(busy_slots * iterations)
         if capacity > 0:
-            self.occupancy.observe(busy_slots / capacity)
+            self.occupancy.observe(busy_slots / capacity, count=iterations)
 
     def frame_retired(
         self,

@@ -40,6 +40,14 @@ Design points:
   step, which releases the GIL, so two shard threads decode on two
   cores; threads keep results zero-copy and the service embeddable,
   and one engine per worker means no shared mutable decode state.
+* **Doorbell.**  A step iterates until a frame retires, so ``submit``
+  sets the shard engine's ``doorbell`` after it queues a frame and a
+  step with a free slot returns after its current iteration.  The
+  worker reads its queue only when the doorbell is set or the engine
+  is empty, and then until the queue is empty or the slots are full.
+  It clears the doorbell before each read: a frame queued after the
+  last read rings it again, so no wake-up is lost, and a step that
+  retires frames with nothing queued costs no queue poll.
 """
 
 from __future__ import annotations
@@ -316,7 +324,7 @@ class DecodeService(object):
         self, code: QCLDPCCode
     ) -> Callable[[], ContinuousBatchingEngine]:
         def make() -> ContinuousBatchingEngine:
-            return ContinuousBatchingEngine(
+            engine = ContinuousBatchingEngine(
                 code,
                 batch_size=self.batch_size,
                 max_iterations=self.max_iterations,
@@ -325,6 +333,9 @@ class DecodeService(object):
                 metrics=self.metrics,
                 recorder=self.recorder,
             )
+            # a rebuilt engine replaces one whose queue may hold frames
+            engine.doorbell[0] = 1
+            return engine
 
         return make
 
@@ -754,6 +765,7 @@ class DecodeService(object):
                 f"shard {shard.key!r}: queue full "
                 f"({shard.queue.maxsize} frames waiting)"
             ) from None
+        shard.engine.doorbell[0] = 1   # after the put: see the module notes
         emit(self.recorder, self.log, "debug", "pool.enqueue", shard=shard.key,
              job=job.job_id)
         if not shard.healthy:
@@ -959,40 +971,10 @@ class DecodeService(object):
                 exc, shard.crash_next = shard.crash_next, None
                 raise exc
             engine = shard.engine
-            # admit as much queued work as fits into free slots
-            while engine.free_slots > 0:
-                block = engine.in_flight == 0
-                try:
-                    job, future = shard.queue.get(
-                        timeout=_POLL_S if block else 0.0
-                    )
-                except queue.Empty:
-                    break
-                if not future.set_running_or_notify_cancel():
-                    continue  # caller cancelled while queued
-                if job.expired:
-                    self.metrics.frames_expired.inc()
-                    self.metrics.frames_errored.inc()
-                    emit(self.recorder, self.log, "warning", "pool.expire",
-                         shard=shard.key, job=job.job_id)
-                    future.set_exception(
-                        DeadlineExceededError(
-                            f"job {job.job_id}: deadline passed after "
-                            f"{time.monotonic() - job.enqueued_at:.3f}s in queue"
-                        )
-                    )
-                    continue
-                try:
-                    engine.admit(job)
-                except Exception as exc:  # bad frame: fail just this job
-                    self.metrics.frames_errored.inc()
-                    future.set_exception(exc)
-                    continue
-                job.dispatched_at = time.monotonic()
-                emit(self.recorder, self.log, "debug", "pool.dispatch",
-                     shard=shard.key, job=job.job_id)
-                self._trace_queue_wait(shard, job)
-                shard.futures[job.job_id] = (job, future)
+            # the queue is read when the doorbell rang or the engine is
+            # empty, and then until it is empty or the slots are full
+            if engine.in_flight == 0 or engine.doorbell[0]:
+                self._admit_queued(shard, engine)
             if engine.in_flight == 0:
                 if (
                     (self._closing.is_set() or shard.stopping.is_set())
@@ -1017,6 +999,52 @@ class DecodeService(object):
                 # recoverable corruption: rebuild the engine and retry
                 # in-flight frames within their budget
                 self._recover_transient(shard, exc)
+
+    def _admit_queued(self, shard: _Shard,
+                      engine: ContinuousBatchingEngine) -> None:
+        """Admit queued frames into free slots until the queue is empty.
+
+        The doorbell is cleared before each read of the queue: a frame
+        put after that read rings it again, so the step that follows
+        returns for it.  A frame put before it is seen by the read."""
+        doorbell = engine.doorbell
+        while engine.free_slots > 0:
+            block = engine.in_flight == 0
+            doorbell[0] = 0
+            if not block and shard.queue.empty():
+                return   # no exception raised for the common case
+            try:
+                job, future = shard.queue.get(
+                    timeout=_POLL_S if block else 0.0
+                )
+            except queue.Empty:
+                return
+            if not future.set_running_or_notify_cancel():
+                continue  # caller cancelled while queued
+            if job.expired:
+                self.metrics.frames_expired.inc()
+                self.metrics.frames_errored.inc()
+                emit(self.recorder, self.log, "warning", "pool.expire",
+                     shard=shard.key, job=job.job_id)
+                future.set_exception(
+                    DeadlineExceededError(
+                        f"job {job.job_id}: deadline passed after "
+                        f"{time.monotonic() - job.enqueued_at:.3f}s in queue"
+                    )
+                )
+                continue
+            try:
+                engine.admit(job)
+            except Exception as exc:  # bad frame: fail just this job
+                self.metrics.frames_errored.inc()
+                future.set_exception(exc)
+                continue
+            job.dispatched_at = time.monotonic()
+            emit(self.recorder, self.log, "debug", "pool.dispatch",
+                 shard=shard.key, job=job.job_id)
+            self._trace_queue_wait(shard, job)
+            shard.futures[job.job_id] = (job, future)
+        doorbell[0] = 1   # the slots ran out first: frames may be left
 
     def _recover_transient(self, shard: _Shard, exc: Exception) -> None:
         shard.last_error = exc

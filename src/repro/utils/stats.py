@@ -9,6 +9,7 @@ count/sum cover the full stream.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import Optional
 
@@ -33,12 +34,13 @@ class RollingReservoir(object):
         self._count = 0
         self._total = 0.0
 
-    def observe(self, value: float) -> None:
-        """Record one observation."""
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value``."""
         value = float(value)
-        self._window.append(value)
-        self._count += 1
-        self._total += value
+        self._window.extend(itertools.repeat(value, count))
+        self._count += count
+        for _ in range(count):
+            self._total += value   # the float sum of single calls
 
     @property
     def count(self) -> int:

@@ -332,16 +332,20 @@ def test_the_compiled_kernel_stays_inside_the_state_it_is_given(fixed):
     bit for bit equal to the state decoded on its own.  ``_r_buffer``
     refuses a foreign R buffer, so the guarded state goes straight to
     the entry point, which finds the fresh row at ``layer_edge[L] * z *
-    B``."""
+    B``.  Then engine steps run every frame to retirement on the same
+    state, with the step's weights, iteration counts, budgets, trail,
+    retired list and doorbell guarded too: three lanes above the width
+    hold busy budgets the step must not touch, and the doorbell is only
+    read."""
     if native.load() is None:
         pytest.skip(f"no compiled kernel: {native.fallback_reason()}")
     registry = default_registry()
     rng = np.random.default_rng(99)
     guard_rows = 64
 
-    def guarded(rows, width, dtype):
+    def guarded(rows, width, dtype, fill=0x5A5A if fixed else -1234.5):
         big = np.empty((rows + 2 * guard_rows, width), dtype=dtype)
-        big.fill(0x5A5A if fixed else -1234.5)
+        big.fill(fill)
         inner = big[guard_rows : guard_rows + rows]
         assert inner.flags.c_contiguous and inner.base is big
         return big, big.copy(), inner
@@ -368,6 +372,42 @@ def test_the_compiled_kernel_stays_inside_the_state_it_is_given(fixed):
                 np.testing.assert_array_equal(
                     dec.syndrome_weights(p), dec.syndrome_weights(alone)
                 )
+            assert p.tobytes() == alone.tobytes(), (code_id, width)
+            assert r.tobytes() == r_buf.tobytes(), (code_id, width)
+
+            capacity, max_it = width + 3, dec.max_iterations
+            lanes = dec.new_lanes(capacity)
+            lanes.budgets[:] = rng.integers(1, max_it + 1, capacity)
+            lane_arrays = [guarded(rows, cols, dtype, fill=0x5A5A5A5A)
+                           for rows, cols, dtype in (
+                               (width, 1, np.int64),          # weights
+                               (capacity, 1, np.int64),       # iters
+                               (capacity, 1, np.int64),       # budgets
+                               (capacity, max_it, np.int64),  # trail
+                               (capacity + 1, 1, np.int64),   # retired
+                               (1, 1, np.int32))]             # doorbell
+            (_, _, weights), (_, _, iters), (_, _, budgets), \
+                (_, _, trail), (_, _, retired), (_, _, doorbell) = lane_arrays
+            iters[:, 0], budgets[:, 0], trail[:] = (
+                lanes.iters, lanes.budgets, lanes.trail)
+            doorbell[:] = 0
+            arrays += lane_arrays
+            while lanes.budgets[:width].any():
+                k, gone = dec.iterate_once(alone, r_alone, lanes, True)
+                assert k == dec._step_fn(
+                    *dec._tables, code.z, width, p.ctypes.data,
+                    r.ctypes.data, scratch.ctypes.data, *dec._consts, None,
+                    weights.ctypes.data, iters.ctypes.data,
+                    budgets.ctypes.data, trail.ctypes.data, max_it,
+                    retired.ctypes.data, doorbell.ctypes.data,
+                ) >= 1, (code_id, width)
+                assert gone == retired[1 : retired[0, 0] + 1, 0].tolist()
+            assert not lanes.iters[width:].any()
+            assert lanes.budgets[width:].all()
+            assert iters[:, 0].tolist() == lanes.iters.tolist()
+            assert budgets[:, 0].tolist() == lanes.budgets.tolist()
+            assert trail.tobytes() == lanes.trail.tobytes(), (code_id, width)
+            assert doorbell[0, 0] == 0
             assert p.tobytes() == alone.tobytes(), (code_id, width)
             assert r.tobytes() == r_buf.tobytes(), (code_id, width)
             for big, guard, _ in arrays:

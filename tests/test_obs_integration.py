@@ -207,8 +207,13 @@ class TestEngineAndPoolEvents(object):
         names = [r.name for r in rec.records()]
         assert names.count("engine.admit") == 6
         assert names.count("engine.retire") == 6
-        assert "engine.step" in names
-        assert "batch.layer" in names
+        # one engine.step span per kernel call, labelled with the
+        # iterations it ran; one batch.layer span per layer of each
+        steps = rec.by_name("engine.step")
+        iterations = sum(s.label_dict["iterations"] for s in steps)
+        assert iterations == engine.metrics.snapshot().engine_steps
+        assert names.count("batch.layer") == (
+            iterations * wimax_short.num_layers)
         retire = rec.by_name("engine.retire")[0]
         assert {"slot", "job", "converged", "iterations"} <= set(
             retire.label_dict

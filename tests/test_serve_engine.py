@@ -1,5 +1,7 @@
 """Continuous-batching engine: slot reuse, retirement, edge cases."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,28 @@ class TestEngineMetrics:
         assert snap.slot_iterations == sum(d.result.iterations for d in done)
         assert snap.p99_latency_s >= snap.p50_latency_s >= 0.0
         assert snap.throughput_fps > 0
+
+    @pytest.mark.parametrize("capacity", [3, 16])
+    def test_a_k_iteration_record_equals_k_single_records(self, capacity):
+        """A step records its iterations with one update per instrument;
+        the snapshot, registry and Prometheus text match one record per
+        iteration, float sums included (1/3 is not exact)."""
+        batched, single = ServeMetrics(), ServeMetrics()
+        for busy, k in [(1, 4), (capacity, 1), (2, 7), (1, 10), (3, 3)]:
+            busy = min(busy, capacity)
+            batched.step_recorded(busy, capacity, k)
+            for _ in range(k):
+                single.step_recorded(busy, capacity, 1)
+
+        def steady(snap):   # the clock-derived fields differ by design
+            return dataclasses.replace(snap, elapsed_s=0.0,
+                                       throughput_fps=0.0)
+
+        assert steady(batched.snapshot()) == steady(single.snapshot())
+        assert batched.snapshot().engine_steps == 25
+        assert batched.registry.to_dict() == single.registry.to_dict()
+        assert (batched.registry.render_prometheus()
+                == single.registry.render_prometheus())
 
     def test_early_retirement_saves_iterations(self, wimax_short):
         frames = traffic(wimax_short, 8, seed=28, ebno_range=(4.5, 5.0))

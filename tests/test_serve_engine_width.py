@@ -10,8 +10,11 @@ batch size.  Two properties must hold for every interleaving of
   frame's budget — bits, LLRs, iterations, converged flag and syndrome
   trail — so a slot re-admitted after a shrink → grow transition can
   never inherit stale R from an earlier, wider state;
-* a spy on ``engine.kernel.iterate_once`` sees exactly that width on
-  every step, and admission always fills the lowest free slot.
+* a spy on ``engine.kernel.iterate_once`` sees one call per step, at
+  exactly that width, and admission always fills the lowest free slot.
+
+A step iterates until a frame retires, or with a free slot until the
+engine's doorbell is set; the interleavings ring it at random.
 """
 
 from __future__ import annotations
@@ -80,15 +83,15 @@ def _assert_matches(code_id, fixed, done, frame, budget):
 
 
 def _spy(engine):
-    """Record the P/R batch width of every kernel iteration."""
+    """Record the P/R batch width of every kernel call (one per step)."""
     widths = []
     iterate = engine.kernel.iterate_once
 
-    def spy(p, r):
+    def spy(p, r, *lanes):
         assert all(rl.shape[-1] == p.shape[1] for rl in r)
         assert p.flags.c_contiguous
         widths.append(p.shape[1])
-        return iterate(p, r)
+        return iterate(p, r, *lanes)
 
     engine.kernel.iterate_once = spy
     return widths
@@ -102,6 +105,7 @@ ops = st.one_of(
     ),
     st.tuples(st.just("step")),
     st.tuples(st.just("drain")),
+    st.tuples(st.just("ring")),       # the next step returns early
 )
 
 
@@ -130,7 +134,9 @@ def test_random_interleavings(code_id, fixed, batch_size, program):
             _assert_matches(code_id, fixed, done, frame, budget)
 
     for op in program:
-        if op[0] == "admit":
+        if op[0] == "ring":
+            engine.doorbell[0] = 1
+        elif op[0] == "admit":
             if len(occupied) == batch_size:
                 continue
             _, frame, budget = op
@@ -144,14 +150,22 @@ def test_random_interleavings(code_id, fixed, batch_size, program):
                 assert engine.step() == []
                 continue
             expected = _expected_width(batch_size, occupied)
+            listening = engine.doorbell[0] and len(occupied) < batch_size
             calls = len(widths)
+            iterations = engine.metrics.snapshot().engine_steps
             step(engine.step())
             assert widths[calls:] == [expected]
+            if listening:   # the rung doorbell ends the first iteration
+                assert engine.metrics.snapshot().engine_steps == iterations + 1
+            engine.doorbell[0] = 0
         else:
+            engine.doorbell[0] = 0
             while occupied:
                 expected = _expected_width(batch_size, occupied)
                 calls = len(widths)
-                step(engine.step())
+                completed = engine.step()
+                assert completed   # a step with the doorbell clear retires
+                step(completed)
                 assert widths[calls:] == [expected]
             assert engine.drain() == []
     step(engine.drain())
@@ -176,8 +190,10 @@ def test_shrink_then_grow_reloads_fresh_state(fixed):
         engine.admit(job)
     retired = engine.step()  # the five budget-1 frames retire
     assert len(retired) == 5 and widths == [8]
-    engine.step()            # only slot 0 left: width 1
-    assert widths[-1] == 1
+    engine.doorbell[0] = 1   # one iteration, then room for new frames
+    assert engine.step() == []   # only slot 0 left: width 1
+    assert widths[-1] == 1 and engine.in_flight == 1
+    engine.doorbell[0] = 0
     # re-admit into slots 1..4: state grows back to width 8
     again = [DecodeJob(llrs=frames[f]) for f in (3, 5, 7, 9)]
     for job in again:
@@ -190,7 +206,9 @@ def test_shrink_then_grow_reloads_fresh_state(fixed):
 
 
 def test_step_span_reports_width():
-    """``engine.step`` carries ``width``; ``batch.layer`` its ``batch``."""
+    """``engine.step`` carries ``width`` and the ``iterations`` of its
+    one kernel call; ``batch.layer`` its ``batch``, once per layer of
+    every iteration."""
     code, frames = _frames(CODE_IDS[0])
     rec = TraceRecorder()
     engine = ContinuousBatchingEngine(
@@ -203,8 +221,10 @@ def test_step_span_reports_width():
     assert step.label_dict["busy"] == 3
     assert step.label_dict["capacity"] == 16
     assert step.label_dict["width"] == 4
+    iterations = step.label_dict["iterations"]
+    assert iterations == engine.metrics.snapshot().engine_steps >= 1
     layers = rec.by_name("batch.layer")
-    assert len(layers) == code.num_layers
+    assert len(layers) == iterations * code.num_layers
     assert {span.label_dict["batch"] for span in layers} == {4}
 
 
@@ -224,7 +244,8 @@ def test_nr_layers_match_the_per_frame_decoder(code_id, width, fixed):
 
 
 def test_step_spans_cover_every_layer_once():
-    """One ``batch.layer`` span per layer, in order and nested."""
+    """One ``batch.layer`` span per layer per iteration, in order and
+    nested in the step's one ``engine.step`` span."""
     code, frames = _frames("nr-bg2-z16")
     rec = TraceRecorder()
     engine = ContinuousBatchingEngine(
@@ -234,10 +255,12 @@ def test_step_spans_cover_every_layer_once():
         engine.admit(DecodeJob(llrs=frame))
     engine.step()
     step, = rec.by_name("engine.step")
+    iterations = step.label_dict["iterations"]
+    assert iterations > 1
     spans = rec.by_name("batch.layer")
-    assert len(spans) == code.num_layers
+    assert len(spans) == iterations * code.num_layers
     assert [s.label_dict["layer"] for s in spans] == list(
-        range(code.num_layers))
+        range(code.num_layers)) * iterations
     for prev, span in zip(spans, spans[1:]):
         assert prev.end_s <= span.start_s
     assert all(step.start_s <= s.start_s <= s.end_s <= step.end_s
