@@ -507,13 +507,16 @@ class DecodeClient(object):
         """Close the connection and stop the private loop.
 
         Idempotent, and never hangs: when the loop thread has already
-        died the asyncio-side close is skipped (there is nobody to run
-        it) and only the local teardown happens.
+        died, the calling thread runs the asyncio-side close on the
+        stopped loop itself (bounded like the normal close), so the
+        connection's socket is closed either way.
         """
         if self._closed:
             return
         self._closed = True
-        if self._thread.is_alive() and not self._loop.is_closed():
+        if self._loop.is_closed():
+            pass
+        elif self._thread.is_alive():
             try:
                 future = asyncio.run_coroutine_threadsafe(
                     self._client.close(), self._loop
@@ -521,6 +524,13 @@ class DecodeClient(object):
                 future.result(10.0)
             except Exception:
                 pass
+        else:
+            try:
+                self._loop.run_until_complete(
+                    asyncio.wait_for(self._client.close(), 10.0)
+                )
+            except Exception:
+                pass  # e.g. called from inside another running loop
         self._stop_loop()
 
     def _stop_loop(self) -> None:

@@ -45,7 +45,9 @@ update rule:
   gather and one XOR reduction per layer, as the C loop does).
 * **preallocated scratch.**  Temporaries live in reusable buffers, one
   set per batch width (numpy: per degree and width); the C loop's is a
-  few L1-sized tiles, not a copy of the layer.
+  few L1-sized tiles, not a copy of the layer.  ``resize`` copies the
+  state into one of two re-layout buffers, in turn, instead of
+  allocating a new one.
 * **narrow fixed-point state.**  The fixed mode stores P and R as
   ``int16`` (every intermediate of the 8-bit datapath provably fits).
 
@@ -187,7 +189,7 @@ class BatchLayeredMinSumDecoder(object):
     z, B)`` view per layer into one ``(E * z + 1, B)`` buffer whose last
     row marks fresh frames.  The batch driver and the
     continuous-batching engine touch it only through the state
-    accessors (``prepare`` / ``load_slot`` / ``frame_llrs`` /
+    accessors (``prepare`` / ``load_slots`` / ``frames_out`` /
     ``compact`` / ``resize`` / ...).  :meth:`decode` retires each
     frame at the first iteration boundary where its parity checks pass
     (per-frame early exit, as in the paper).
@@ -237,6 +239,11 @@ class BatchLayeredMinSumDecoder(object):
         self._step_fn = None
         #: (first R view, width, buffer) of the last R state checked
         self._r_checked: Optional[tuple] = None
+        #: resize's two re-layout buffer pairs, ``(flat P, {width: (P,
+        #: R views, R buffer)}, flat R)``, and the pair used last
+        self._relayout = [(np.zeros(0, self._dtype), {},
+                           np.zeros(0, self._dtype)) for _ in range(2)]
+        self._relayout_pick = 1
         if self._native is not None:
             self._bind_native()
 
@@ -271,19 +278,22 @@ class BatchLayeredMinSumDecoder(object):
     # ------------------------------------------------------------------
     def prepare(self, llrs_2d: np.ndarray) -> np.ndarray:
         """Channel LLRs ``(B, n)`` -> frame-minor ``(n, B)`` P state."""
+        return np.array(self._channel(llrs_2d).T, dtype=self._dtype,
+                        order="C")
+
+    def _channel(self, llrs_2d: np.ndarray) -> np.ndarray:
+        """Channel LLRs ``(B, n)`` (an array or a list of rows) in the
+        state's arithmetic, always a copy: quantized codes, or floats
+        with ``-0.0`` made ``+0.0`` so copysign() reads the same edge
+        sign as the reference's ``q < 0`` test (see module notes)."""
         llrs = np.asarray(llrs_2d, dtype=np.float64)
         if llrs.ndim != 2 or llrs.shape[1] != self.code.n:
             raise DecodingError(
                 f"LLR matrix shape {llrs.shape} != (B, {self.code.n})"
             )
         if self.fixed:
-            llrs = self.fmt.quantize(llrs)
-        p = np.array(llrs.T, dtype=self._dtype, order="C")  # always a copy
-        if not self.fixed:
-            # normalize -0.0 -> +0.0 so copysign() reads the same edge
-            # sign as the reference's `q < 0` test (see module notes)
-            p += 0.0
-        return p
+            return self.fmt.quantize(llrs)
+        return llrs + 0.0
 
     def new_r_state(self, batch: int) -> List[np.ndarray]:
         """Zeroed R messages: ``(degree, z, batch)`` views, one per
@@ -307,23 +317,36 @@ class BatchLayeredMinSumDecoder(object):
         return views
 
     def _r_buffer(self, r: List[np.ndarray], width: int) -> np.ndarray:
-        """The one buffer behind the R views of ``r``, checked once per
-        state (the state of the last call is remembered)."""
+        """The one ``(E * z + 1, width)`` buffer behind the R views of
+        ``r``, checked once per state (the state of the last call is
+        remembered).  The views must be those :meth:`_r_views` cuts from
+        the leading ``(E * z + 1) * width`` values of one C-ordered
+        array: ``new_r_state``'s, ``compact``'s, or a re-layout buffer
+        of ``resize``."""
         first = r[0] if r else None
         checked = self._r_checked
         if checked is not None and checked[0] is first and checked[1] == width:
             return checked[2]
-        buf = None if first is None else first.base
+        owner = None if first is None else first.base
+        size = self._r_rows * width
         if (
-            buf is None
-            or buf.shape != (self._r_rows, width)
-            or buf.dtype != self._dtype
-            or not buf.flags.c_contiguous
-            or any(rl.base is not buf for rl in r)
+            owner is None
+            or owner.dtype != self._dtype
+            or not owner.flags.c_contiguous
+            or owner.size < size
+            or len(r) != len(self._r_blocks)
         ):
             raise DecodingError(
                 "R state must come from new_r_state, compact or resize"
             )
+        buf = owner.reshape(-1)[:size].reshape(self._r_rows, width)
+        for rl, view in zip(r, self._r_views(buf)):
+            if rl.base is not owner or rl.shape != view.shape or (
+                    view.size and (rl.strides != view.strides
+                                   or rl.ctypes.data != view.ctypes.data)):
+                raise DecodingError(
+                    "R state must come from new_r_state, compact or resize"
+                )
         self._r_checked = (first, width, buf)
         return buf
 
@@ -545,12 +568,6 @@ class BatchLayeredMinSumDecoder(object):
                 axis=0)
         return weights
 
-    def finalize_llrs(self, p: np.ndarray) -> np.ndarray:
-        """Frame-minor P state -> ``(A, n)`` a-posteriori LLRs."""
-        if self.fixed:
-            return self.fmt.dequantize(p.T)
-        return np.asarray(p.T, dtype=np.float64)
-
     # ------------------------------------------------------------------
     # state-layout accessors
     # ------------------------------------------------------------------
@@ -558,33 +575,28 @@ class BatchLayeredMinSumDecoder(object):
         """Number of frames held by P state ``p``."""
         return int(p.shape[1])
 
-    def load_slot(
-        self, p: np.ndarray, r: List[np.ndarray], slot: int, llrs: np.ndarray
+    def load_slots(
+        self, p: np.ndarray, r: List[np.ndarray], slots, llrs_2d: np.ndarray
     ) -> None:
-        """Overwrite slot ``slot`` with a fresh frame's initial state.
+        """Overwrite lanes ``slots`` with fresh frames, one per row of
+        ``llrs_2d``: one write of their P columns, one of their entries
+        in R's fresh-lane row.  The next iteration reads the lanes'
+        stale R messages as zero."""
+        p[:, slots] = self._channel(llrs_2d).T
+        self._r_buffer(r, p.shape[1])[-1, slots] = 0
 
-        Writes P's column and marks the frame fresh in R's last row; the
-        next iteration reads the slot's stale R messages as zero.
+    def frames_out(self, p: np.ndarray, sel) -> Tuple[np.ndarray, np.ndarray]:
+        """Hard-decision bits and a-posteriori LLRs, both ``(K, n)``, of
+        the frames ``sel`` (indices or a boolean mask) of P state ``p``.
+
+        One gather of their P columns into a fresh frame-major block,
+        which the caller may hold beyond the lanes' lifetime; the bits
+        are its signs (dequantizing keeps every sign).
         """
-        p[:, slot] = self.prepare(llrs[None, :])[:, 0]
-        self._r_buffer(r, p.shape[1])[-1, slot] = 0
-
-    def frame_llrs(self, p: np.ndarray, frame: int) -> np.ndarray:
-        """Finalized a-posteriori LLRs of one frame of P state.
-
-        Always a copy: the caller holds the result beyond the slot's
-        lifetime, while ``finalize_llrs`` may return a view in float
-        mode.
-        """
-        return self.finalize_llrs(p[:, frame : frame + 1])[0].copy()
-
-    def frames_bits(self, p: np.ndarray, sel) -> np.ndarray:
-        """Hard-decision bits ``(K, n)`` of the selected frames."""
-        return hard_decision(p[:, sel].T)
-
-    def frames_llrs(self, p: np.ndarray, sel) -> np.ndarray:
-        """Finalized LLRs ``(K, n)`` of the selected frames."""
-        return self.finalize_llrs(p[:, sel])
+        llrs = p.T[sel]
+        if self.fixed:
+            llrs = self.fmt.dequantize(llrs)
+        return hard_decision(llrs), llrs
 
     def compact(
         self, p: np.ndarray, r: List[np.ndarray], keep: np.ndarray
@@ -599,20 +611,54 @@ class BatchLayeredMinSumDecoder(object):
         return p.compress(keep, axis=1), self._r_views(buf.compress(keep, axis=1))
 
     def resize(
-        self, p: np.ndarray, r: List[np.ndarray], width: int
+        self, p: np.ndarray, r: List[np.ndarray], width: int,
+        capacity: int = 0,
     ) -> Tuple[np.ndarray, List[np.ndarray]]:
         """Contiguous copy of the state at batch width ``width``.
 
         The first ``min(width, current)`` frames carry over, fresh-lane
-        entries included; frames beyond the old width start from zeroed
-        P and R.
+        entries included.  The copy goes into one of two re-layout
+        buffers per array, alternately, as ``(n, width)`` views of their
+        leading values.  A buffer is allocated, zeroed, when it is first
+        used or too small, for ``max(width, capacity)`` lanes: an engine
+        passes its slot count, and its width changes allocate nothing
+        after the first two.  Lanes beyond the old width hold whatever
+        the buffer last held there (in float, a fresh-lane row of another
+        width reads as NaN messages).  Those lanes are free or about to
+        be loaded, and lanes never exchange values, so no result sees
+        them.
         """
-        keep = min(width, p.shape[1])
-        new_p = np.zeros((p.shape[0], width), dtype=p.dtype)
+        old = p.shape[1]
+        src = self._r_buffer(r, old)
+        pick = self._relayout_pick ^ 1
+        if p.base is self._relayout[pick][0]:
+            pick ^= 1   # p lives there: never copy a state onto itself
+        self._relayout_pick = pick
+        new_p, new_r, buf = self._relayout_state(pick, width, capacity)
+        keep = min(width, old)
         new_p[:, :keep] = p[:, :keep]
-        new_buf = np.zeros((self._r_rows, width), dtype=self._dtype)
-        new_buf[:, :keep] = self._r_buffer(r, p.shape[1])[:, :keep]
-        return new_p, self._r_views(new_buf)
+        buf[:, :keep] = src[:, :keep]
+        self._r_checked = (new_r[0], width, buf)
+        return new_p, new_r
+
+    def _relayout_state(self, pick: int, width: int, capacity: int) -> tuple:
+        """``(P, R views, R buffer)`` at ``width`` in re-layout buffer
+        pair ``pick``; the views of each width are made once."""
+        flat_p, views, flat_r = self._relayout[pick]
+        state = views.get(width)
+        if state is None:
+            n, rows = self.code.n, self._r_rows
+            if flat_p.size < n * width:
+                lanes = max(width, capacity)
+                flat_p = np.zeros(n * lanes, dtype=self._dtype)
+                flat_r = np.zeros(rows * lanes, dtype=self._dtype)
+                views = {}
+                self._relayout[pick] = (flat_p, views, flat_r)
+            buf = flat_r[: rows * width].reshape(rows, width)
+            state = (flat_p[: n * width].reshape(n, width),
+                     self._r_views(buf), buf)
+            views[width] = state
+        return state
 
     # ------------------------------------------------------------------
     # public API
@@ -658,8 +704,7 @@ class BatchLayeredMinSumDecoder(object):
             done = (weights == 0) | (it == self.max_iterations - 1)
             if done.any():
                 retired = active[done]
-                out_bits[retired] = self.frames_bits(p, done)
-                out_llrs[retired] = self.frames_llrs(p, done)
+                out_bits[retired], out_llrs[retired] = self.frames_out(p, done)
                 out_converged[retired] = weights[done] == 0
                 out_iterations[retired] = it + 1
                 out_weights[retired] = weights[done]

@@ -17,13 +17,22 @@ A step is one call into the batch kernel (one foreign call when
 compiled), which keeps each slot's iteration count, budget and syndrome
 trail in the kernel's :class:`~repro.serve.batch.Lanes` and iterates
 until a frame retires — as the paper's datapath runs a frame's
-iterations and parity check with no host round trip.  Python then runs
-once per retired frame.  A step with a free slot also ends after the
-iteration during which :attr:`ContinuousBatchingEngine.doorbell` was
-set: :meth:`DecodeService.submit <repro.serve.pool.DecodeService.submit>`
+iterations and parity check with no host round trip.  A step with a
+free slot also ends after the iteration during which
+:attr:`ContinuousBatchingEngine.doorbell` was set:
+:meth:`DecodeService.submit <repro.serve.pool.DecodeService.submit>`
 sets it after queueing a frame, like the hardware's input-FIFO flag,
 and the shard worker clears it before each read of its queue, so a
 queued frame waits at most one iteration for a free slot.
+
+Host work runs once per step, not once per frame, on both sides of
+that call.  :meth:`~ContinuousBatchingEngine.admit` only claims the
+lowest free slot (a bit in an occupancy mask, with a maintained count
+behind :attr:`~ContinuousBatchingEngine.in_flight`) and records the
+frame; the next step re-lays out the state if its width changed, then
+loads every recorded frame with one column write and one fresh-lane
+write (the input FIFO's burst).  The frames a step retires come out
+with one gather of their P columns, their metrics in one record.
 
 Frames in the same engine share one code (and hence one LLR length);
 mixed-rate traffic is sharded across engines by the worker pool in
@@ -34,7 +43,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +56,6 @@ from repro.errors import DecodingError, EngineFullError
 from repro.serve.batch import BatchLayeredMinSumDecoder
 from repro.serve.jobs import CompletedJob, DecodeJob
 from repro.serve.metrics import ServeMetrics
-from repro.utils.bitops import hard_decision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import TraceRecorder
@@ -138,9 +146,12 @@ class ContinuousBatchingEngine(object):
         self.doorbell = self._lanes.doorbell
         # per occupied slot: its job and iteration budget
         self._jobs: List[Optional[Tuple[DecodeJob, int]]] = [None] * batch_size
-        # frames admitted above the current width, loaded by the next
-        # step's re-layout (at most one re-layout per step)
-        self._pending: Dict[int, np.ndarray] = {}
+        # occupied slots as bits of one int, and their count
+        self._occupied = 0
+        self._busy = 0
+        # frames admitted since the last step, loaded by the next one
+        self._load_slots: List[int] = []
+        self._load_llrs: List[np.ndarray] = []
 
     # ------------------------------------------------------------------
     # slot management
@@ -148,15 +159,18 @@ class ContinuousBatchingEngine(object):
     @property
     def in_flight(self) -> int:
         """Frames currently occupying a slot."""
-        return int(np.count_nonzero(self._lanes.budgets))
+        return self._busy
 
     @property
     def free_slots(self) -> int:
         """Slots available for :meth:`admit`."""
-        return self.batch_size - self.in_flight
+        return self.batch_size - self._busy
 
     def admit(self, job: DecodeJob) -> int:
-        """Place one job into a free slot; returns the slot index.
+        """Claim the lowest free slot for one job; returns the slot index.
+
+        The frame is loaded into the kernel state by the next
+        :meth:`step`, together with every frame admitted before it.
 
         Raises
         ------
@@ -165,9 +179,7 @@ class ContinuousBatchingEngine(object):
         DecodingError
             If the job's LLR vector has the wrong length.
         """
-        lanes = self._lanes
-        free = np.flatnonzero(lanes.budgets == 0)
-        if free.size == 0:
+        if self._busy == self.batch_size:
             raise EngineFullError(
                 f"all {self.batch_size} slots occupied; step() before admitting"
             )
@@ -176,20 +188,21 @@ class ContinuousBatchingEngine(object):
             raise DecodingError(
                 f"job {job.job_id}: LLR length {llrs.shape} != ({self.code.n},)"
             )
-        slot = int(free[0])
-        if slot < self._width:
-            self.kernel.load_slot(self._p, self._r, slot, llrs)
-        else:
-            self._pending[slot] = llrs
+        occupied = self._occupied
+        slot = (~occupied & (occupied + 1)).bit_length() - 1  # lowest 0 bit
         # per-job budget (load shedding lowers it); clamp to [1, engine max]
         budget = job.iteration_budget
         if budget is None:
             budget = self.max_iterations
         budget = min(max(1, int(budget)), self.max_iterations)
+        lanes = self._lanes
         lanes.iters[slot] = 0
         lanes.budgets[slot] = budget
+        self._occupied = occupied | (1 << slot)
+        self._busy += 1
         self._jobs[slot] = (job, budget)
-        self.metrics.frames_in.inc()
+        self._load_slots.append(slot)
+        self._load_llrs.append(llrs)
         if self.recorder is not None:
             self.recorder.event("engine.admit", slot=slot, job=job.job_id)
         return slot
@@ -201,7 +214,8 @@ class ContinuousBatchingEngine(object):
 
     def _set_width(self, width: int) -> None:
         if width != self._width:
-            self._p, self._r = self.kernel.resize(self._p, self._r, width)
+            self._p, self._r = self.kernel.resize(self._p, self._r, width,
+                                                  self.batch_size)
             self._width = width
 
     # ------------------------------------------------------------------
@@ -210,15 +224,15 @@ class ContinuousBatchingEngine(object):
     def step(self) -> List[CompletedJob]:
         """Iterate the occupied slots until a frame retires.
 
-        One kernel call runs layered iterations until at least one frame
-        passes its parity checks or spends its iteration budget, or,
-        with a slot free, until :attr:`doorbell` is set.  Retires (and
-        returns) every such frame; the freed slots can be refilled
-        before the next step.
+        Loads the frames admitted since the last step, then one kernel
+        call runs layered iterations until at least one frame passes its
+        parity checks or spends its iteration budget, or, with a slot
+        free, until :attr:`doorbell` is set.  Retires (and returns) every
+        such frame; the freed slots can be refilled before the next
+        step.
         """
-        lanes = self._lanes
-        busy = np.flatnonzero(lanes.budgets)
-        if busy.size == 0:
+        busy = self._busy
+        if busy == 0:
             return []
         rec = self.recorder
         tracing = rec is not None and rec.enabled
@@ -229,49 +243,62 @@ class ContinuousBatchingEngine(object):
         # keeps few scratch shapes and re-lays out state only when the
         # width changes).  Free slots below it decode stale state
         # (cheap, harmless); the hot path never gathers/scatters R.
-        self._set_width(self._width_for(int(busy[-1]) + 1))
-        for slot, llrs in self._pending.items():
-            self.kernel.load_slot(self._p, self._r, slot, llrs)
-        self._pending.clear()
+        self._set_width(self._width_for(self._occupied.bit_length()))
+        if self._load_slots:
+            self.kernel.load_slots(self._p, self._r, self._load_slots,
+                                   self._load_llrs)
+            self.metrics.frames_in.inc(len(self._load_slots))
+            self._load_slots, self._load_llrs = [], []
         # a full engine has no slot to offer: it ignores the doorbell
         iterations, retired = self.kernel.iterate_once(
-            self._p, self._r, lanes, busy.size < self.batch_size)
-        self.metrics.step_recorded(busy.size, self.batch_size, iterations)
+            self._p, self._r, self._lanes, busy < self.batch_size)
+        self.metrics.step_recorded(busy, self.batch_size, iterations)
         if tracing:
-            rec.complete("engine.step", step_t0, busy=int(busy.size),
+            rec.complete("engine.step", step_t0, busy=busy,
                          capacity=self.batch_size, width=self._width,
                          iterations=iterations)
+        return self._retire(retired) if retired else []
 
+    def _retire(self, retired: List[int]) -> List[CompletedJob]:
+        """Results of the lanes a step retired, and their slots freed."""
+        lanes = self._lanes
+        used_by = lanes.iters[retired].tolist()
+        trails = lanes.trail[retired].tolist()
+        bits, llrs = self.kernel.frames_out(self._p, retired)
+        now = time.monotonic()
+        jobs = self._jobs
         completed: List[CompletedJob] = []
-        for slot in retired:
-            job, budget = self._jobs[slot]
-            self._jobs[slot] = None
-            used = int(lanes.iters[slot])
-            trail = lanes.trail[slot, :used].tolist()
+        latencies: List[float] = []
+        converged_count = saved = 0
+        for i, slot in enumerate(retired):
+            job, budget = jobs[slot]
+            jobs[slot] = None
+            self._occupied &= ~(1 << slot)
+            used = used_by[i]
+            trail = trails[i][:used]
             converged = trail[-1] == 0
-            # one strided gather per frame: the bits are the signs of
-            # the contiguous LLR copy (dequantizing keeps every sign)
-            llrs = self.kernel.frame_llrs(self._p, slot)
-            done = CompletedJob(job=job, result=DecodeResult(
-                bits=hard_decision(llrs),
+            if converged:
+                converged_count += 1
+                saved += max(0, budget - used)
+            done = CompletedJob(job=job, completed_at=now, result=DecodeResult(
+                bits=bits[i],
                 converged=converged,
                 iterations=used,
-                llrs=llrs,
+                llrs=llrs[i],
                 syndrome_weight=trail[-1],
                 iteration_syndromes=trail,
             ))
-            self.metrics.frame_retired(
-                converged=converged,
-                iterations=used,
-                max_iterations=budget,
-                latency_s=done.latency_s,
-            )
+            latencies.append(done.latency_s)
             completed.append(done)
             if self.recorder is not None:
                 self.recorder.event(
                     "engine.retire", slot=slot, job=done.job_id,
                     converged=converged, iterations=used,
                 )
+        self._busy -= len(retired)
+        self.metrics.frames_retired(converged_count,
+                                    len(retired) - converged_count, saved,
+                                    latencies)
         return completed
 
     def drain(self) -> List[CompletedJob]:

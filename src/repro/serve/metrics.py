@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.utils.tables import render_table
@@ -176,22 +177,21 @@ class ServeMetrics(object):
         if capacity > 0:
             self.occupancy.observe(busy_slots / capacity, count=iterations)
 
-    def frame_retired(
-        self,
-        converged: bool,
-        iterations: int,
-        max_iterations: int,
-        latency_s: float,
-    ) -> None:
-        """A frame finished decoding; records convergence, the
-        early-termination saving vs ``max_iterations``, and latency."""
-        self.frames_out.inc()
+    def frames_retired(self, converged: int, failed: int,
+                       iterations_saved: int,
+                       latencies_s: Sequence[float]) -> None:
+        """The frames one engine step retired: ``converged`` with their
+        parity passing and ``failed`` without, the iterations the
+        converged ones saved against their budgets, and every frame's
+        latency in retirement order.  The same values as one record per
+        frame, with one update per instrument."""
+        self.frames_out.inc(converged + failed)
         if converged:
-            self.frames_converged.inc()
-            self.iterations_saved.inc(max(0, max_iterations - iterations))
-        else:
-            self.frames_failed.inc()
-        self.latency.observe(latency_s)
+            self.frames_converged.inc(converged)
+            self.iterations_saved.inc(iterations_saved)
+        if failed:
+            self.frames_failed.inc(failed)
+        self.latency.observe_many(latencies_s)
 
     # ------------------------------------------------------------------
     # export

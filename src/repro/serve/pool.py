@@ -40,27 +40,31 @@ Design points:
   step, which releases the GIL, so two shard threads decode on two
   cores; threads keep results zero-copy and the service embeddable,
   and one engine per worker means no shared mutable decode state.
-* **Doorbell.**  A step iterates until a frame retires, so ``submit``
-  sets the shard engine's ``doorbell`` after it queues a frame and a
-  step with a free slot returns after its current iteration.  The
-  worker reads its queue only when the doorbell is set or the engine
-  is empty, and then until the queue is empty or the slots are full.
-  It clears the doorbell before each read: a frame queued after the
-  last read rings it again, so no wake-up is lost, and a step that
-  retires frames with nothing queued costs no queue poll.
+* **Doorbell.**  A shard's queue is a deque under the shard's lock.
+  ``submit`` takes that lock once: it checks capacity, appends and
+  sets the shard engine's ``doorbell``, so a step with a free slot
+  returns after its current iteration.  The worker takes its queue
+  only when the doorbell is set or the engine is empty, and then in
+  one acquisition of the same lock: it clears the doorbell and takes
+  every frame that fits the engine's free slots, ringing the doorbell
+  again if frames are left.  A frame queued after the take rings it
+  anew, so no wake-up is lost, and a step that retires frames with
+  nothing queued costs no lock at all.  An empty engine's worker
+  waits on the lock's condition, which ``submit`` notifies.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Deque,
     Dict,
     List,
     Mapping,
@@ -164,7 +168,14 @@ class _Shard(object):
         self.group = group or key
         self.make_engine = make_engine
         self.engine = make_engine()
-        self.queue: "queue.Queue[_Item]" = queue.Queue(maxsize=capacity)
+        # the bounded queue: frames waiting for a slot, under ``lock``;
+        # the worker waits on ``ready`` for frames, blocked submitters
+        # on ``space`` for room
+        self.capacity = capacity
+        self.pending: Deque[_Item] = deque()
+        self.lock = threading.Lock()
+        self.ready = threading.Condition(self.lock)
+        self.space = threading.Condition(self.lock)
         self.thread: Optional[threading.Thread] = None
         # in-flight work, owned by the worker/supervisor thread
         self.futures: Dict[int, _Item] = {}
@@ -180,7 +191,7 @@ class _Shard(object):
     @property
     def load(self) -> int:
         """Queued + in-flight frames (the replica-routing load signal)."""
-        return self.queue.qsize() + self.engine.in_flight
+        return len(self.pending) + self.engine.in_flight
 
 
 class DecodeService(object):
@@ -598,9 +609,9 @@ class DecodeService(object):
                     f"unknown code_key {code_key!r}; have {self.shard_keys}"
                 )
         fills = [
-            s.queue.qsize() / s.queue.maxsize
+            len(s.pending) / s.capacity
             for s in shards
-            if s.queue.maxsize > 0 and not s.stopping.is_set()
+            if not s.stopping.is_set()
         ]
         if not fills:
             return 1.0  # nothing routable: report saturated
@@ -658,8 +669,8 @@ class DecodeService(object):
                 key=shard.key,
                 alive=alive,
                 healthy=shard.healthy and (alive or not self._started),
-                queue_depth=shard.queue.qsize(),
-                queue_capacity=shard.queue.maxsize,
+                queue_depth=len(shard.pending),
+                queue_capacity=shard.capacity,
                 in_flight=shard.engine.in_flight,
                 restarts=shard.restarts,
                 strikes=shard.strikes,
@@ -725,8 +736,7 @@ class DecodeService(object):
         llrs = np.asarray(llrs, dtype=np.float64)
         shard = self._route(llrs, code_key)
         self._check_shard_alive(shard)
-        capacity = shard.queue.maxsize
-        fill = shard.queue.qsize() / capacity if capacity > 0 else 0.0
+        fill = len(shard.pending) / shard.capacity
         shed = self.shed_policy.budget(fill, self.max_iterations)
         budget = shed if shed < self.max_iterations else None
         if iteration_budget is not None:
@@ -747,27 +757,19 @@ class DecodeService(object):
             trace=trace,
         )
         future: "Future[CompletedJob]" = Future()
-        item = (job, future)
-        try:
-            if timeout is None:
-                shard.queue.put(item)
-            elif timeout > 0:
-                shard.queue.put(item, timeout=timeout)
-            else:
-                shard.queue.put_nowait(item)
-        except queue.Full:
+        if not self._enqueue(shard, (job, future), timeout):
             self.metrics.frames_rejected.inc()
             if timeout:
                 raise ServeTimeoutError(
                     f"shard {shard.key!r}: no queue space within {timeout}s"
-                ) from None
+                )
             raise QueueFullError(
                 f"shard {shard.key!r}: queue full "
-                f"({shard.queue.maxsize} frames waiting)"
-            ) from None
-        shard.engine.doorbell[0] = 1   # after the put: see the module notes
-        emit(self.recorder, self.log, "debug", "pool.enqueue", shard=shard.key,
-             job=job.job_id)
+                f"({shard.capacity} frames waiting)"
+            )
+        if self.recorder is not None or self.log is not None:
+            emit(self.recorder, self.log, "debug", "pool.enqueue",
+                 shard=shard.key, job=job.job_id)
         if not shard.healthy:
             # the shard died between the liveness check and the enqueue;
             # its final drain may have missed this item, so fail it here
@@ -783,6 +785,23 @@ class DecodeService(object):
             emit(self.recorder, self.log, "warning", "pool.shed",
                  shard=shard.key, budget=shed, fill=round(fill, 3))
         return future
+
+    @staticmethod
+    def _enqueue(shard: _Shard, item: _Item, timeout: Optional[float]) -> bool:
+        """Queue ``item`` and ring the doorbell under the shard's lock,
+        waiting up to ``timeout`` seconds for room (``None``: as long as
+        it takes); False when the queue stayed full."""
+        pending, capacity = shard.pending, shard.capacity
+        with shard.lock:
+            if len(pending) >= capacity and (
+                timeout == 0 or not shard.space.wait_for(
+                    lambda: len(pending) < capacity, timeout)
+            ):
+                return False
+            pending.append(item)
+            shard.engine.doorbell[0] = 1   # see the module notes
+            shard.ready.notify()
+        return True
 
     def decode(
         self,
@@ -895,6 +914,8 @@ class DecodeService(object):
         if not members:
             # the last (dead) replica was removed by key
             raise ShardDeadError(f"shard group {group!r} has no replicas")
+        if len(members) == 1:
+            return self._shards[members[0]]
         shards = [self._shards[k] for k in members]
         routable = [
             s for s in shards if s.healthy and not s.stopping.is_set()
@@ -972,13 +993,14 @@ class DecodeService(object):
                 raise exc
             engine = shard.engine
             # the queue is read when the doorbell rang or the engine is
-            # empty, and then until it is empty or the slots are full
-            if engine.in_flight == 0 or engine.doorbell[0]:
+            # empty, and then as far as the free slots go
+            if engine.in_flight == 0 or (engine.free_slots
+                                         and engine.doorbell[0]):
                 self._admit_queued(shard, engine)
             if engine.in_flight == 0:
                 if (
                     (self._closing.is_set() or shard.stopping.is_set())
-                    and shard.queue.empty()
+                    and not shard.pending
                 ):
                     return
                 continue
@@ -1002,23 +1024,28 @@ class DecodeService(object):
 
     def _admit_queued(self, shard: _Shard,
                       engine: ContinuousBatchingEngine) -> None:
-        """Admit queued frames into free slots until the queue is empty.
+        """Admit the queued frames that fit the engine's free slots.
 
-        The doorbell is cleared before each read of the queue: a frame
-        put after that read rings it again, so the step that follows
-        returns for it.  A frame put before it is seen by the read."""
-        doorbell = engine.doorbell
-        while engine.free_slots > 0:
-            block = engine.in_flight == 0
-            doorbell[0] = 0
-            if not block and shard.queue.empty():
-                return   # no exception raised for the common case
-            try:
-                job, future = shard.queue.get(
-                    timeout=_POLL_S if block else 0.0
-                )
-            except queue.Empty:
+        They are taken in one acquisition of the shard's lock, which
+        also clears the doorbell (and rings it again if frames are
+        left): a frame queued after the take rings it anew, so the step
+        that follows returns for it.  An empty engine waits up to
+        ``_POLL_S`` for a frame first."""
+        pending = shard.pending
+        with shard.lock:
+            if not pending and engine.in_flight == 0:
+                shard.ready.wait(_POLL_S)
+            engine.doorbell[0] = 0
+            take = min(len(pending), engine.free_slots)
+            if not take:
                 return
+            items = [pending.popleft() for _ in range(take)]
+            if pending:
+                engine.doorbell[0] = 1   # the slots ran out first
+            shard.space.notify(take)
+        observed = self.recorder is not None or self.log is not None
+        now = time.monotonic()
+        for job, future in items:
             if not future.set_running_or_notify_cancel():
                 continue  # caller cancelled while queued
             if job.expired:
@@ -1029,7 +1056,7 @@ class DecodeService(object):
                 future.set_exception(
                     DeadlineExceededError(
                         f"job {job.job_id}: deadline passed after "
-                        f"{time.monotonic() - job.enqueued_at:.3f}s in queue"
+                        f"{now - job.enqueued_at:.3f}s in queue"
                     )
                 )
                 continue
@@ -1039,12 +1066,12 @@ class DecodeService(object):
                 self.metrics.frames_errored.inc()
                 future.set_exception(exc)
                 continue
-            job.dispatched_at = time.monotonic()
-            emit(self.recorder, self.log, "debug", "pool.dispatch",
-                 shard=shard.key, job=job.job_id)
-            self._trace_queue_wait(shard, job)
+            job.dispatched_at = now
             shard.futures[job.job_id] = (job, future)
-        doorbell[0] = 1   # the slots ran out first: frames may be left
+            if observed:
+                emit(self.recorder, self.log, "debug", "pool.dispatch",
+                     shard=shard.key, job=job.job_id)
+                self._trace_queue_wait(shard, job)
 
     def _recover_transient(self, shard: _Shard, exc: Exception) -> None:
         shard.last_error = exc
@@ -1078,11 +1105,11 @@ class DecodeService(object):
         shard.futures.clear()
 
     def _fail_queue(self, shard: _Shard, exc: Exception) -> None:
-        while True:
-            try:
-                _job, future = shard.queue.get_nowait()
-            except queue.Empty:
-                return
+        with shard.lock:
+            items = list(shard.pending)
+            shard.pending.clear()
+            shard.space.notify_all()
+        for _job, future in items:
             self._fail_future(future, exc)
 
     def _fail_future(self, future: "Future", exc: Exception) -> None:

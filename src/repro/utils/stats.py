@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +41,14 @@ class RollingReservoir(object):
         self._count += count
         for _ in range(count):
             self._total += value   # the float sum of single calls
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Record each of ``values`` in order, as single calls would."""
+        values = [float(v) for v in values]
+        self._window.extend(values)
+        self._count += len(values)
+        for value in values:
+            self._total += value
 
     @property
     def count(self) -> int:

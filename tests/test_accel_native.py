@@ -219,7 +219,7 @@ def _decoder(code, fixed: bool, path: str) -> BatchLayeredMinSumDecoder:
 @pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
 def test_a_slot_reloaded_over_stale_state_decodes_like_a_fresh_one(
         fixed, path, stage):
-    """``load_slot`` leaves a retired frame's R messages in place and
+    """``load_slots`` leaves a retired frame's R messages in place and
     only marks the slot fresh.  The reloaded frame must decode byte for
     byte as it does in a state of its own, and the other frames as if
     nothing was loaded: at the current width, in a state that
@@ -237,21 +237,21 @@ def test_a_slot_reloaded_over_stale_state_decodes_like_a_fresh_one(
         elif stage == "compact":
             p, r = dec.compact(p, r, np.array([True, False, True, True]))
         slot = 1                            # a slot that held a frame
-        buf = r[0].base
+        buf = dec._r_buffer(r, p.shape[1])
         assert np.any(buf[:-1, slot] != 0)
         others = [b for b in range(p.shape[1]) if b != slot]
         p_rest, r_rest = dec.compact(
             p, r, np.arange(p.shape[1]) != slot)
 
         llrs = rng.normal(1.0, 2.0, code.n)
-        dec.load_slot(p, r, slot, llrs)
+        dec.load_slots(p, r, [slot], llrs[None, :])
         alone = dec.prepare(llrs[None, :])
         r_alone = dec.new_r_state(1)
         for _ in range(4):
             dec.iterate_once(p, r)
             dec.iterate_once(alone, r_alone)
             dec.iterate_once(p_rest, r_rest)
-        buf = r[0].base
+        buf = dec._r_buffer(r, p.shape[1])
         assert p[:, slot].tobytes() == alone[:, 0].tobytes(), code_id
         assert buf[:, slot].tobytes() == r_alone[0].base[:, 0].tobytes()
         assert p[:, others].tobytes() == p_rest.tobytes(), code_id
@@ -414,3 +414,50 @@ def test_the_compiled_kernel_stays_inside_the_state_it_is_given(fixed):
                 assert big[:guard_rows].tobytes() == guard[:guard_rows].tobytes()
                 assert (big[-guard_rows:].tobytes()
                         == guard[-guard_rows:].tobytes())
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
+def test_the_compiled_kernel_stays_inside_a_relayout_buffer(fixed):
+    """The guard canary for the re-layout buffers of ``resize``: a state
+    of width ``w`` is the leading values of a buffer sized for more
+    lanes, so every value after them is a guard.  Re-laying out into the
+    buffers (growing and shrinking), iterating and stepping every frame
+    to retirement leave the guard values untouched, and P and R equal
+    the state decoded on its own."""
+    if native.load() is None:
+        pytest.skip(f"no compiled kernel: {native.fallback_reason()}")
+    registry = default_registry()
+    rng = np.random.default_rng(98)
+    fill = 0x5A5A if fixed else -1234.5
+    for code_id in registry.ids():
+        code = registry.get(code_id)
+        dec = BatchLayeredMinSumDecoder(code, fixed=fixed)
+        for width in (1, 3, 5, 16):
+            capacity = 2 * width + 3
+            llrs = rng.normal(1.0, 2.0, (width, code.n))
+            alone, r_alone = dec.prepare(llrs), dec.new_r_state(width)
+            # into pair 0 at full capacity, then back to width in pair 1
+            p, r = dec.resize(alone, r_alone, capacity, capacity)
+            p, r = dec.resize(p, r, width, capacity)
+            flats = [p.base, r[0].base]
+            assert all(np.shares_memory(a, flat) for a, flat in
+                       zip((p, dec._r_buffer(r, width)), flats))
+            used = [code.n * width, dec._r_rows * width]
+            for flat, n_used in zip(flats, used):
+                flat[n_used:] = fill
+            guards = [flat[n_used:].copy() for flat, n_used in zip(flats, used)]
+            for _ in range(2):
+                dec.iterate_once(p, r)
+                dec.iterate_once(alone, r_alone)
+            lanes, lanes_alone = dec.new_lanes(width), dec.new_lanes(width)
+            budgets = rng.integers(1, dec.max_iterations + 1, width)
+            lanes.budgets[:], lanes_alone.budgets[:] = budgets, budgets
+            while lanes.budgets.any():
+                assert (dec.iterate_once(p, r, lanes, True)
+                        == dec.iterate_once(alone, r_alone, lanes_alone, True))
+            assert p.tobytes() == alone.tobytes(), (code_id, width)
+            assert (dec._r_buffer(r, width).tobytes()
+                    == dec._r_buffer(r_alone, width).tobytes()), (code_id, width)
+            for flat, n_used, guard in zip(flats, used, guards):
+                assert flat[n_used:].tobytes() == guard.tobytes(), (
+                    code_id, width)

@@ -74,9 +74,9 @@ def _assert_decodes_like_the_reference(dec, p, lanes, lane, llrs, budget):
         dec.code, max_iterations=budget, fixed=dec.fixed).decode(llrs)
     used = int(lanes.iters[lane])
     trail = lanes.trail[lane, :used].tolist()
-    got_llrs = dec.frame_llrs(p, lane)
-    np.testing.assert_array_equal(dec.frames_bits(p, [lane])[0], ref.bits)
-    np.testing.assert_array_equal(got_llrs, ref.llrs)
+    bits, llrs = dec.frames_out(p, [lane])
+    np.testing.assert_array_equal(bits[0], ref.bits)
+    np.testing.assert_array_equal(llrs[0], ref.llrs)
     assert used == ref.iterations
     assert (trail[-1] == 0) == ref.converged
     assert trail == ref.iteration_syndromes
@@ -131,7 +131,7 @@ def test_steps_decode_like_the_per_frame_decoder(fixed, code, capacity,
                 refills -= 1
                 fresh = _frames(rng, 1, code.n)[0]
                 budget = int(rng.integers(1, MAX_ITER + 1))
-                dec.load_slot(p, r, lane, fresh)
+                dec.load_slots(p, r, [lane], fresh[None, :])
                 lanes.iters[lane], lanes.budgets[lane] = 0, budget
                 frames[lane] = (fresh, budget)
     assert not frames

@@ -97,12 +97,14 @@ async def connect_to_fake(answer: bytes, hello_timeout: float):
     """Connect a client to a fake gateway that answers HELLO with
     ``answer`` (nothing at all when empty); return the error raised
     and how long connecting took."""
+    writers = []
+
     async def handle(reader, writer):
+        writers.append(writer)
         await reader.read(1 << 16)
         writer.write(answer)
         await writer.drain()
         await asyncio.sleep(2 * hello_timeout)
-        writer.close()
 
     server = await asyncio.start_server(handle, "127.0.0.1", 0)
     host, port = server.sockets[0].getsockname()[:2]
@@ -117,6 +119,10 @@ async def connect_to_fake(answer: bytes, hello_timeout: float):
         raise AssertionError("connect succeeded against a fake gateway")
     finally:
         server.close()
+        for writer in writers:   # the fake's side of each connection
+            writer.close()
+            await writer.wait_closed()
+        await server.wait_closed()
 
 
 class TestNegotiation:

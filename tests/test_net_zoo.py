@@ -182,8 +182,9 @@ class TestGatewayZoo:
 class TestHarqSession:
     def _gateway(self, service):
         loop = asyncio.new_event_loop()
-        thread = threading.Thread(target=loop.run_forever, daemon=True)
-        thread.start()
+        self._loop_thread = threading.Thread(target=loop.run_forever,
+                                             daemon=True)
+        self._loop_thread.start()
         gateway = DecodeGateway(service, open_admission())
         host, port = asyncio.run_coroutine_threadsafe(
             gateway.start(), loop
@@ -193,6 +194,8 @@ class TestHarqSession:
     def _teardown(self, loop, gateway):
         asyncio.run_coroutine_threadsafe(gateway.close(), loop).result(30)
         loop.call_soon_threadsafe(loop.stop)
+        self._loop_thread.join(timeout=30)
+        loop.close()
 
     def test_mid_stream_rate_switch_zero_mismatches(self):
         ladder = (

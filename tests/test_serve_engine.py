@@ -137,6 +137,51 @@ class TestEngineMetrics:
         assert (batched.registry.render_prometheus()
                 == single.registry.render_prometheus())
 
+    def test_a_k_frame_retirement_equals_k_single_records(self):
+        """A step records the frames it retired with one update per
+        instrument; the snapshot, registry and Prometheus text match one
+        record per frame, and one record per frame matches the
+        instrument calls a frame used to make on its own (mixed
+        converged and failed frames and budgets, a first step with no
+        converged frame, latency sums of inexact floats)."""
+        steps = [
+            [(False, 10, 10, 0.1), (False, 4, 4, 1 / 3)],
+            [(True, 3, 10, 1 / 3), (False, 10, 10, 0.7), (True, 7, 7, 2 / 3)],
+            [(True, 1, 5, 1e-4)],
+            [(True, 2, 10, 1 / 7), (False, 6, 6, 2.5), (True, 4, 9, 0.3)],
+        ]
+        batched, single, by_hand = ServeMetrics(), ServeMetrics(), ServeMetrics()
+        for frames in steps:
+            converged = sum(c for c, _, _, _ in frames)
+            saved = sum(b - it for c, it, b, _ in frames if c)
+            batched.frames_retired(converged, len(frames) - converged, saved,
+                                   [lat for _, _, _, lat in frames])
+            for c, it, b, lat in frames:
+                single.frames_retired(int(c), int(not c), b - it if c else 0,
+                                      [lat])
+                by_hand.frames_out.inc()
+                if c:
+                    by_hand.frames_converged.inc()
+                    by_hand.iterations_saved.inc(max(0, b - it))
+                else:
+                    by_hand.frames_failed.inc()
+                by_hand.latency.observe(lat)
+            assert batched.registry.to_dict() == by_hand.registry.to_dict()
+
+        def steady(snap):   # the clock-derived fields differ by design
+            return dataclasses.replace(snap, elapsed_s=0.0,
+                                       throughput_fps=0.0)
+
+        snap = steady(batched.snapshot())
+        assert snap.frames_out == 9 and snap.frames_converged == 5
+        assert snap.iterations_saved == 7 + 0 + 4 + 8 + 5
+        for other in (single, by_hand):
+            assert steady(other.snapshot()) == snap
+            assert other.registry.to_dict() == batched.registry.to_dict()
+            assert (other.registry.render_prometheus()
+                    == batched.registry.render_prometheus())
+        assert batched.latency.sum() == by_hand.latency.sum()
+
     def test_early_retirement_saves_iterations(self, wimax_short):
         frames = traffic(wimax_short, 8, seed=28, ebno_range=(4.5, 5.0))
         engine = ContinuousBatchingEngine(wimax_short, batch_size=4)

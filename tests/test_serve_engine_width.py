@@ -265,3 +265,62 @@ def test_step_spans_cover_every_layer_once():
         assert prev.end_s <= span.start_s
     assert all(step.start_s <= s.start_s <= s.end_s <= step.end_s
                for s in spans)
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
+def test_widths_grow_and_shrink_in_two_buffers(fixed):
+    """Width 1 -> 16 -> 2 -> 16 -> 2 -> 1 with frames in flight, twice:
+    every frame decodes like the per-frame decoder, and after the first
+    two re-layouts every state is a view into the same two buffers per
+    array, taken in turn (a width change allocates nothing)."""
+    code_id = CODE_IDS[0]
+    code, frames = _frames(code_id)
+    slow = [f for f in range(POOL)
+            if _reference(code_id, fixed, f, MAX_ITER).iterations == MAX_ITER]
+    assert len(slow) >= 2
+    engine = ContinuousBatchingEngine(
+        code, batch_size=16, max_iterations=MAX_ITER, fixed=fixed
+    )
+    widths = _spy(engine)
+    kernel = engine.kernel
+    expect = {}   # job id -> (frame, budget)
+    states = []   # (width, P, R buffer) after every re-layout
+
+    def admit(frame, budget):
+        job = DecodeJob(llrs=frames[frame], iteration_budget=budget)
+        engine.admit(job)
+        expect[job.job_id] = (frame, budget)
+
+    def step(ring, retires):
+        before = engine._p
+        engine.doorbell[0] = ring
+        done = engine.step()
+        assert len(done) == retires
+        for d in done:
+            _assert_matches(code_id, fixed, d, *expect.pop(d.job_id))
+        if engine._p is not before:
+            states.append((engine._width, engine._p,
+                           kernel._r_buffer(engine._r, engine._width)))
+
+    for _ in range(2):
+        admit(slow[0], MAX_ITER)                    # slot 0: 6 iterations
+        step(1, 0)                                  # width 1
+        admit(slow[1], 4)                           # slot 1: 4 iterations
+        for f in range(14):
+            admit(f % POOL, 1)                      # slots 2..15: one each
+        step(0, 14)                                 # width 16
+        step(1, 0)                                  # width 2
+        for f in range(14):
+            admit((f + 3) % POOL, 1)
+        step(0, 14)                                 # width 16
+        step(0, 1)                                  # width 2: slot 1 out
+        step(0, 1)                                  # width 1: slot 0 out
+    assert not expect and engine.in_flight == 0
+    assert widths == [1, 16, 2, 16, 2, 1] * 2
+    assert [w for w, _, _ in states] == [1, 16, 2, 16, 2, 1, 16, 2, 16, 2, 1]
+    pairs = states[:2]
+    for i, (_, p, buf) in enumerate(states):
+        mine, other = pairs[i % 2], pairs[(i + 1) % 2]
+        assert np.shares_memory(p, mine[1]) and np.shares_memory(buf, mine[2])
+        assert not np.shares_memory(p, other[1])
+        assert not np.shares_memory(buf, other[2])

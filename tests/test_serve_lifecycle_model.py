@@ -1,8 +1,9 @@
 """Model-based test of the decode service lifecycle (thread backend).
 
 Hypothesis drives one :class:`DecodeService` through random
-interleavings of ``submit``, ``add_shard``, ``remove_shard`` (drained or
-not), an injected worker crash and ``close``.  Whatever the order:
+interleavings of ``submit`` (one frame, or a burst larger than an
+engine's free slots), ``add_shard``, ``remove_shard`` (drained or not),
+an injected worker crash and ``close``.  Whatever the order:
 
 * every future ``submit`` returned resolves exactly once, either with
   the bits :func:`decode_many` gives for that frame or with a typed
@@ -72,6 +73,18 @@ class ServiceLifecycleMachine(RuleBasedStateMachine):
 
     @rule(frame=st.integers(0, len(FRAMES) - 1))
     def submit(self, frame: int) -> None:
+        self._submit(frame)
+
+    @rule(frames=st.lists(st.integers(0, len(FRAMES) - 1), min_size=5,
+                          max_size=12))
+    def submit_burst(self, frames: List[int]) -> None:
+        """More frames back to back than an engine has slots (4), so a
+        worker takes a batch of them from its queue in one hand-off
+        and leaves the rest queued behind a rung doorbell."""
+        for frame in frames:
+            self._submit(frame)
+
+    def _submit(self, frame: int) -> None:
         if self.closed:
             with pytest.raises(ServiceClosedError):
                 self.service.submit(FRAMES[frame])

@@ -18,6 +18,7 @@ from repro.errors import (
     QueueFullError,
     ServeError,
     ServeTimeoutError,
+    ServiceClosedError,
     ShardDeadError,
     TransientDecodeError,
 )
@@ -384,6 +385,44 @@ class TestBlockingSemantics:
             svc.decode(traffic(wimax_short, 1, seed=72)[0], timeout=0.05)
         svc.close()
 
+    def test_submit_positive_timeout_on_a_full_queue_raises_typed(
+            self, wimax_short):
+        svc = DecodeService(
+            wimax_short, batch_size=2, queue_capacity=1, autostart=False
+        )
+        svc.submit(traffic(wimax_short, 1, seed=77)[0])
+        t0 = time.monotonic()
+        with pytest.raises(ServeTimeoutError):
+            svc.submit(traffic(wimax_short, 1, seed=78)[0], timeout=0.05)
+        assert time.monotonic() - t0 >= 0.05
+        assert svc.metrics.snapshot().frames_rejected == 1
+        assert svc.health().shards[svc.shard_keys[0]].queue_depth == 1
+        svc.close()
+
+    def test_submit_positive_timeout_waits_for_the_worker(self, wimax_short):
+        """A submit that finds the queue full waits on the shard's lock
+        until the worker's take frees space, then queues its frame."""
+        svc = DecodeService(
+            wimax_short, batch_size=2, queue_capacity=1, autostart=False
+        )
+        first = svc.submit(traffic(wimax_short, 1, seed=79)[0])
+        good = traffic(wimax_short, 1, seed=80, ebno_range=(4.0, 4.0))[0]
+        out = {}
+        t = threading.Thread(
+            target=lambda: out.setdefault("f", svc.submit(good, timeout=30.0)),
+            daemon=True,
+        )
+        t.start()
+        time.sleep(0.1)
+        assert t.is_alive()   # waiting for room, not rejected
+        svc.start()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert out["f"].result(timeout=30).result.converged
+        assert first.result(timeout=30).result is not None
+        assert svc.metrics.snapshot().frames_rejected == 0
+        svc.close(wait=True)
+
 
 class TestCancellationAndClose:
     def test_cancel_while_queued_is_skipped(self, wimax_short):
@@ -415,6 +454,18 @@ class TestCancellationAndClose:
         svc.close(wait=True)
         svc.close(wait=False)
         assert svc.closed
+
+    def test_close_never_started_fails_every_queued_future(self, wimax_short):
+        svc = DecodeService(
+            wimax_short, batch_size=2, queue_capacity=8, autostart=False
+        )
+        futures = [svc.submit(f) for f in traffic(wimax_short, 5, seed=81)]
+        svc.close()
+        for future in futures:
+            with pytest.raises(ServiceClosedError):
+                future.result(timeout=5)
+        assert svc.metrics.snapshot().frames_errored == 5
+        assert svc.health().shards[svc.shard_keys[0]].queue_depth == 0
 
     def test_close_unstarted_with_queue_and_nowait(self, wimax_short):
         svc = DecodeService(wimax_short, batch_size=2, autostart=False)

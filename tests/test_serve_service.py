@@ -1,5 +1,8 @@
 """Worker-pool decode service: sharding, backpressure, shutdown."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,8 @@ from repro.errors import (
     ServeError,
     ServiceClosedError,
 )
-from repro.serve import DecodeService
+from repro.obs import TraceRecorder
+from repro.serve import DecodeService, NoShedPolicy
 from tests.test_serve_batch import traffic
 
 pytestmark = pytest.mark.serve
@@ -114,6 +118,27 @@ class TestBackpressure:
         assert len(results) == 4
         assert svc.metrics.snapshot().frames_out == 4
 
+    def test_a_queued_burst_fills_every_free_slot_in_one_take(
+            self, wimax_short):
+        """Frames queued before the worker starts reach the engine as
+        one take of as many frames as it has free slots, and the rest
+        follow as slots free up."""
+        rec = TraceRecorder()
+        svc = DecodeService(
+            wimax_short, batch_size=4, queue_capacity=10, autostart=False,
+            recorder=rec, shed_policy=NoShedPolicy(),
+        )
+        frames = traffic(wimax_short, 10, seed=39)
+        futures = [svc.submit(f) for f in frames]
+        svc.start()
+        results = [f.result(timeout=60) for f in futures]
+        svc.close(wait=True)
+        assert rec.by_name("engine.step")[0].label_dict["busy"] == 4
+        for frame, done in zip(frames, results):
+            ref = LayeredMinSumDecoder(wimax_short).decode(frame)
+            np.testing.assert_array_equal(done.result.bits, ref.bits)
+            assert done.result.iteration_syndromes == ref.iteration_syndromes
+
     def test_invalid_capacity_rejected(self, wimax_short):
         with pytest.raises(ServeError):
             DecodeService(wimax_short, queue_capacity=0, autostart=False)
@@ -167,3 +192,50 @@ class TestShutdown:
             f1.result(timeout=60)
             f2.result(timeout=60)
         assert svc.metrics.snapshot().frames_out == 2
+
+
+class TestHandOffStress:
+    def test_many_submitters_lose_no_frame_and_no_ring(self, wimax_short):
+        """Eight submitter threads (more than cores) push frames through
+        a queue of four into an engine of two slots, with a short switch
+        interval so the shard lock, the doorbell and the worker's takes
+        interleave often.  A lost ring or a lost append would leave a
+        future unresolved past its timeout; a double take would resolve
+        one twice or decode a frame twice."""
+        frames = traffic(wimax_short, 6, seed=44, ebno_range=(3.0, 4.0))
+        refs = [LayeredMinSumDecoder(wimax_short).decode(f) for f in frames]
+        per_thread, threads_n = 12, 8
+        results = [[] for _ in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with DecodeService(wimax_short, batch_size=2, queue_capacity=4,
+                               shed_policy=NoShedPolicy()) as svc:
+
+                def submit_all(k):
+                    for i in range(per_thread):
+                        f = (k + i) % len(frames)
+                        results[k].append((f, svc.submit(frames[f],
+                                                         timeout=None)))
+
+                threads = [threading.Thread(target=submit_all, args=(k,))
+                           for k in range(threads_n)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                for row in results:
+                    for f, future in row:
+                        done = future.result(timeout=60)
+                        np.testing.assert_array_equal(done.result.bits,
+                                                      refs[f].bits)
+                        assert (done.result.iteration_syndromes
+                                == refs[f].iteration_syndromes)
+        finally:
+            sys.setswitchinterval(interval)
+        snap = svc.metrics.snapshot()
+        total = per_thread * threads_n
+        assert snap.frames_in == snap.frames_out == total
+        assert snap.frames_rejected == snap.frames_errored == 0
+        assert svc.health().shards[svc.shard_keys[0]].queue_depth == 0
